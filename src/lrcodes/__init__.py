@@ -65,7 +65,7 @@ from .covers import (
     uniform_partition,
     validate,
 )
-from .cores import CoreQuery, Omega0, core_within, is_core, lambda_cores, omega0
+from .cores import CoreQuery, Omega0, is_core, lambda_cores, omega0
 from .construct import (
     ExtensionState,
     LrcCode,
@@ -156,7 +156,6 @@ __all__ = [
     "is_core",
     "omega0",
     "lambda_cores",
-    "core_within",
     # construction
     "LrcCode",
     "ExtensionState",

@@ -8,19 +8,17 @@ a core together with lam. Random draws from the group span (seeded)
 almost always succeed when q is at least C(n, k-1); a deterministic
 lexicographic scan backs them up.
 
-Avoidance checking has two equivalent implementations: a per-core
-reduced-basis test, and a vectorized one for large prime fields that
-computes, for every core, the linear functional whose kernel is its
-span and batches the dot products through numpy. Both see the same
-candidate stream, so results are bit-identical.
+Avoidance is one batched test for every field: for each paired core
+the step computes, by Gauss-Jordan on the field's numpy kernel, the
+linear functional whose kernel is the core's span, and a candidate is
+accepted when none of those functionals vanishes on it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations, islice, product
-from math import comb
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +34,10 @@ from .covers import (
     structure_from_json,
     uniform_partition,
 )
-from .cores import CoreQuery, _BlockModel, is_core, lambda_cores, omega0
+# lambda_cores and reduce_vector are not called here: they are imported
+# so that the benchmark's tracer (perfbench/tracer.py), which wraps
+# functions under the module names their callers use, finds them.
+from .cores import CoreQuery, core_mask, lambda_core_batches, lambda_cores, omega0
 from .errors import (
     FieldTooSmall,
     NotConstructible,
@@ -44,7 +45,7 @@ from .errors import (
     PreconditionViolated,
     UnknownCase,
 )
-from .gf import FieldSpec, field_at_least
+from .gf import FieldSpec, field_at_least, field_kernel
 from .linalg import Basis, Matrix, reduce_vector, reduced_basis
 from .params import (
     EXISTS,
@@ -72,33 +73,9 @@ __all__ = [
 
 RANDOM_ATTEMPTS = 64
 
-# Combination-count threshold beyond which prime fields switch to the
-# vectorized avoidance test; tests lower it to force either path.
-_FAST_PATH_MIN_COMBOS = 512
-_FAST_CHUNK = 1 << 17
 # Cap on the deterministic fallback scan when the span is too large to
 # sweep completely (only reachable after 64 failed draws at huge q).
 _SCAN_LIMIT = 1 << 20
-
-_INV_TABLES: dict[int, np.ndarray] = {}
-
-
-def _inv_table(p: int) -> np.ndarray:
-    """x -> x^(p-2) mod p for all x in [0, p); index 0 is unused."""
-    tab = _INV_TABLES.get(p)
-    if tab is None:
-        x = np.arange(p, dtype=np.int64)
-        result = np.ones(p, dtype=np.int64)
-        base = x.copy()
-        e = p - 2
-        while e:
-            if e & 1:
-                result = result * base % p
-            base = base * base % p
-            e >>= 1
-        tab = result
-        _INV_TABLES[p] = tab
-    return tab
 
 
 @dataclass
@@ -210,12 +187,9 @@ def _combine(field: FieldSpec, coeffs: Sequence[int], rows: Sequence[tuple[int, 
 
 def _avoidance_search(state: ExtensionState, lam: int, b: int, accept,
                       contained, ncores: int) -> tuple[int, ...]:
-    """Shared coefficient search: 64 seeded draws, then a containment
-    check (certifying impossibility cheaply before any long sweep), then
-    a lexicographic scan. Returns the accepted coefficient tuple.
-
-    Both avoidance implementations route through here, so they consume
-    identical RNG streams and produce identical columns.
+    """Coefficient search: 64 seeded draws, then a containment check
+    (certifying impossibility cheaply before any long sweep), then a
+    lexicographic scan. Returns the accepted coefficient tuple.
     """
     q = state.field.q
     for _ in range(RANDOM_ATTEMPTS):
@@ -225,7 +199,7 @@ def _avoidance_search(state: ExtensionState, lam: int, b: int, accept,
     if contained():
         raise NoValidVector(
             f"no usable column for coordinate {lam}: the group span lies "
-            f"inside a core span", num_cores=ncores, q=q)
+            f"inside a core span", num_cores=ncores, q=q, exhausted=True)
     can_finish = q ** b <= _SCAN_LIMIT * 4
     scanned = 0
     for coeffs in product(range(q), repeat=b):
@@ -235,167 +209,84 @@ def _avoidance_search(state: ExtensionState, lam: int, b: int, accept,
             return coeffs
         scanned += 1
         if not can_finish and scanned >= _SCAN_LIMIT:
-            break
+            raise NoValidVector(
+                f"no usable column for coordinate {lam} among the first "
+                f"{scanned} of {q ** b - 1} candidates: scan budget hit, "
+                f"span not exhausted", num_cores=ncores, q=q, exhausted=False)
     raise NoValidVector(
         f"no usable column for coordinate {lam}: every candidate hits one of "
-        f"{ncores} core spans", num_cores=ncores, q=q)
+        f"{ncores} core spans", num_cores=ncores, q=q, exhausted=True)
 
 
-def _pick_pure(state: ExtensionState, lam: int, group: int,
-               basis_rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    field = state.field
-    k = state.params.k
-    cores = list(lambda_cores(state.core_query(), lam))
-    core_bases = [
-        reduced_basis(field, [state.columns[x] for x in S0]) for S0 in cores
-    ]
-    for cb, S0 in zip(core_bases, cores):
-        if len(cb) != k - 1:
-            raise RuntimeError(
-                f"loop invariant violated: core {S0} spans rank {len(cb)} != {k - 1}")
-
-    def accept(coeffs: Sequence[int]) -> bool:
-        cand = _combine(field, coeffs, basis_rows, k)
-        return all(any(reduce_vector(field, cb, cand)) for cb in core_bases)
-
-    def contained() -> bool:
-        return any(
-            all(not any(reduce_vector(field, cb, row)) for row in basis_rows)
-            for cb in core_bases)
-
-    coeffs = _avoidance_search(state, lam, len(basis_rows), accept, contained,
-                               len(cores))
-    return _combine(field, coeffs, basis_rows, k)
-
-
-def _batch_nullvec(A: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
-    """Right nullspace vectors for a batch of (k-1) x k matrices of rank k-1.
-
-    Gauss-Jordan over F_p, vectorized across the batch. Raises if any
-    matrix is rank-deficient (that would mean a dependent core slipped
-    through the loop invariant).
-    """
-    N, m, kk = A.shape
-    R = A % p
+def _batch_rref(kern, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan in place on a batch of m x kk matrices, vectorized
+    across the batch. Returns each row's pivot column and each rank."""
+    N, m, kk = R.shape
     piv_col = np.zeros((N, m), dtype=np.int64)
     lead = np.zeros(N, dtype=np.int64)
-    row_ids = np.arange(m, dtype=np.int64)
+    row_ids = np.arange(m)
     for c in range(kk):
-        colvals = R[:, :, c]
-        eligible = (colvals != 0) & (row_ids[None, :] >= lead[:, None]) & (lead[:, None] < m)
-        has = eligible.any(axis=1)
-        sel = np.nonzero(has)[0]
+        eligible = (R[:, :, c] != 0) & (row_ids[None, :] >= lead[:, None])
+        sel = np.flatnonzero(eligible.any(axis=1))
         if sel.size == 0:
             continue
         fr = np.argmax(eligible[sel], axis=1)
         ld = lead[sel]
-        tmp = R[sel, fr, :].copy()
-        R[sel, fr, :] = R[sel, ld, :]
-        R[sel, ld, :] = tmp
-        pivrow = R[sel, ld, :] * inv[R[sel, ld, c]][:, None] % p
-        R[sel, ld, :] = pivrow
-        factors = R[sel, :, c].copy()
+        R[sel, fr], R[sel, ld] = R[sel, ld], R[sel, fr]
+        pivrow = kern.mul(R[sel, ld], kern.inv(R[sel, ld, c])[:, None])
+        R[sel, ld] = pivrow
+        factors = R[sel, :, c]
         factors[np.arange(sel.size), ld] = 0
-        R[sel] = (R[sel] - factors[:, :, None] * pivrow[:, None, :]) % p
+        block = R[sel]
+        kern.fms(block, factors[:, :, None], pivrow[:, None, :])
+        R[sel] = block
         piv_col[sel, ld] = c
         lead[sel] = ld + 1
+    return piv_col, lead
+
+
+def _batch_nullvec(kern, A: np.ndarray) -> np.ndarray:
+    """Right nullspace vectors for a batch of (k-1) x k matrices of rank
+    k-1 (A is overwritten). Raises if any matrix is rank-deficient (that
+    would mean a dependent core slipped through the loop invariant).
+    """
+    N, m, kk = A.shape
+    piv_col, lead = _batch_rref(kern, A)
     if (lead < m).any():
         raise RuntimeError("loop invariant violated: rank-deficient core basis in batch")
     pivmask = np.zeros((N, kk), dtype=bool)
     np.put_along_axis(pivmask, piv_col, True, axis=1)
     free = (~pivmask).argmax(axis=1)
-    vals = np.take_along_axis(R, free[:, None, None], axis=2)[:, :, 0]
-    x = np.zeros((N, kk), dtype=np.int64)
-    np.put_along_axis(x, piv_col, (p - vals) % p, axis=1)
-    np.put_along_axis(x, free[:, None], np.ones((N, 1), dtype=np.int64), axis=1)
+    vals = np.take_along_axis(A, free[:, None, None], axis=2)[:, :, 0]
+    x = kern.zeros((N, kk))
+    np.put_along_axis(x, piv_col, kern.neg(vals), axis=1)
+    x[np.arange(N), free] = 1
     return x
 
 
-def _fast_psi(state: ExtensionState, lam: int, basis_rows: list[tuple[int, ...]]
-              ) -> tuple[np.ndarray, int]:
+def _column_array(state: ExtensionState) -> np.ndarray:
+    """Assigned columns as kernel rows indexed by coordinate; others zero."""
+    cols = field_kernel(state.field).zeros((state.params.n + 1, state.params.k))
+    for x, col in state.columns.items():
+        cols[x] = col
+    return cols
+
+
+def _core_functionals(state: ExtensionState, lam: int,
+                      basis_rows: list[tuple[int, ...]]) -> np.ndarray:
     """For every core S0 paired with lam, the b coefficients of the linear
     functional ker = span(S0) restricted to the group-span basis.
 
     A candidate with coefficient vector c avoids span(S0) iff the matching
     row of the returned Psi has nonzero dot product with c.
     """
-    p = state.field.q
-    inv = _inv_table(p)
-    model = _BlockModel(state.structure, state.params.r, state.params.delta)
-    t = state.structure.t
-    n = state.structure.n
-    k = state.params.k
-    r = state.params.r
-
-    membership = np.zeros((n + 1, t), dtype=np.int64)
-    for i, g in enumerate(state.structure.groups):
-        for x in g:
-            membership[x, i] = 1
-    lam_counts = membership[lam]
-
-    tail_caps = np.full(t, -1, dtype=np.int64)
-    for i, cap in model.tail:
-        tail_caps[i] = cap
-    tail_idx = np.nonzero(tail_caps >= 0)[0]
-
-    cols_arr = np.zeros((n + 1, k), dtype=np.int64)
-    for x, col in state.columns.items():
-        cols_arr[x] = col
-
-    W = np.array(basis_rows, dtype=np.int64)
-    ground = [x for x in state.omega if x != lam]
-    psi_chunks = []
-    total = 0
-    it = combinations(ground, k - 1)
-    while True:
-        chunk = list(islice(it, _FAST_CHUNK))
-        if not chunk:
-            break
-        E = np.fromiter(
-            (x for S0 in chunk for x in S0), dtype=np.int64,
-            count=len(chunk) * (k - 1)).reshape(len(chunk), k - 1)
-        counts = membership[E].sum(axis=1) + lam_counts
-        ok = np.ones(len(chunk), dtype=bool)
-        if tail_idx.size:
-            ok &= (counts[:, tail_idx] <= tail_caps[tail_idx]).all(axis=1)
-        for hub, idx in model.hub_blocks:
-            blk = counts[:, list(idx)]
-            hub_in = (E == hub).any(axis=1) | (lam == hub)
-            ok &= (blk <= r).all(axis=1) & (hub_in | ((blk == r).sum(axis=1) <= 1))
-        if not ok.any():
-            continue
-        Ev = E[ok]
-        A = cols_arr[Ev]
-        phi = _batch_nullvec(A, p, inv)
-        psi_chunks.append(phi @ W.T % p)
-        total += Ev.shape[0]
-    if psi_chunks:
-        psi = np.concatenate(psi_chunks)
-    else:
-        psi = np.zeros((0, len(basis_rows)), dtype=np.int64)
-    return psi, total
-
-
-def _pick_fast(state: ExtensionState, lam: int, group: int,
-               basis_rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    field = state.field
-    p = field.q
-    k = state.params.k
-    psi, ncores = _fast_psi(state, lam, basis_rows)
-
-    def accept(coeffs: Sequence[int]) -> bool:
-        if not psi.size:
-            return True
-        v = psi @ np.asarray(coeffs, dtype=np.int64) % p
-        return bool((v != 0).all())
-
-    def contained() -> bool:
-        # an all-zero row means that core's functional kills the whole span
-        return bool(psi.size) and not psi.any(axis=1).all()
-
-    coeffs = _avoidance_search(state, lam, len(basis_rows), accept, contained,
-                               ncores)
-    return _combine(field, coeffs, basis_rows, k)
+    kern = field_kernel(state.field)
+    cols = _column_array(state)
+    psi_chunks = [kern.zeros((0, len(basis_rows)))]
+    for E in lambda_core_batches(state.core_query(), lam):
+        phi = _batch_nullvec(kern, cols[E])
+        psi_chunks.append(np.stack([kern.matvec(phi, w) for w in basis_rows], axis=1))
+    return np.concatenate(psi_chunks)
 
 
 def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[int, ...]:
@@ -404,38 +295,43 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     64 seeded random draws, then a lexicographic scan of the span. The
     scan certifies NoValidVector for small spans; for spans too large to
     sweep it gives up after a fixed budget (the draw stage is then
-    overwhelmingly likely to have succeeded first when q >= C(n, k-1)).
+    overwhelmingly likely to have succeeded first when q >= C(n, k-1)),
+    and the error says the span was not exhausted.
     """
     g = state.structure.groups[group - 1]
     if lam not in g or lam in state.columns:
         raise PreconditionViolated(
             f"coordinate {lam} is not an unassigned member of group {group}")
-    basis = _group_span_basis(state, group)
-    basis_rows = [row for _, row in basis]
-    k = state.params.k
-    use_fast = (
-        k >= 2
-        and state.field.e == 1
-        and comb(len(state.omega), k - 1) >= _FAST_PATH_MIN_COMBOS
-        and k * (state.field.q - 1) ** 2 < 2 ** 63
-    )
-    if use_fast:
-        return _pick_fast(state, lam, group, basis_rows)
-    return _pick_pure(state, lam, group, basis_rows)
+    basis_rows = [row for _, row in _group_span_basis(state, group)]
+    kern = field_kernel(state.field)
+    psi = _core_functionals(state, lam, basis_rows)
+
+    def accept(coeffs: Sequence[int]) -> bool:
+        return bool((kern.matvec(psi, coeffs) != 0).all())
+
+    def contained() -> bool:
+        # an all-zero row means that core's functional kills the whole span
+        return not (psi != 0).any(axis=1).all()
+
+    coeffs = _avoidance_search(state, lam, len(basis_rows), accept, contained,
+                               psi.shape[0])
+    return _combine(state.field, coeffs, basis_rows, state.params.k)
 
 
 def _assert_invariant(state: ExtensionState) -> None:
     """Full recheck: every core inside Omega has independent columns."""
     q = state.core_query()
-    k = state.params.k
-    ground = sorted(state.omega)
-    for size in range(1, min(k, len(ground)) + 1):
-        for S in combinations(ground, size):
-            if is_core(S, q):
-                basis = reduced_basis(state.field, [state.columns[x] for x in S])
-                if len(basis) != size:
-                    raise RuntimeError(
-                        f"loop invariant violated: core {S} has rank {len(basis)}")
+    cols = _column_array(state)
+    kern = field_kernel(state.field)
+    for size in range(1, min(state.params.k, len(q.ground)) + 1):
+        E = np.array(list(combinations(q.ground, size)), dtype=np.int64)
+        E = E[core_mask(q, E)]
+        _, ranks = _batch_rref(kern, cols[E])
+        bad = np.flatnonzero(ranks < size)
+        if bad.size:
+            raise RuntimeError(
+                f"loop invariant violated: core {tuple(E[bad[0]].tolist())} "
+                f"has rank {ranks[bad[0]]}")
 
 
 def _run_extension(structure: Structure, params: CodeParams, field: FieldSpec,

@@ -11,19 +11,27 @@ block's hub element is taken:
              stay <= r-1;
   tail:      |S n S_i| <= r.
 
-Cores are closed downward (any subset of a core is a core), which is
-what makes prefix-pruned DFS enumeration sound.
+The rule is written once, as `core_mask` over a batch of index tuples;
+`is_core`, `lambda_cores` and the construction's avoidance step all
+read it. Cores are closed downward: any subset of a core is a core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from functools import lru_cache
+from itertools import chain, combinations, islice
+from typing import Iterable, Iterator
 
-from .covers import CoverSet, Frame, Structure
+import numpy as np
+
+from .covers import Frame, Structure
 from .errors import IndexOutOfRange
 
-__all__ = ["CoreQuery", "Omega0", "is_core", "omega0", "lambda_cores", "core_within"]
+__all__ = ["CoreQuery", "Omega0", "is_core", "omega0", "lambda_cores",
+           "lambda_core_batches", "core_mask"]
+
+_BATCH = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -56,72 +64,53 @@ class Omega0:
 
 
 class _BlockModel:
-    """Uniform view of both structure kinds for the core predicates.
+    """Both structure kinds as arrays for the core predicate.
 
-    tail holds (group_index_0based, cap) pairs; hub_blocks holds
-    (hub_element, group indices of the block) with the frame cap r.
-    For partitions every group is tail with cap |S_i|-delta+1.
+    member[x] marks the groups holding coordinate x; cap[i] bounds
+    |S n S_i| (|S_i|-delta+1 in a partition, r in a frame); hub_blocks
+    holds (hub, group indices) pairs, whose groups may all reach r only
+    when the hub is in S.
     """
 
-    __slots__ = ("structure", "r", "masks", "tail", "hub_blocks", "groups_of_elem")
-
     def __init__(self, structure: Structure, r: int, delta: int) -> None:
-        self.structure = structure
         self.r = r
-        self.masks = structure.masks
-        if isinstance(structure, Frame):
-            in_hub = set()
-            self.hub_blocks = []
-            for j, block in enumerate(structure.hub_blocks):
-                idx = tuple(i - 1 for i in block)
-                self.hub_blocks.append((structure.hubs[j], idx))
-                in_hub.update(idx)
-            self.tail = [(i, r) for i in range(structure.t) if i not in in_hub]
-        else:
-            self.hub_blocks = []
-            self.tail = [(i, len(g) - delta + 1)
-                         for i, g in enumerate(structure.groups)]
-        self.groups_of_elem: dict[int, list[int]] = {}
+        self.member = np.zeros((structure.n + 1, structure.t), dtype=np.int64)
         for i, g in enumerate(structure.groups):
-            for x in g:
-                self.groups_of_elem.setdefault(x, []).append(i)
-
-    def counts(self, smask: int) -> list[int]:
-        return [bin(smask & m).count("1") for m in self.masks]
-
-    def block_ok(self, hub: int, idx: tuple[int, ...], cnt: list[int], smask: int) -> bool:
-        if smask >> (hub - 1) & 1:
-            return all(cnt[i] <= self.r for i in idx)
-        # hub absent: one designated group may use r, the rest r-1
-        for des in idx:
-            if cnt[des] <= self.r and all(
-                    cnt[i] <= self.r - 1 for i in idx if i != des):
-                return True
-        return False
-
-    def valid(self, smask: int) -> bool:
-        cnt = self.counts(smask)
-        for i, cap in self.tail:
-            if cnt[i] > cap:
-                return False
-        for hub, idx in self.hub_blocks:
-            if not self.block_ok(hub, idx, cnt, smask):
-                return False
-        return True
+            self.member[list(g), i] = 1
+        if isinstance(structure, Frame):
+            self.cap = np.full(structure.t, r)
+            self.hub_blocks = [(hub, np.array(block) - 1) for hub, block
+                               in zip(structure.hubs, structure.hub_blocks)]
+        else:
+            self.cap = np.array([len(g) - delta + 1 for g in structure.groups])
+            self.hub_blocks = []
 
 
-def _model(q: CoreQuery) -> _BlockModel:
-    return _BlockModel(q.structure, q.r, q.delta)
+@lru_cache(maxsize=64)
+def _block_model(structure: Structure, r: int, delta: int) -> _BlockModel:
+    return _BlockModel(structure, r, delta)
+
+
+def core_mask(q: CoreQuery, E: np.ndarray) -> np.ndarray:
+    """Which rows of E, an N x s array of distinct coordinates, are cores."""
+    model = _block_model(q.structure, q.r, q.delta)
+    counts = np.zeros((E.shape[0], model.cap.size), dtype=np.int64)
+    for j in range(E.shape[1]):
+        counts += model.member[E[:, j]]
+    ok = (counts <= model.cap).all(axis=1)
+    for hub, idx in model.hub_blocks:
+        at_r = (counts[:, idx] == model.r).sum(axis=1)
+        ok &= (at_r <= 1) | (E == hub).any(axis=1)
+    return ok
 
 
 def is_core(S: Iterable[int], q: CoreQuery) -> bool:
     """Whether S satisfies every per-group intersection cap of the structure."""
-    smask = 0
-    for x in S:
-        if not 1 <= x <= q.structure.n:
-            raise IndexOutOfRange(f"index {x} outside [1, {q.structure.n}]")
-        smask |= 1 << (x - 1)
-    return _model(q).valid(smask)
+    S = sorted(set(S))
+    if S and not (1 <= S[0] and S[-1] <= q.structure.n):
+        bad = S[0] if S[0] < 1 else S[-1]
+        raise IndexOutOfRange(f"index {bad} outside [1, {q.structure.n}]")
+    return bool(core_mask(q, np.array([S], dtype=np.int64))[0])
 
 
 def omega0(structure: Structure, r: int, delta: int) -> Omega0:
@@ -146,129 +135,29 @@ def omega0(structure: Structure, r: int, delta: int) -> Omega0:
     return Omega0(tuple(indices), tuple(picks))
 
 
-def lambda_cores(q: CoreQuery, lam: int) -> Iterator[tuple[int, ...]]:
-    """All (k-1)-subsets S0 of the ground set with S0 u {lam} a core.
-
-    Yields sorted tuples in lexicographic order via DFS. Downward
-    closure justifies pruning: once a partial selection breaks a cap it
-    cannot be completed. A second prune abandons branches whose suffix
-    cannot supply enough elements under the most generous caps.
-    """
-    model = _model(q)
-    ground = [x for x in q.ground if x != lam]
+def lambda_core_batches(q: CoreQuery, lam: int) -> Iterator[np.ndarray]:
+    """lambda_cores in batches: N x (k-1) int64 arrays whose rows, read
+    batch after batch, are the cores in lexicographic order."""
     target = q.k - 1
-    if target < 0 or target > len(ground):
+    if target < 0:
         return
-
-    t = q.structure.t
-    cnt = [0] * t
-    lam_mask = 1 << (lam - 1)
-    smask = lam_mask
-    for i in model.groups_of_elem.get(lam, ()):
-        cnt[i] += 1
-    if not model.valid(smask):
-        return
-
-    # per-group generous cap: frame groups can hold at most r, partition
-    # groups at most their own cap
-    gen_cap = [0] * t
-    for i, cap in model.tail:
-        gen_cap[i] = cap
-    for _, idx in model.hub_blocks:
-        for i in idx:
-            gen_cap[i] = model.r
-
-    # suffix_in_group[i][pos] = how many of ground[pos:] lie in group i
-    npos = len(ground)
-    suffix_in_group = [[0] * (npos + 1) for _ in range(t)]
-    for pos in range(npos - 1, -1, -1):
-        e = ground[pos]
-        for i in range(t):
-            suffix_in_group[i][pos] = suffix_in_group[i][pos + 1]
-        for i in model.groups_of_elem.get(e, ()):
-            suffix_in_group[i][pos] += 1
-
-    chosen: list[int] = []
-
-    def capacity_left(pos: int) -> int:
-        total = 0
-        for i in range(t):
-            room = gen_cap[i] - cnt[i]
-            if room > 0:
-                total += min(room, suffix_in_group[i][pos])
-        return total
-
-    def rec(start: int, smask: int) -> Iterator[tuple[int, ...]]:
-        need = target - len(chosen)
-        if need == 0:
-            yield tuple(chosen)
+    it = combinations([x for x in q.ground if x != lam], target)
+    while True:
+        chunk = list(islice(it, _BATCH))
+        if not chunk:
             return
-        if npos - start < need or capacity_left(start) < need:
-            return
-        for pos in range(start, npos - need + 1):
-            e = ground[pos]
-            groups = model.groups_of_elem.get(e, ())
-            newmask = smask | 1 << (e - 1)
-            for i in groups:
-                cnt[i] += 1
-            ok = True
-            for i in groups:
-                gcap = gen_cap[i]
-                if cnt[i] > gcap:
-                    ok = False
-                    break
-            if ok:
-                # recheck hub blocks touched by e (cap r alone is not the
-                # whole condition when the hub is absent)
-                for hub, idx in model.hub_blocks:
-                    if e == hub or any(i in idx for i in groups):
-                        if not model.block_ok(hub, idx, cnt, newmask):
-                            ok = False
-                            break
-            if ok:
-                chosen.append(e)
-                yield from rec(pos + 1, newmask)
-                chosen.pop()
-            for i in groups:
-                cnt[i] -= 1
-
-    yield from rec(0, smask)
+        E = np.empty((len(chunk), target + 1), dtype=np.int64)
+        E[:, :target] = np.fromiter(
+            chain.from_iterable(chunk), dtype=np.int64,
+            count=len(chunk) * target).reshape(len(chunk), target)
+        E[:, target] = lam
+        ok = core_mask(q, E)
+        if ok.any():
+            yield E[ok, :target]
 
 
-def core_within(T: Iterable[int], q: CoreQuery) -> Optional[tuple[int, ...]]:
-    """A k-sized core inside T, or None when T cannot contain one.
-
-    Blocks are element-disjoint, so a maximum core inside T is the union
-    of per-block maxima; those have closed forms. The result, when the
-    union W reaches k elements, is the k smallest of W (subsets of cores
-    are cores).
-    """
-    tset = set(int(x) for x in T)
-    model = _model(q)
-    groups = q.structure.groups
-    w: list[int] = []
-    for i, cap in model.tail:
-        avail = [x for x in groups[i] if x in tset]
-        w.extend(avail[:cap])
-    for hub, idx in model.hub_blocks:
-        per = []
-        for i in idx:
-            per.append([x for x in groups[i] if x in tset and x != hub])
-        trimmed = sum(min(len(a), q.r - 1) for a in per)
-        best_a = -1
-        if hub in tset:
-            best_a = 1 + trimmed
-        # hub left out: the best single group may go one past r-1
-        extra = 1 if any(len(a) >= q.r for a in per) else 0
-        best_b = trimmed + extra
-        if best_a >= best_b:
-            w.append(hub)
-            for a in per:
-                w.extend(a[:q.r - 1])
-        else:
-            des = next(i for i, a in enumerate(per) if len(a) >= q.r) if extra else -1
-            for i, a in enumerate(per):
-                w.extend(a[:q.r] if i == des else a[:q.r - 1])
-    if len(w) < q.k:
-        return None
-    return tuple(sorted(w)[:q.k])
+def lambda_cores(q: CoreQuery, lam: int) -> Iterator[tuple[int, ...]]:
+    """All (k-1)-subsets S0 of the ground set with S0 u {lam} a core,
+    as sorted tuples in lexicographic order."""
+    for E in lambda_core_batches(q, lam):
+        yield from map(tuple, E.tolist())

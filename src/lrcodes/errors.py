@@ -82,12 +82,18 @@ class FieldTooSmall(LrcError):
 
 
 class NoValidVector(LrcError):
-    """Extension step exhausted the span without an admissible column."""
+    """Extension step found no admissible column.
 
-    def __init__(self, message: str, num_cores: int, q: int) -> None:
+    `exhausted` is True when the whole group span was ruled out, and
+    False when the fallback scan stopped at its budget first.
+    """
+
+    def __init__(self, message: str, num_cores: int, q: int,
+                 exhausted: bool) -> None:
         super().__init__(message)
         self.num_cores = num_cores
         self.q = q
+        self.exhausted = exhausted
 
 
 class NotConstructible(LrcError):

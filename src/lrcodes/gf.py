@@ -7,11 +7,18 @@ arithmetic is exact; nothing here touches floating point.
 
 General GF(p^e) with odd p is deliberately unsupported: every size
 requirement in this package can be met by a prime or a power of two.
+
+`field_kernel` gives the same arithmetic on numpy arrays for the batched
+elimination in construction and verification; every branch on the field
+kind for array code lives there.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     BoundTooLarge,
@@ -27,6 +34,7 @@ __all__ = [
     "FieldElement",
     "field_make",
     "field_at_least",
+    "field_kernel",
     "is_prime",
     "IRREDUCIBLE_POLY",
 ]
@@ -420,3 +428,128 @@ def field_at_least(bound: int, prefer: str = "prime",
                 f"2^{e} exceeds the supported binary degrees (2..16)")
         return field_make(2, e)
     raise ValueError(f"prefer must be 'prime' or 'binary', got {prefer!r}")
+
+
+class _Kernel:
+    """Field arithmetic on numpy arrays of canonical representatives.
+
+    Subclasses supply `dtype`, `mul`, the in-place `fma` (acc += b*c)
+    and `fms` (acc -= b*c), `neg`, and `inv` over a 1-D batch of nonzero
+    elements. Operands broadcast like numpy operands.
+    """
+
+    dtype: object
+
+    def array(self, data) -> np.ndarray:
+        return np.array(data, dtype=self.dtype)
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.zeros(shape, dtype=self.dtype)
+
+    def fma_outer(self, acc: np.ndarray, coeffs: np.ndarray, row: np.ndarray) -> None:
+        """acc[i] += coeffs[i] * row for every i, in place."""
+        self.fma(acc, coeffs[:, None], row)
+
+    def matvec(self, A: np.ndarray, x: Sequence[int]) -> np.ndarray:
+        """A @ x over the field for an N x m array A and m scalars x."""
+        acc = self.zeros(A.shape[0])
+        for j, xj in enumerate(x):
+            self.fma(acc, A[:, j], xj)
+        return acc
+
+
+class _PrimeKernel(_Kernel):
+    """GF(p) on residues. int64 while a product plus a residue fits in 63
+    bits; larger primes use object arrays of Python ints, which cannot
+    overflow."""
+
+    def __init__(self, p: int) -> None:
+        self.p = p
+        self.dtype = np.int64 if p * (p - 1) < 2 ** 63 else object
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def fma(self, acc: np.ndarray, b, c) -> None:
+        acc += b * c
+        acc %= self.p
+
+    def fms(self, acc: np.ndarray, b, c) -> None:
+        acc -= b * c
+        acc %= self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        """Product tree: multiply neighbours pairwise up to one product,
+        invert it with one scalar power, then split the inverse back
+        down. About three products per element and no table."""
+        p = self.p
+        levels = []
+        x = a
+        while x.size > 1:
+            if x.size & 1:
+                x = np.append(x, 1)
+            levels.append(x)
+            x = x[0::2] * x[1::2] % p
+        out = self.array([pow(int(v), p - 2, p) for v in x])
+        for x in reversed(levels):
+            up = np.empty_like(x)
+            half = out[:x.size // 2]
+            up[0::2] = half * x[1::2] % p
+            up[1::2] = half * x[0::2] % p
+            out = up
+        return out[:a.size]
+
+
+class _BinaryKernel(_Kernel):
+    """GF(2^e) on int64 bit patterns: addition is xor, products go through
+    log and antilog tables over the first primitive element found (x is
+    not primitive for every modulus)."""
+
+    dtype = np.int64
+
+    def __init__(self, field: FieldSpec) -> None:
+        q = self.q = field.q
+        for g in range(2, q):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = field.mul(x, g)
+            if len(powers) == q - 1:
+                break
+        self.log = np.empty(q, dtype=np.int64)
+        self.log[powers] = np.arange(q - 1)
+        # log[0] pushes every sum that involves zero into a zero tail
+        self.log[0] = 2 * (q - 1)
+        table = np.array(powers, dtype=np.int64)
+        self.exp = np.concatenate(
+            [table, table, np.zeros(2 * (q - 1) + 1, dtype=np.int64)])
+
+    def mul(self, a, b):
+        return self.exp[self.log[a] + self.log[b]]
+
+    def fma(self, acc: np.ndarray, b, c) -> None:
+        acc ^= self.mul(b, c)
+
+    fms = fma
+
+    def fma_outer(self, acc: np.ndarray, coeffs: np.ndarray, row: np.ndarray) -> None:
+        # a table of every multiple of row makes each product a row gather
+        acc ^= self.mul(np.arange(self.q)[:, None], row)[coeffs]
+
+    def neg(self, a):
+        return a
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        return self.exp[self.q - 1 - self.log[a]]
+
+
+@lru_cache(maxsize=64)
+def field_kernel(field: FieldSpec) -> _Kernel:
+    """The numpy kernel of a field, built on first use and kept per field."""
+    if field.e == 1:
+        return _PrimeKernel(field.p)
+    return _BinaryKernel(field)

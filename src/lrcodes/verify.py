@@ -26,6 +26,7 @@ from .errors import (
     RankDeficient,
     StructureMismatch,
 )
+from .gf import field_kernel
 from .linalg import ColumnSet, Matrix, extend_basis, rank
 from .params import distance_bound
 
@@ -170,32 +171,19 @@ def check_locality(code: LrcCode) -> LocalityReport:
 
 
 def _weight_enumeration(m: Matrix) -> DistanceReport:
-    field = m.field
-    q, k, n = field.q, m.rows, m.cols
+    kern = field_kernel(m.field)
+    q, k, n = m.field.q, m.rows, m.cols
     total = q ** k
     chunk = 1 << 16
     best_w = n + 1
     best_cw: Optional[np.ndarray] = None
-    if field.e == 1:
-        rows = np.array([m.row(i) for i in range(1, k + 1)], dtype=np.int64)
-    else:
-        # canonical addition is xor; precompute every scalar multiple of
-        # each row so a codeword is a pure gather-xor
-        scal = np.empty((k, q, n), dtype=np.int64)
-        for i in range(k):
-            row = m.row(i + 1)
-            for c in range(q):
-                scal[i, c] = [field.mul(c, x) for x in row]
+    rows = kern.array([m.row(i) for i in range(1, k + 1)])
     powers = [q ** (k - 1 - i) for i in range(k)]
     for lo in range(1, total, chunk):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        acc = np.zeros((idx.size, n), dtype=np.int64)
+        acc = kern.zeros((idx.size, n))
         for i in range(k):
-            digits = idx // powers[i] % q
-            if field.e == 1:
-                acc = (acc + digits[:, None] * rows[i][None, :]) % q
-            else:
-                acc ^= scal[i, digits]
+            kern.fma_outer(acc, idx // powers[i] % q, rows[i])
         weights = (acc != 0).sum(axis=1)
         pos = int(weights.argmin())
         if weights[pos] < best_w:

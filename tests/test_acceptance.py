@@ -256,7 +256,7 @@ def test_criterion_10_loop_invariant_suite():
 
 
 def test_criterion_11_large_instance_within_budget():
-    # full certification needs C(37,11) ~ 1.9e9 rank checks; this run
+    # full certification needs C(37,11) = 854,992,152 rank checks; this run
     # substitutes construction + spot-checked invariant + locality, and
     # demands the certifier declare itself out of budget rather than guess
     with criterion(11):

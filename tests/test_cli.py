@@ -1,5 +1,6 @@
 import json
 
+from lrcodes import cli
 from lrcodes.cli import main
 
 
@@ -165,6 +166,23 @@ def test_construct_binary_field(capsys):
                               "--field", "2,4"])
     assert rc == 0
     assert "over GF(2^4)" in out
+
+
+def test_construct_huge_prime_field(capsys):
+    rc, out, err = run(capsys, ["construct", "20", "8", "4", "2",
+                                "--field", "1000000007"])
+    assert rc == 0 and err == ""
+    assert "over GF(1000000007)" in out
+
+
+def test_out_of_memory_is_an_error_not_a_traceback(monkeypatch, capsys):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB")
+
+    monkeypatch.setattr(cli, "construct", exhausted)
+    rc, _, err = run(capsys, ["construct", "12", "5", "2", "3"])
+    assert rc == 1
+    assert err == "error: Unable to allocate 7.45 GiB\n"
 
 
 def test_construct_not_exists(capsys):

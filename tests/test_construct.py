@@ -1,7 +1,11 @@
 import importlib
 import json
-import random
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,8 @@ from lrcodes.gf import field_at_least, field_make
 from lrcodes.linalg import rank
 from lrcodes.params import EXISTS, CodeParams, classify, distance_bound, field_bound
 from lrcodes.verify import certify_optimal
+
+from avoidance_oracle import oracle_pick
 
 construct_mod = importlib.import_module("lrcodes.construct")
 
@@ -113,7 +119,7 @@ def test_construct_default_field_is_smallest_adequate_prime():
 
 
 # ---------------------------------------------------------------------
-# determinism and path equivalence
+# determinism and the avoidance oracle
 # ---------------------------------------------------------------------
 
 def test_construct_deterministic_per_seed():
@@ -124,27 +130,54 @@ def test_construct_deterministic_per_seed():
     assert a.generator.to_json() != c.generator.to_json()
 
 
-def test_fast_and_pure_paths_agree(monkeypatch):
+def test_engine_matches_scalar_oracle(monkeypatch):
+    # batched kernel avoidance against per-core reduced bases, step by
+    # step, over prime and binary fields and both structure kinds
     cases = [
         (CodeParams(12, 5, 2, 3), field_make(499)),
-        (CodeParams(11, 5, 2, 2), field_make(331)),
-        (CodeParams(10, 5, 2, 2), field_make(211)),
+        (CodeParams(15, 6, 2, 2), field_make(3011)),
+        (CodeParams(13, 7, 3, 2), field_make(1721)),
+        (CodeParams(14, 8, 3, 2), field_make(3433)),
+        (CodeParams(12, 5, 2, 3), field_make(2, 9)),
+        (CodeParams(11, 5, 2, 2), field_make(2, 8)),
+        (CodeParams(13, 7, 3, 2), field_make(2, 12)),
+        (CodeParams(10, 5, 2, 2), field_make(2, 8)),
     ]
     for params, f in cases:
         for seed in (0, 1, 5):
-            monkeypatch.setattr(construct_mod, "_FAST_PATH_MIN_COMBOS", 10**18)
-            pure = construct(params, f, seed=seed)
-            monkeypatch.setattr(construct_mod, "_FAST_PATH_MIN_COMBOS", 0)
-            fast = construct(params, f, seed=seed)
-            assert pure.to_json() == fast.to_json()
+            engine = construct(params, f, seed=seed)
+            monkeypatch.setattr(construct_mod, "pick_extension_vector", oracle_pick)
+            oracle = construct(params, f, seed=seed)
+            monkeypatch.undo()
+            assert engine.to_json() == oracle.to_json(), (params, f, seed)
     for seed in (0, 3):
-        monkeypatch.setattr(construct_mod, "_FAST_PATH_MIN_COMBOS", 10**18)
-        pure = run_algorithm2(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
-                              field_make(29), seed=seed)
-        monkeypatch.setattr(construct_mod, "_FAST_PATH_MIN_COMBOS", 0)
-        fast = run_algorithm2(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
-                              field_make(29), seed=seed)
-        assert pure.to_json() == fast.to_json()
+        args = (hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2), field_make(29))
+        engine = run_algorithm2(*args, seed=seed)
+        monkeypatch.setattr(construct_mod, "pick_extension_vector", oracle_pick)
+        oracle = run_algorithm2(*args, seed=seed)
+        monkeypatch.undo()
+        assert engine.to_json() == oracle.to_json()
+
+
+def test_huge_prime_builds_without_field_sized_tables():
+    # inverses come from a product tree, never from a table of p entries,
+    # and p(p-1) >= 2^63 switches the kernel to Python ints
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from lrcodes import CodeParams, check_locality, construct, field_make
+        code = construct(CodeParams(20, 8, 4, 2), field_make(1000000007), seed=0)
+        assert check_locality(code).overall
+        print("ok")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   x for x in (src, os.environ.get("PYTHONPATH")) if x))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ok"
 
 
 # ---------------------------------------------------------------------
@@ -163,6 +196,31 @@ def test_no_valid_vector_when_core_spans_cover_group_span():
         pick_extension_vector(state, 3, 1)
     assert exc.value.num_cores == 3
     assert exc.value.q == 2
+    assert exc.value.exhausted
+    with pytest.raises(NoValidVector):
+        oracle_pick(state, 3, 1)
+
+
+def _gf5_five_lines_state():
+    # five of the six lines of GF(5)^2 are core spans for coordinate 3;
+    # only multiples of (1, 4) avoid them all
+    state = ExtensionState(field=field_make(5), params=CodeParams(9, 2, 2, 2),
+                           structure=uniform_partition(9, 2, 2), rng_seed=0)
+    state.columns = {1: (1, 0), 2: (0, 1), 4: (1, 1), 5: (1, 2), 7: (1, 3)}
+    state.omega = [1, 2, 4, 5, 7]
+    return state
+
+
+def test_no_valid_vector_says_when_the_scan_budget_stopped_it(monkeypatch):
+    monkeypatch.setattr(construct_mod, "RANDOM_ATTEMPTS", 0)
+    monkeypatch.setattr(construct_mod, "_SCAN_LIMIT", 1)
+    with pytest.raises(NoValidVector) as exc:
+        pick_extension_vector(_gf5_five_lines_state(), 3, 1)
+    assert not exc.value.exhausted
+    assert "scan budget" in str(exc.value)
+    assert "every candidate" not in str(exc.value)
+    monkeypatch.setattr(construct_mod, "_SCAN_LIMIT", 1 << 20)
+    assert pick_extension_vector(_gf5_five_lines_state(), 3, 1) == (1, 4)
 
 
 def test_pick_extension_vector_precondition():

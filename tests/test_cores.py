@@ -1,9 +1,16 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from lrcodes.cores import CoreQuery, core_within, is_core, lambda_cores, omega0
+from lrcodes.cores import (
+    CoreQuery,
+    core_mask,
+    is_core,
+    lambda_cores,
+    omega0,
+)
 from lrcodes.covers import Frame, hub_frame, paired_frame, remainder_partition, uniform_partition
 from lrcodes.errors import IndexOutOfRange
 
@@ -245,71 +252,36 @@ def test_cores_closed_downward():
 
 
 # ---------------------------------------------------------------------
-# core_within
+# the batched predicate
 # ---------------------------------------------------------------------
 
-def test_core_within_pinned_frame_instances():
-    q = CoreQuery(structure=hetero_frame_37(), r=3, k=7, delta=3)
-    t1 = (2, 3, 4, 6, 7, 8, 14, 15, 16, 17, 19, 23, 24, 28)
-    w1 = core_within(t1, q)
-    assert w1 == (2, 3, 4, 6, 7, 14, 15)
-    assert is_core(w1, q) and set(w1) <= set(t1)
-    t2 = (2, 3, 4, 6, 7, 8, 10, 11, 14, 15, 19, 23, 24, 28)
-    w2 = core_within(t2, q)
-    assert w2 is not None and len(w2) == 7
-    assert is_core(w2, q) and set(w2) <= set(t2)
+def _caps_hold(S, s, r, delta):
+    """Independent restatement of the caps over Python sets."""
+    counts = [len(set(S) & set(g)) for g in s.groups]
+    if not isinstance(s, Frame):
+        return all(c <= len(g) - delta + 1 for c, g in zip(counts, s.groups))
+    if any(c > r for c in counts):
+        return False
+    for hub, block in zip(s.hubs, s.hub_blocks):
+        if hub not in S and sum(counts[i - 1] == r for i in block) > 1:
+            return False
+    return True
 
 
-def test_core_within_too_small():
-    q = CoreQuery(structure=uniform_partition(12, 2, 3), r=2, k=5, delta=3)
-    assert core_within((1, 2, 3, 4), q) is None
-    # six elements squeezed into two groups reach only cap 2+2=4 < 5
-    assert core_within((1, 2, 3, 5, 6, 7), q) is None
-    assert core_within((1, 2, 5, 6, 9), q) == (1, 2, 5, 6, 9)
-
-
-def test_core_within_agrees_with_brute_force():
-    rng = random.Random(41)
+def test_core_mask_matches_set_restatement():
+    rng = random.Random(53)
     cases = [
-        (uniform_partition(6, 2, 2), 2, 3, 2),
         (uniform_partition(12, 2, 3), 2, 5, 3),
         (remainder_partition(11, 2, 2, 5), 2, 5, 2),
-        (hub_frame(8, 2, 2), 2, 3, 2),
-        (paired_frame(10, 2, 2), 2, 5, 2),
-    ]
-    for s, r, k, delta in cases:
-        q = CoreQuery(structure=s, r=r, k=k, delta=delta)
-        for _ in range(150):
-            size = rng.randrange(k - 1, min(s.n, k + 5) + 1)
-            T = tuple(sorted(rng.sample(range(1, s.n + 1), size)))
-            got = core_within(T, q)
-            brute = next(
-                (c for c in combinations(T, k) if is_core(c, q)), None)
-            assert (got is None) == (brute is None)
-            if got is not None:
-                assert len(got) == k and set(got) <= set(T)
-                assert is_core(got, q)
-
-
-def test_core_within_guaranteed_at_threshold():
-    # any T with |T| >= k + (ceil(k/r)-1)(delta-1) must contain a k-core
-    rng = random.Random(43)
-    cases = [
-        (uniform_partition(6, 2, 2), 2, 3, 2),
-        (uniform_partition(12, 2, 3), 2, 5, 3),
-        (remainder_partition(11, 2, 2, 5), 2, 5, 2),
-        (hub_frame(8, 2, 2), 2, 3, 2),
+        (hub_frame(13, 3, 2), 3, 5, 2),
         (paired_frame(10, 2, 2), 2, 5, 2),
         (hetero_frame_37(), 3, 7, 3),
     ]
     for s, r, k, delta in cases:
         q = CoreQuery(structure=s, r=r, k=k, delta=delta)
-        mu = -(-k // r)
-        thresh = k + (mu - 1) * (delta - 1)
-        assert thresh <= s.n
-        for _ in range(200):
-            size = rng.randrange(thresh, s.n + 1)
-            T = tuple(sorted(rng.sample(range(1, s.n + 1), size)))
-            got = core_within(T, q)
-            assert got is not None
-            assert is_core(got, q) and len(got) == k
+        for size in range(0, k + 2):
+            rows = [sorted(rng.sample(range(1, s.n + 1), size)) for _ in range(300)]
+            got = core_mask(q, np.array(rows, dtype=np.int64).reshape(300, size))
+            assert got.tolist() == [_caps_hold(S, s, r, delta) for S in rows]
+            assert got.tolist() == [is_core(S, q) for S in rows]
+

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 
@@ -15,6 +16,7 @@ from lrcodes.gf import (
     IRREDUCIBLE_POLY,
     FieldSpec,
     field_at_least,
+    field_kernel,
     field_make,
     is_prime,
 )
@@ -235,3 +237,69 @@ def test_field_at_least_matches_sympy_nextprime():
 def test_fieldspec_json_round_trip():
     for f in (field_make(499), field_make(2, 4), field_make(2, 3, 0b1101)):
         assert FieldSpec.from_json(f.to_json()) == f
+
+
+# ---------------------------------------------------------------------
+# numpy kernel, against the scalar arithmetic
+# ---------------------------------------------------------------------
+
+def _order(f, a):
+    x, n = a, 1
+    while x != 1:
+        x, n = f.mul(x, a), n + 1
+    return n
+
+
+def test_kernel_matches_scalar_ops():
+    rng = random.Random(17)
+    fields = [field_make(p) for p in (2, 3, 499, 2324809, 1000000007,
+                                      4294967311, 2 ** 61 - 1)]
+    fields += [field_make(2, e) for e in range(2, 17)]
+    fields.append(field_make(2, 3, 0b1101))
+    for f in fields:
+        K = field_kernel(f)
+        assert field_kernel(f) is K
+        a = [rng.randrange(f.q) for _ in range(301)]
+        b = [rng.randrange(f.q) for _ in range(301)]
+        nz = [rng.randrange(1, f.q) for _ in range(301)] + [1, f.q - 1]
+        A, B = K.array(a), K.array(b)
+        assert K.mul(A, B).tolist() == [f.mul(x, y) for x, y in zip(a, b)]
+        assert K.neg(A).tolist() == [f.neg(x) for x in a]
+        assert K.inv(K.array(nz)).tolist() == [f.inv(x) for x in nz]
+        acc = K.array(a)
+        K.fms(acc, A, B)
+        assert acc.tolist() == [f.sub(x, f.mul(x, y)) for x, y in zip(a, b)]
+        K.fma(acc, A, B)
+        assert acc.tolist() == a
+        M = K.array([a[:3], b[:3]] * 4)
+        assert K.matvec(M, nz[:3]).tolist() == [
+            f.add(f.add(f.mul(r[0], nz[0]), f.mul(r[1], nz[1])), f.mul(r[2], nz[2]))
+            for r in M.tolist()]
+        acc = K.zeros((5, 3))
+        K.fma_outer(acc, K.array(a[:5]), K.array(b[:3]))
+        assert acc.tolist() == [[f.mul(x, y) for y in b[:3]] for x in a[:5]]
+
+
+def test_kernel_binary_tables_exhaustive_when_x_is_not_primitive():
+    # x has order below q-1 modulo the built-in polynomials of these
+    # degrees, so the log tables must be taken over another generator
+    for e in (8, 9, 12, 14, 16):
+        f = field_make(2, e)
+        assert _order(f, 2) < f.q - 1
+    for e in (8, 9):
+        f = field_make(2, e)
+        K = field_kernel(f)
+        x = np.repeat(np.arange(f.q), f.q)
+        y = np.tile(np.arange(f.q), f.q)
+        want = [f.mul(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert K.mul(x, y).tolist() == want
+        nz = np.arange(1, f.q)
+        assert K.inv(nz).tolist() == [f.inv(a) for a in range(1, f.q)]
+
+
+def test_kernel_prime_dtype_follows_the_field():
+    # int64 exactly while p(p-1) < 2^63: these are the primes either side
+    assert field_kernel(field_make(3037000493)).dtype == np.int64
+    assert field_kernel(field_make(3037000507)).dtype == object
+    K = field_kernel(field_make(499))
+    assert K.inv(K.zeros(0)).tolist() == []
