@@ -12,6 +12,7 @@ from .errors import (
     BoundNonPositive,
     BoundTooLarge,
     BudgetExceeded,
+    CodeFileError,
     CompositeCharacteristic,
     CoverIncomplete,
     DimensionMismatch,
@@ -31,15 +32,8 @@ from .errors import (
     UnknownCase,
     UnsupportedExtension,
 )
-from .gf import FieldElement, FieldSpec, field_at_least, field_make, is_prime
-from .linalg import (
-    ColumnSet,
-    EchelonCache,
-    Matrix,
-    in_span,
-    rank,
-    span_enumerate,
-)
+from .gf import FieldSpec, field_at_least, field_make, is_prime
+from .linalg import ColumnSet, Matrix, in_span, rank
 from .params import (
     EXISTS,
     EXISTS_MDS,
@@ -72,8 +66,7 @@ from .construct import (
     construct,
     mds_generator,
     pick_extension_vector,
-    run_algorithm1,
-    run_algorithm2,
+    run_extension,
 )
 from .verify import (
     DistanceReport,
@@ -114,19 +107,17 @@ __all__ = [
     "UnknownCase",
     "StructureMismatch",
     "RankDeficient",
+    "CodeFileError",
     # fields
     "FieldSpec",
-    "FieldElement",
     "field_make",
     "field_at_least",
     "is_prime",
     # linear algebra
     "Matrix",
     "ColumnSet",
-    "EchelonCache",
     "rank",
     "in_span",
-    "span_enumerate",
     # parameters
     "CodeParams",
     "ParamDecomposition",
@@ -161,8 +152,7 @@ __all__ = [
     "ExtensionState",
     "mds_generator",
     "pick_extension_vector",
-    "run_algorithm1",
-    "run_algorithm2",
+    "run_extension",
     "construct",
     # verification
     "LocalityReport",

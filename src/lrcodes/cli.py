@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import comb
 from typing import Optional, Sequence
 
 from .codefile import load_code, save_code
-from .construct import LrcCode, construct
+from .construct import construct
 from .covers import Frame
 from .errors import (
     BudgetExceeded,

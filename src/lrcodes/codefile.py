@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .construct import LrcCode
+from .errors import CodeFileError, LrcError
 
 __all__ = ["CodeFile", "FORMAT_TAG", "save_code", "load_code"]
 
@@ -39,12 +40,22 @@ class CodeFile:
 
     @classmethod
     def from_json(cls, data: dict) -> "CodeFile":
+        """Parse a stored object; any defect raises CodeFileError."""
+        if not isinstance(data, dict):
+            raise CodeFileError(f"expected a JSON object, got {type(data).__name__}")
         if data.get("format") != FORMAT_TAG:
-            raise ValueError(
+            raise CodeFileError(
                 f"unsupported file format {data.get('format')!r}, "
                 f"expected {FORMAT_TAG!r}")
+        try:
+            code = LrcCode.from_json(data["code"])
+        except KeyError as exc:
+            raise CodeFileError(f"malformed code file: missing key {exc}") from exc
+        except (LrcError, ArithmeticError, AttributeError, IndexError, TypeError,
+                ValueError) as exc:
+            raise CodeFileError(f"malformed code file: {exc}") from exc
         return cls(
-            code=LrcCode.from_json(data["code"]),
+            code=code,
             seed=data.get("seed"),
             tool_version=data.get("tool_version", ""),
             created_at=data.get("created_at", ""),
@@ -63,5 +74,9 @@ def save_code(code: LrcCode, path: Union[str, Path],
 
 
 def load_code(path: Union[str, Path]) -> CodeFile:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a stored code; CodeFileError if the file is not a valid one."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CodeFileError(f"{path}: not valid JSON ({exc})") from exc
     return CodeFile.from_json(data)

@@ -19,13 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations, product
+from operator import index
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .covers import (
     CoverSet,
-    Frame,
     Structure,
     coverage_check,
     hub_frame,
@@ -39,14 +39,17 @@ from .covers import (
 # functions under the module names their callers use, finds them.
 from .cores import CoreQuery, core_mask, lambda_core_batches, lambda_cores, omega0
 from .errors import (
+    DimensionMismatch,
+    FieldMismatch,
     FieldTooSmall,
     NotConstructible,
     NoValidVector,
     PreconditionViolated,
+    StructureMismatch,
     UnknownCase,
 )
 from .gf import FieldSpec, field_at_least, field_kernel
-from .linalg import Basis, Matrix, reduce_vector, reduced_basis
+from .linalg import Basis, Matrix, _batch_rref, reduce_vector, reduced_basis
 from .params import (
     EXISTS,
     EXISTS_MDS,
@@ -66,8 +69,7 @@ __all__ = [
     "LrcCode",
     "mds_generator",
     "pick_extension_vector",
-    "run_algorithm1",
-    "run_algorithm2",
+    "run_extension",
     "construct",
 ]
 
@@ -103,14 +105,30 @@ class LrcCode:
     @classmethod
     def from_json(cls, data: dict) -> "LrcCode":
         pp = data["params"]
-        return cls(
+        code = cls(
             field=FieldSpec.from_json(data["field"]),
             generator=Matrix.from_json(data["generator"]),
             structure=structure_from_json(data["structure"]),
-            params=CodeParams(pp["n"], pp["k"], pp["r"], pp["delta"]),
-            claimed_d=data["claimed_d"],
+            params=CodeParams(*(index(pp[key]) for key in ("n", "k", "r", "delta"))),
+            claimed_d=index(data["claimed_d"]),
             trace=tuple((lam, tuple(col)) for lam, col in data["trace"]),
         )
+        code.validate()
+        return code
+
+    def validate(self) -> None:
+        """Raise unless the parts agree: a k x n generator over the code's
+        field, and a structure on the coordinates [1..n]."""
+        m, p = self.generator, self.params
+        if (m.rows, m.cols) != (p.k, p.n):
+            raise DimensionMismatch(
+                f"generator is {m.rows} x {m.cols}, params declare k={p.k}, n={p.n}")
+        if m.field != self.field:
+            raise FieldMismatch(
+                f"generator is over {m.field!r}, the code over {self.field!r}")
+        if self.structure.n != p.n:
+            raise StructureMismatch(
+                f"structure covers [1..{self.structure.n}], params declare n={p.n}")
 
 
 @dataclass
@@ -218,33 +236,6 @@ def _avoidance_search(state: ExtensionState, lam: int, b: int, accept,
         f"{ncores} core spans", num_cores=ncores, q=q, exhausted=True)
 
 
-def _batch_rref(kern, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan in place on a batch of m x kk matrices, vectorized
-    across the batch. Returns each row's pivot column and each rank."""
-    N, m, kk = R.shape
-    piv_col = np.zeros((N, m), dtype=np.int64)
-    lead = np.zeros(N, dtype=np.int64)
-    row_ids = np.arange(m)
-    for c in range(kk):
-        eligible = (R[:, :, c] != 0) & (row_ids[None, :] >= lead[:, None])
-        sel = np.flatnonzero(eligible.any(axis=1))
-        if sel.size == 0:
-            continue
-        fr = np.argmax(eligible[sel], axis=1)
-        ld = lead[sel]
-        R[sel, fr], R[sel, ld] = R[sel, ld], R[sel, fr]
-        pivrow = kern.mul(R[sel, ld], kern.inv(R[sel, ld, c])[:, None])
-        R[sel, ld] = pivrow
-        factors = R[sel, :, c]
-        factors[np.arange(sel.size), ld] = 0
-        block = R[sel]
-        kern.fms(block, factors[:, :, None], pivrow[:, None, :])
-        R[sel] = block
-        piv_col[sel, ld] = c
-        lead[sel] = ld + 1
-    return piv_col, lead
-
-
 def _batch_nullvec(kern, A: np.ndarray) -> np.ndarray:
     """Right nullspace vectors for a batch of (k-1) x k matrices of rank
     k-1 (A is overwritten). Raises if any matrix is rank-deficient (that
@@ -334,8 +325,13 @@ def _assert_invariant(state: ExtensionState) -> None:
                 f"has rank {ranks[bad[0]]}")
 
 
-def _run_extension(structure: Structure, params: CodeParams, field: FieldSpec,
-                   seed: int, check_invariants: bool = False) -> LrcCode:
+def run_extension(structure: Structure, params: CodeParams, field: FieldSpec,
+                  seed: int = 0, check_invariants: bool = False) -> LrcCode:
+    """Extension construction over a partition or a frame.
+
+    Places the MDS base on Omega_0, then assigns every remaining
+    coordinate group by group with `pick_extension_vector`.
+    """
     from .covers import validate as validate_structure
 
     if structure.n != params.n:
@@ -370,22 +366,6 @@ def _run_extension(structure: Structure, params: CodeParams, field: FieldSpec,
     return LrcCode(field=field, generator=gen, structure=structure,
                    params=params, claimed_d=distance_bound(params),
                    trace=tuple(state.trace))
-
-
-def run_algorithm1(structure: CoverSet, params: CodeParams, field: FieldSpec,
-                   seed: int = 0, check_invariants: bool = False) -> LrcCode:
-    """Extension construction over a plain partition."""
-    if not isinstance(structure, CoverSet):
-        raise PreconditionViolated("run_algorithm1 expects a partition structure")
-    return _run_extension(structure, params, field, seed, check_invariants)
-
-
-def run_algorithm2(structure: Frame, params: CodeParams, field: FieldSpec,
-                   seed: int = 0, check_invariants: bool = False) -> LrcCode:
-    """Extension construction over a hub frame."""
-    if not isinstance(structure, Frame):
-        raise PreconditionViolated("run_algorithm2 expects a frame structure")
-    return _run_extension(structure, params, field, seed, check_invariants)
 
 
 def _build_structure(params: CodeParams, method: str) -> Structure:
@@ -424,9 +404,7 @@ def construct(params: CodeParams, field: Optional[FieldSpec] = None,
     if verdict.verdict == EXISTS_MDS:
         return _construct_mds(params, field, seed, check_invariants)
     structure = _build_structure(params, verdict.method)
-    if isinstance(structure, Frame):
-        return run_algorithm2(structure, params, field, seed, check_invariants)
-    return run_algorithm1(structure, params, field, seed, check_invariants)
+    return run_extension(structure, params, field, seed, check_invariants)
 
 
 def _construct_mds(params: CodeParams, field: FieldSpec, seed: int,
@@ -447,7 +425,7 @@ def _construct_mds(params: CodeParams, field: FieldSpec, seed: int,
                        params=params, claimed_d=distance_bound(params))
     if n % size == 0:
         structure = uniform_partition(n, params.r, delta)
-        return run_algorithm1(structure, params, field, seed, check_invariants)
+        return run_extension(structure, params, field, seed, check_invariants)
     raise NotConstructible(
         f"optimal codes for r=k, n={n} need overlapping repair groups, "
         "which this builder does not emit", tag="mds-overlapping-cover")

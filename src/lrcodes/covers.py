@@ -14,10 +14,12 @@ Coordinates are 1-based everywhere. Groups are stored sorted; bitmasks
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     CoverIncomplete,
+    IndexOutOfRange,
     NotDivisible,
     PreconditionViolated,
     TooFewGroups,
@@ -147,6 +149,11 @@ Structure = Union[CoverSet, Frame]
 
 
 def structure_from_json(data: dict) -> Structure:
+    """Rebuild a stored structure; group members must lie in [1, n]."""
+    n = index(data["n"])
+    for g in data["groups"]:
+        if any(not 1 <= index(x) <= n for x in g):
+            raise IndexOutOfRange(f"group {g} is not within [1, {n}]")
     if data.get("hub_blocks") or data.get("hubs"):
         return Frame(data["n"], data["groups"], data["hub_blocks"],
                      data["tail_block"], data["hubs"])

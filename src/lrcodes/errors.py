@@ -30,7 +30,7 @@ class DivisionByZero(LrcError):
 
 
 class FieldMismatch(LrcError):
-    """Arithmetic mixing elements of different fields."""
+    """Objects over different fields used together."""
 
 
 class BoundTooLarge(LrcError):
@@ -120,3 +120,10 @@ class StructureMismatch(LrcError):
 
 class RankDeficient(LrcError):
     """Generator matrix rank is below the declared dimension."""
+
+
+# persistence
+
+class CodeFileError(LrcError):
+    """Stored code file is not valid JSON, lacks a key, holds a wrongly
+    typed value, has another format tag, or disagrees with itself."""

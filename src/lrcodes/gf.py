@@ -16,7 +16,8 @@ kind for array code lives there.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from operator import index
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,14 +25,12 @@ from .errors import (
     BoundTooLarge,
     CompositeCharacteristic,
     DivisionByZero,
-    FieldMismatch,
     ReduciblePolynomial,
     UnsupportedExtension,
 )
 
 __all__ = [
     "FieldSpec",
-    "FieldElement",
     "field_make",
     "field_at_least",
     "field_kernel",
@@ -144,8 +143,7 @@ class FieldSpec:
     -----
     Use :func:`field_make` rather than the constructor when input comes
     from outside; the constructor assumes already-validated arguments.
-    Arithmetic methods (`add`, `mul`, ...) act on canonical integers and
-    are the hot path; :class:`FieldElement` wraps them with operators.
+    Arithmetic methods (`add`, `mul`, ...) act on canonical integers.
     """
 
     __slots__ = ("p", "e", "poly", "q")
@@ -231,26 +229,6 @@ class FieldSpec:
             exponent >>= 1
         return result
 
-    # element factory and iteration
-
-    def element(self, value: Union[int, "FieldElement"]) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise FieldMismatch(f"element of {value.spec!r} used in {self!r}")
-            return value
-        return FieldElement(self, self.canon(value))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """All field elements in canonical integer order."""
-        for v in range(self.q):
-            yield FieldElement(self, v)
-
     # serialization
 
     def to_json(self) -> dict:
@@ -258,101 +236,8 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldSpec":
-        return field_make(int(data["p"]), int(data["e"]),
-                          int(data["poly"]) or None)
-
-
-class FieldElement:
-    """A field element: a canonical integer bound to its FieldSpec.
-
-    Supports the usual operators against elements of the same field or
-    plain integers (reduced into the field first). Mixing fields raises
-    FieldMismatch.
-    """
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value: int) -> None:
-        self.spec = spec
-        self.value = value
-
-    def _coerce(self, other: Union[int, "FieldElement"]) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise FieldMismatch(
-                    f"cannot combine {self.spec!r} and {other.spec!r} elements")
-            return other.value
-        if isinstance(other, int):
-            return self.spec.canon(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.div(v, self.value))
-
-    def __pow__(self, exponent: int):
-        return FieldElement(self.spec, self.spec.pow(self.value, exponent))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.value == other.value
-        if isinstance(other, int):
-            return self.value == self.spec.canon(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value}:{self.spec!r}"
+        return field_make(index(data["p"]), index(data["e"]),
+                          index(data["poly"]) or None)
 
 
 def field_make(characteristic: int, degree: int = 1,

@@ -4,52 +4,44 @@ Plain Gaussian elimination on integer representatives; matrices at the
 scales handled here stay well under 64x64, so no fraction-free or sparse
 machinery is warranted. Column indices in the public API are 1-based to
 match coordinate-set conventions used throughout the package.
+
+Single matrices are reduced in scalar Python (`rank`, reduced bases);
+many small matrices at once go through `_batch_rref`, the one batched
+elimination, on the field's numpy kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from operator import index
+from typing import Iterable, Optional, Sequence, Union
 
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    FieldMismatch,
-    IndexOutOfRange,
-)
-from .gf import FieldElement, FieldSpec
+import numpy as np
+
+from .errors import DimensionMismatch, IndexOutOfRange
+from .gf import FieldSpec
 
 __all__ = [
     "Matrix",
     "ColumnSet",
     "rank",
     "in_span",
-    "span_enumerate",
-    "EchelonCache",
     "reduced_basis",
     "reduce_vector",
     "extend_basis",
 ]
 
-Vector = Sequence[Union[int, FieldElement]]
+Vector = Sequence[int]
 
 # A reduced basis is a pivot-sorted list of (pivot_index, row) pairs where
 # each row is a tuple of canonical ints, row[pivot] == 1, and every other
 # basis row is zero at that pivot (reduced row echelon form). RREF bases
-# are unique per subspace, which makes span enumeration order canonical.
+# are unique per subspace.
 Basis = list
 
 
 def _canon_vector(field: FieldSpec, v: Vector, length: Optional[int] = None) -> list[int]:
-    out = []
-    for x in v:
-        if isinstance(x, FieldElement):
-            if x.spec != field:
-                raise FieldMismatch(f"vector entry from {x.spec!r}, matrix over {field!r}")
-            out.append(x.value)
-        else:
-            out.append(field.canon(int(x)))
+    out = [field.canon(index(x)) for x in v]
     if length is not None and len(out) != length:
         raise DimensionMismatch(f"expected length {length}, got {len(out)}")
     return out
@@ -224,12 +216,9 @@ class Matrix:
         return m
 
 
-def rank(m: Matrix, cols: Union[ColumnSet, Iterable[int], None] = None,
-         cache: Optional["EchelonCache"] = None) -> int:
+def rank(m: Matrix, cols: Union[ColumnSet, Iterable[int], None] = None) -> int:
     """Rank of the selected column submatrix (all columns when cols is None)."""
     idx = _as_indices(cols, m)
-    if cache is not None:
-        return cache.rank(idx)
     basis: Basis = []
     for j in idx:
         extend_basis(m.field, basis, m.column(j))
@@ -243,51 +232,28 @@ def in_span(v: Vector, basis_cols: Union[ColumnSet, Iterable[int]], m: Matrix) -
     return not any(reduce_vector(m.field, basis, vec))
 
 
-def span_enumerate(basis_cols: Union[ColumnSet, Iterable[int]], m: Matrix,
-                   budget: int = 1 << 24) -> Iterator[tuple[int, ...]]:
-    """Yield every vector of the selected columns' span exactly once.
-
-    Order is lexicographic over coefficient tuples against the RREF basis,
-    so it is a canonical function of the span itself. The zero vector is
-    yielded first. Raises BudgetExceeded when q^rank exceeds the budget.
-    """
-    field = m.field
-    basis = reduced_basis(field, (m.column(j) for j in _as_indices(basis_cols, m)))
-    b = len(basis)
-    if field.q ** b > budget:
-        raise BudgetExceeded(
-            f"span has {field.q}^{b} vectors, budget is {budget}")
-    rows = [r for _, r in basis]
-    n = m.rows
-    for coeffs in product(range(field.q), repeat=b):
-        acc = [0] * n
-        for c, row in zip(coeffs, rows):
-            if c:
-                for i in range(n):
-                    ri = row[i]
-                    if ri:
-                        acc[i] = field.add(acc[i], field.mul(c, ri))
-        yield tuple(acc)
-
-
-class EchelonCache:
-    """Memoized column-prefix echelon states for repeated rank queries.
-
-    Keyed by the exact tuple prefix of the requested column sequence.
-    Pure memoization: results are identical with or without the cache.
-    """
-
-    def __init__(self, m: Matrix) -> None:
-        self.matrix = m
-        self._states: dict[tuple[int, ...], tuple] = {(): ()}
-
-    def rank(self, cols: Union[ColumnSet, Iterable[int]]) -> int:
-        idx = _as_indices(cols, self.matrix)
-        start = len(idx)
-        while idx[:start] not in self._states:
-            start -= 1
-        basis: Basis = list(self._states[idx[:start]])
-        for pos in range(start, len(idx)):
-            extend_basis(self.matrix.field, basis, self.matrix.column(idx[pos]))
-            self._states[idx[:pos + 1]] = tuple(basis)
-        return len(basis)
+def _batch_rref(kern, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan in place on a batch of m x kk matrices, vectorized
+    across the batch. Returns each row's pivot column and each rank."""
+    N, m, kk = R.shape
+    piv_col = np.zeros((N, m), dtype=np.int64)
+    lead = np.zeros(N, dtype=np.int64)
+    row_ids = np.arange(m)
+    for c in range(kk):
+        eligible = (R[:, :, c] != 0) & (row_ids[None, :] >= lead[:, None])
+        sel = np.flatnonzero(eligible.any(axis=1))
+        if sel.size == 0:
+            continue
+        fr = np.argmax(eligible[sel], axis=1)
+        ld = lead[sel]
+        R[sel, fr], R[sel, ld] = R[sel, ld], R[sel, fr]
+        pivrow = kern.mul(R[sel, ld], kern.inv(R[sel, ld, c])[:, None])
+        R[sel, ld] = pivrow
+        factors = R[sel, :, c]
+        factors[np.arange(sel.size), ld] = 0
+        block = R[sel]
+        kern.fms(block, factors[:, :, None], pivrow[:, None, :])
+        R[sel] = block
+        piv_col[sel, ld] = c
+        lead[sel] = ld + 1
+    return piv_col, lead

@@ -11,14 +11,13 @@ the distance bound makes decisive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .construct import LrcCode
-from .covers import Frame
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -27,7 +26,10 @@ from .errors import (
     StructureMismatch,
 )
 from .gf import field_kernel
-from .linalg import ColumnSet, Matrix, extend_basis, rank
+# extend_basis is not called here: it is imported so that the benchmark's
+# tracer (perfbench/tracer.py), which wraps functions under the module
+# names their callers use, finds it.
+from .linalg import ColumnSet, Matrix, _batch_rref, extend_basis, rank
 from .params import distance_bound
 
 __all__ = [
@@ -49,6 +51,10 @@ WEIGHT_METHOD = "weight-enumeration"
 RANK_METHOD = "rank-criterion"
 
 DEFAULT_BUDGET = 10 ** 7
+
+# Field entries (subsets x subset size x rows) per batched elimination
+# in the subset scans; this bounds the working memory of one batch.
+_BATCH_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -103,32 +109,28 @@ def _first_deficient(m: Matrix, size: int, full_rank: int,
     """Lexicographically first size-subset of the columns whose rank is
     below full_rank, or None.
 
-    DFS over ascending column indices; once a prefix reaches full_rank
-    every completion does too, so that subtree is skipped.
+    The subsets are ranked in lexicographic order, a batch at a time, by
+    one batched elimination over the field kernel.
     """
     pool = list(cols) if cols is not None else list(range(1, m.cols + 1))
-    total = len(pool)
-    field = m.field
-    chosen: list[int] = []
-
-    def rec(start: int, basis: list) -> Optional[tuple[int, ...]]:
-        if len(chosen) == size:
-            return tuple(chosen) if len(basis) < full_rank else None
-        if len(basis) >= full_rank:
+    if size > len(pool):
+        return None
+    kern = field_kernel(m.field)
+    # columns as kernel rows, indexed by coordinate (row 0 unused)
+    columns = kern.array([(0,) * m.rows] + m.columns())
+    batch = max(1, _BATCH_CELLS // max(1, size * m.rows))
+    subsets = combinations(pool, size)
+    while True:
+        chunk = list(islice(subsets, batch))
+        if not chunk:
             return None
-        for pos in range(start, total - (size - len(chosen)) + 1):
-            nb = list(basis)
-            extend_basis(field, nb, m.column(pool[pos]))
-            chosen.append(pool[pos])
-            w = rec(pos + 1, nb)
-            chosen.pop()
-            if w is not None:
-                return w
-        return None
-
-    if size > total:
-        return None
-    return rec(0, [])
+        E = np.array(chunk, dtype=np.int64).reshape(len(chunk), size)
+        # eliminate across the shorter side: rank is the same either way
+        R = columns[E] if size >= m.rows else columns[E].transpose(0, 2, 1).copy()
+        _, ranks = _batch_rref(kern, R)
+        bad = np.flatnonzero(ranks < full_rank)
+        if bad.size:
+            return chunk[bad[0]]
 
 
 def check_locality(code: LrcCode) -> LocalityReport:
@@ -138,6 +140,7 @@ def check_locality(code: LrcCode) -> LocalityReport:
     of |S_i|-(delta-1) columns already reaches that rank, i.e. any
     delta-1 erasures inside the group leave it fully recoverable.
     """
+    code.validate()
     m = code.generator
     r, delta = code.params.r, code.params.delta
     n = code.params.n
@@ -147,21 +150,18 @@ def check_locality(code: LrcCode) -> LocalityReport:
         if not g or g[0] < 1 or g[-1] > n:
             raise StructureMismatch(
                 f"group {i} = {g} is not within [1, {n}]")
-        if len(g) > r + delta - 1:
+        if not delta <= len(g) <= r + delta - 1:
             raise StructureMismatch(
-                f"group {i} has {len(g)} > r+delta-1 = {r + delta - 1} members")
+                f"group {i} has {len(g)} members, outside "
+                f"[delta, r+delta-1] = [{delta}, {r + delta - 1}]")
         for x in g:
             covered |= 1 << (x - 1)
         grank = rank(m, g)
-        keep = len(g) - delta + 1
         ok = grank <= r
         witness = None
         if ok:
-            for sub in combinations(g, keep):
-                if rank(m, sub) != grank:
-                    ok = False
-                    witness = sub
-                    break
+            witness = _first_deficient(m, len(g) - delta + 1, grank, cols=g)
+            ok = witness is None
         entries.append(GroupLocality(index=i, group=g, rank=grank, ok=ok,
                                      witness=witness))
     all_covered = covered == (1 << n) - 1
@@ -215,6 +215,7 @@ def min_distance(code: LrcCode, budget: int = DEFAULT_BUDGET) -> DistanceReport:
     Weight enumeration when q^k is small enough; otherwise a descending
     scan for the largest column set of rank below k (its size is n-d).
     """
+    code.validate()
     m = code.generator
     k = m.rows
     if rank(m) != k:
@@ -233,6 +234,7 @@ def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
     size forces d above bound-1, while locality caps d at the bound, so
     the two together pin d to the bound with no distance computation.
     """
+    code.validate()
     p = code.params
     bound = distance_bound(p)
     size = p.k + (p.mu - 1) * (p.delta - 1)
@@ -269,6 +271,7 @@ def check_structure_theorem(code: LrcCode) -> tuple[bool, StructureReport]:
     The caller is responsible for having certified optimality first;
     this only inspects the claimed structure.
     """
+    code.validate()
     p = code.params
     if p.k % p.r or p.r == p.k:
         raise PreconditionViolated(

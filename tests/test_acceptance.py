@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from lrcodes.cli import _cell_tag, main
-from lrcodes.construct import construct, run_algorithm2
+from lrcodes.construct import construct, run_extension
 from lrcodes.cores import CoreQuery, is_core, lambda_cores
 from lrcodes.covers import CoverSet, deficiency_witness, hub_frame, paired_frame, uniform_partition
 from lrcodes.errors import BudgetExceeded
@@ -102,8 +102,8 @@ def test_criterion_04_remainder_partition():
 
 def test_criterion_05_hub_frame():
     with criterion(5, limit=5.0):
-        code = run_algorithm2(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
-                              field_make(29), seed=0)
+        code = run_extension(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
+                             field_make(29), seed=0)
         assert code.claimed_d == 5
         ok, rep = certify_optimal(code)
         assert ok

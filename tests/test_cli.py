@@ -1,7 +1,20 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from functools import lru_cache
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrcodes import cli
 from lrcodes.cli import main
+from lrcodes.codefile import CodeFile
+from lrcodes.construct import construct
+from lrcodes.gf import field_make
+from lrcodes.params import CodeParams
 
 
 def run(capsys, argv):
@@ -226,6 +239,110 @@ def test_verify_budget_exhaustion_is_not_failure(tmp_path, capsys):
     assert "distance: out of budget" in out
     assert "optimality: out of budget" in out
     assert "locality: OK" in out
+
+
+# ---------------------------------------------------------------------
+# edited and malformed code files
+# ---------------------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def _saved_text():
+    """What save_code writes for a (12,5,2,3) code over GF(499)."""
+    code = construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0)
+    return json.dumps(CodeFile(code=code, seed=0, tool_version="0.1.0",
+                               created_at="").to_json(), indent=2)
+
+
+def _verify_edited(capsys, tmp_path, edit):
+    data = json.loads(_saved_text())
+    data = edit(data) or data
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, ["verify", str(path)])
+
+
+def _set_k4(data):
+    data["code"]["params"]["k"] = 4
+
+
+def _set_gf503(data):
+    data["code"]["field"]["p"] = 503
+
+
+def test_verify_rejects_header_disagreeing_with_matrix(tmp_path, capsys):
+    # a 5-row generator declared k=4 once certified d* = 7 while d = 4
+    rc, out, err = _verify_edited(capsys, tmp_path, _set_k4)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "5 x 12" in err
+    # a GF(503) header over the GF(499) matrix
+    rc, out, err = _verify_edited(capsys, tmp_path, _set_gf503)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "GF(499)" in err and "GF(503)" in err
+
+
+def test_verify_rejects_malformed_files(tmp_path, capsys):
+    def drop_params(data):
+        del data["code"]["params"]
+
+    def code_as_list(data):
+        data["code"] = []
+
+    def float_field(data):
+        data["code"]["field"]["p"] = 499.5
+
+    def string_entry(data):
+        data["code"]["generator"]["data"][0][0] = "7"
+
+    for edit, needle in ((drop_params, "missing key 'params'"),
+                         (code_as_list, "malformed code file"),
+                         (float_field, "float"),
+                         (string_entry, "str")):
+        rc, out, err = _verify_edited(capsys, tmp_path, edit)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and needle in err
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text(_saved_text()[:-20])
+    rc, _, err = run(capsys, ["verify", str(bad_json)])
+    assert rc == 1 and err.startswith("error: ") and "not valid JSON" in err
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of every scalar or empty-list value in a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    if isinstance(node, (dict, list)) and node:
+        for key, child in items:
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+_LEAVES = list(_leaf_paths(json.loads(_saved_text())))
+_OPTIMAL = re.compile(r"^optimality: OPTIMAL \(bound d\* = (\d+),", re.M)
+_DISTANCE = re.compile(r"^distance: d = (\d+) via", re.M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(_LEAVES),
+       value=st.one_of(st.integers(), st.text(max_size=8),
+                       st.lists(st.integers(), max_size=4), st.none()))
+def test_verify_survives_any_one_leaf_edit(path, value):
+    data = json.loads(_saved_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "code.json"
+        file.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", str(file)])
+    assert rc in (0, 1)
+    optimal = _OPTIMAL.search(out.getvalue())
+    if optimal:
+        measured = _DISTANCE.search(out.getvalue())
+        assert measured and measured.group(1) == optimal.group(1)
 
 
 def test_verify_missing_file(tmp_path, capsys):

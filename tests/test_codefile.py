@@ -5,6 +5,7 @@ import pytest
 import lrcodes
 from lrcodes.codefile import FORMAT_TAG, CodeFile, load_code, save_code
 from lrcodes.construct import construct
+from lrcodes.errors import CodeFileError
 from lrcodes.gf import field_make
 from lrcodes.params import CodeParams
 
@@ -47,10 +48,10 @@ def test_unknown_format_rejected(tmp_path):
     save_code(code, path)
     data = json.loads(path.read_text())
     data["format"] = "lrc-code-v9"
-    with pytest.raises(ValueError, match="unsupported file format"):
+    with pytest.raises(CodeFileError, match="unsupported file format"):
         CodeFile.from_json(data)
     del data["format"]
-    with pytest.raises(ValueError):
+    with pytest.raises(CodeFileError):
         CodeFile.from_json(data)
 
 

@@ -15,8 +15,7 @@ from lrcodes.construct import (
     construct,
     mds_generator,
     pick_extension_vector,
-    run_algorithm1,
-    run_algorithm2,
+    run_extension,
 )
 from lrcodes.covers import CoverSet, Frame, hub_frame, paired_frame, uniform_partition
 from lrcodes.errors import (
@@ -97,8 +96,8 @@ def test_construct_paired_frame_example():
 
 
 def test_construct_hub_frame_example():
-    code = run_algorithm2(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
-                          field_make(29), seed=0)
+    code = run_extension(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
+                         field_make(29), seed=0)
     assert code.claimed_d == 5
     assert code.structure.groups == ((1, 2, 3), (1, 4, 5), (6, 7, 8))
 
@@ -152,9 +151,9 @@ def test_engine_matches_scalar_oracle(monkeypatch):
             assert engine.to_json() == oracle.to_json(), (params, f, seed)
     for seed in (0, 3):
         args = (hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2), field_make(29))
-        engine = run_algorithm2(*args, seed=seed)
+        engine = run_extension(*args, seed=seed)
         monkeypatch.setattr(construct_mod, "pick_extension_vector", oracle_pick)
-        oracle = run_algorithm2(*args, seed=seed)
+        oracle = run_extension(*args, seed=seed)
         monkeypatch.undo()
         assert engine.to_json() == oracle.to_json()
 
@@ -243,8 +242,8 @@ def test_per_group_rank_hits_cap():
     code = construct(CodeParams(10, 5, 2, 2), field_make(211), seed=0)
     for g in code.structure.groups:
         assert rank(code.generator, g) == 2
-    code = run_algorithm2(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
-                          field_make(29), seed=0)
+    code = run_extension(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
+                         field_make(29), seed=0)
     for g in code.structure.groups:
         assert rank(code.generator, g) == 2
 
@@ -289,11 +288,7 @@ def test_algorithm_entry_points_check_structure_kind():
     p = CodeParams(12, 5, 2, 3)
     f = field_make(499)
     with pytest.raises(PreconditionViolated):
-        run_algorithm1(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2), field_make(29))
-    with pytest.raises(PreconditionViolated):
-        run_algorithm2(uniform_partition(12, 2, 3), p, f)
-    with pytest.raises(PreconditionViolated):
-        run_algorithm1(uniform_partition(6, 2, 2), p, f)  # n mismatch
+        run_extension(uniform_partition(6, 2, 2), p, f)  # n mismatch
 
 
 # ---------------------------------------------------------------------

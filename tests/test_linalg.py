@@ -5,23 +5,16 @@ import pytest
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from lrcodes.errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    FieldMismatch,
-    IndexOutOfRange,
-)
+from lrcodes.errors import DimensionMismatch, IndexOutOfRange
 from lrcodes.gf import field_make
 from lrcodes.linalg import (
     ColumnSet,
-    EchelonCache,
     Matrix,
     extend_basis,
     in_span,
     rank,
     reduce_vector,
     reduced_basis,
-    span_enumerate,
 )
 
 
@@ -88,8 +81,7 @@ def test_identity_and_degenerate_ranks():
 
 def test_rref_basis_unique_per_subspace():
     # feeding generators in any order, scaled arbitrarily, yields the
-    # identical reduced basis; this uniqueness is what makes
-    # span_enumerate order canonical
+    # identical reduced basis
     rng = random.Random(45)
     f = field_make(11)
     for _ in range(40):
@@ -160,13 +152,11 @@ def test_matrix_rejects_bad_shapes_and_indices():
         m.column(3)
     with pytest.raises(IndexOutOfRange):
         rank(m, [1, 5])
-    with pytest.raises(FieldMismatch):
-        Matrix(f, [[field_make(5).element(1)]])
 
 
 def test_matrix_canonicalizes_entries():
     f = field_make(7)
-    m = Matrix(f, [[-1, 8, f.element(3)]])
+    m = Matrix(f, [[-1, 8, 10]])
     assert m.row(1) == (6, 1, 3)
 
 
@@ -194,7 +184,7 @@ def test_columnset_normalization():
 
 
 # ---------------------------------------------------------------------
-# span membership and enumeration
+# span membership
 # ---------------------------------------------------------------------
 
 def test_in_span_agrees_with_rank_growth():
@@ -206,40 +196,3 @@ def test_in_span_agrees_with_rank_growth():
         v = [rng.randrange(7) for _ in range(4)]
         grown = Matrix.from_columns(f, [m.column(j) for j in cols] + [v])
         assert in_span(v, cols, m) == (rank(grown) == rank(m, cols))
-
-
-def test_span_enumerate_complete_and_canonical():
-    f = field_make(3)
-    m = Matrix(f, [[1, 0, 1], [0, 1, 1], [0, 0, 0]])
-    out = list(span_enumerate([1, 2, 3], m))
-    assert out[0] == (0, 0, 0)
-    assert len(out) == 9 == len(set(out))
-    for v in out:
-        assert in_span(v, [1, 2], m)
-    # same span from a different generating set: identical sequence
-    m2 = Matrix(f, [[2, 1, 1], [1, 1, 2], [0, 0, 0]])
-    assert list(span_enumerate([1, 2, 3], m2)) == out
-
-
-def test_span_enumerate_budget():
-    f = field_make(499)
-    m = Matrix.identity(f, 3)
-    with pytest.raises(BudgetExceeded):
-        list(span_enumerate([1, 2, 3], m, budget=10 ** 6))
-    assert len(list(span_enumerate([1], m, budget=499))) == 499
-
-
-# ---------------------------------------------------------------------
-# echelon cache is pure memoization
-# ---------------------------------------------------------------------
-
-def test_echelon_cache_matches_direct_rank():
-    rng = random.Random(48)
-    f = field_make(5)
-    m = _random_matrix(rng, f, 5, 10)
-    cache = EchelonCache(m)
-    for _ in range(300):
-        cols = sorted(rng.sample(range(1, 11), rng.randrange(1, 10)))
-        assert rank(m, cols, cache=cache) == rank(m, cols)
-    # interleaved prefix reuse must not corrupt longer queries
-    assert rank(m, range(1, 11), cache=cache) == rank(m)

@@ -24,6 +24,9 @@ from lrcodes.verify import (
     min_distance,
 )
 
+import lrcodes.verify as verify_mod
+from deficient_oracle import oracle_first_deficient
+
 F4 = field_make(2, 2)
 
 
@@ -99,6 +102,82 @@ def test_locality_rank_witness():
     assert not g1.ok and g1.witness == (1, 2)
     assert rep.per_group[1].ok
     assert not rep.overall
+
+
+def test_locality_witness_matches_scalar_scan():
+    # a constructed code with column 6 made parallel to column 5 inside
+    # group {5,6,7,8}: every other group stays intact
+    code = construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0)
+    cols = code.generator.columns()
+    cols[5] = tuple(code.field.mul(3, x) for x in cols[4])
+    m = Matrix.from_columns(code.field, cols)
+    broken = LrcCode(field=code.field, generator=m, structure=code.structure,
+                     params=code.params, claimed_d=code.claimed_d)
+    rep = check_locality(broken)
+    assert [e.ok for e in rep.per_group] == [True, False, True]
+    assert rep.per_group[1].witness == (5, 6)
+    for e in rep.per_group:
+        keep = len(e.group) - 3 + 1
+        assert e.witness == oracle_first_deficient(m, keep, e.rank, cols=e.group)
+
+
+def test_locality_rejects_group_below_delta():
+    code = gf4_code()
+    small = LrcCode(field=code.field, generator=code.generator,
+                    structure=CoverSet(6, [(1, 2, 3), (4,), (5, 6)]),
+                    params=code.params, claimed_d=3)
+    with pytest.raises(StructureMismatch):
+        check_locality(small)
+
+
+# ---------------------------------------------------------------------
+# batched subset scan against the scalar depth-first oracle
+# ---------------------------------------------------------------------
+
+SCAN_FIELDS = [field_make(2), field_make(3), field_make(2, 4), field_make(2, 8),
+               field_make(499), field_make(2 ** 61 - 1)]
+
+
+def _dependent_matrix(rng, f, rows, cols):
+    """Random columns, with zero, repeated and scaled ones mixed in so
+    that deficient subsets are common at every size."""
+    out = []
+    for _ in range(cols):
+        roll = rng.random()
+        if out and roll < 0.3:
+            out.append(tuple(f.mul(rng.randrange(1, f.q), x) for x in rng.choice(out)))
+        elif roll < 0.4:
+            out.append((0,) * rows)
+        else:
+            out.append(tuple(rng.randrange(f.q) for _ in range(rows)))
+    return Matrix.from_columns(f, out)
+
+
+@pytest.mark.parametrize("f", SCAN_FIELDS, ids=repr)
+def test_first_deficient_matches_scalar_oracle(f, monkeypatch):
+    rng = random.Random(f.q % 1009)
+    for trial in range(100):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 10)
+        m = _dependent_matrix(rng, f, rows, cols)
+        pool = None
+        if trial % 2:
+            pool = sorted(rng.sample(range(1, cols + 1), rng.randrange(0, cols + 1)))
+        size = rng.randrange(0, (cols if pool is None else len(pool)) + 2)
+        full = rng.randrange(1, rows + 1)
+        if trial % 3 == 0:
+            # batches of one subset, so the scan crosses many boundaries
+            monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
+        got = verify_mod._first_deficient(m, size, full, cols=pool)
+        monkeypatch.undo()
+        assert got == oracle_first_deficient(m, size, full, cols=pool), (
+            m.row_data(), size, full, pool)
+
+
+def test_first_deficient_beyond_pool_size():
+    m = mds_generator(5, 3, field_make(7))
+    assert verify_mod._first_deficient(m, 6, 3) is None
+    assert verify_mod._first_deficient(m, 3, 3, cols=(1, 2)) is None
+    assert verify_mod._first_deficient(m, 0, 1) == ()
 
 
 # ---------------------------------------------------------------------
