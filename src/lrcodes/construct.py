@@ -49,7 +49,8 @@ from .errors import (
     UnknownCase,
 )
 from .gf import FieldSpec, field_at_least, field_kernel
-from .linalg import Basis, Matrix, _batch_rref, reduce_vector, reduced_basis
+from .linalg import (Basis, Matrix, _batch_nullvec, _batch_rref, reduce_vector,
+                     reduced_basis)
 from .params import (
     EXISTS,
     EXISTS_MDS,
@@ -236,25 +237,6 @@ def _avoidance_search(state: ExtensionState, lam: int, b: int, accept,
         f"{ncores} core spans", num_cores=ncores, q=q, exhausted=True)
 
 
-def _batch_nullvec(kern, A: np.ndarray) -> np.ndarray:
-    """Right nullspace vectors for a batch of (k-1) x k matrices of rank
-    k-1 (A is overwritten). Raises if any matrix is rank-deficient (that
-    would mean a dependent core slipped through the loop invariant).
-    """
-    N, m, kk = A.shape
-    piv_col, lead = _batch_rref(kern, A)
-    if (lead < m).any():
-        raise RuntimeError("loop invariant violated: rank-deficient core basis in batch")
-    pivmask = np.zeros((N, kk), dtype=bool)
-    np.put_along_axis(pivmask, piv_col, True, axis=1)
-    free = (~pivmask).argmax(axis=1)
-    vals = np.take_along_axis(A, free[:, None, None], axis=2)[:, :, 0]
-    x = kern.zeros((N, kk))
-    np.put_along_axis(x, piv_col, kern.neg(vals), axis=1)
-    x[np.arange(N), free] = 1
-    return x
-
-
 def _column_array(state: ExtensionState) -> np.ndarray:
     """Assigned columns as kernel rows indexed by coordinate; others zero."""
     cols = field_kernel(state.field).zeros((state.params.n + 1, state.params.k))
@@ -275,7 +257,10 @@ def _core_functionals(state: ExtensionState, lam: int,
     cols = _column_array(state)
     psi_chunks = [kern.zeros((0, len(basis_rows)))]
     for E in lambda_core_batches(state.core_query(), lam):
-        phi = _batch_nullvec(kern, cols[E])
+        phi, full = _batch_nullvec(kern, cols[E])
+        if not full.all():
+            raise RuntimeError(
+                "loop invariant violated: rank-deficient core basis in batch")
         psi_chunks.append(np.stack([kern.matvec(phi, w) for w in basis_rows], axis=1))
     return np.concatenate(psi_chunks)
 

@@ -41,7 +41,13 @@ __all__ = [
 
 
 def _norm_groups(groups: Sequence[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(int(x) for x in g)) for g in groups)
+    return tuple(tuple(sorted(index(x) for x in g)) for g in groups)
+
+
+def _check_range(what: str, values: Iterable[int], hi: int) -> None:
+    for x in values:
+        if not 1 <= x <= hi:
+            raise IndexOutOfRange(f"{what} {x} outside [1, {hi}]")
 
 
 def _mask(g: Iterable[int]) -> int:
@@ -57,8 +63,10 @@ class CoverSet:
     __slots__ = ("n", "groups", "masks")
 
     def __init__(self, n: int, groups: Sequence[Iterable[int]]) -> None:
-        self.n = int(n)
+        self.n = index(n)
         self.groups = _norm_groups(groups)
+        for g in self.groups:
+            _check_range("group member", g, self.n)
         self.masks = tuple(_mask(g) for g in self.groups)
 
     @property
@@ -100,11 +108,16 @@ class Frame:
                  hub_blocks: Sequence[Iterable[int]],
                  tail_block: Iterable[int],
                  hubs: Sequence[int]) -> None:
-        self.n = int(n)
+        self.n = index(n)
         self.groups = _norm_groups(groups)
         self.hub_blocks = _norm_groups(hub_blocks)
-        self.tail_block = tuple(sorted(int(x) for x in tail_block))
-        self.hubs = tuple(int(x) for x in hubs)
+        self.tail_block = tuple(sorted(index(x) for x in tail_block))
+        self.hubs = tuple(index(x) for x in hubs)
+        for g in self.groups:
+            _check_range("group member", g, self.n)
+        _check_range("hub", self.hubs, self.n)
+        for b in self.hub_blocks + (self.tail_block,):
+            _check_range("group index", b, self.t)
         self.masks = tuple(_mask(g) for g in self.groups)
 
     @property
@@ -149,11 +162,7 @@ Structure = Union[CoverSet, Frame]
 
 
 def structure_from_json(data: dict) -> Structure:
-    """Rebuild a stored structure; group members must lie in [1, n]."""
-    n = index(data["n"])
-    for g in data["groups"]:
-        if any(not 1 <= index(x) <= n for x in g):
-            raise IndexOutOfRange(f"group {g} is not within [1, {n}]")
+    """Rebuild a stored structure."""
     if data.get("hub_blocks") or data.get("hubs"):
         return Frame(data["n"], data["groups"], data["hub_blocks"],
                      data["tail_block"], data["hubs"])
@@ -260,8 +269,6 @@ def _validate_cover(s: CoverSet, r: int, delta: int) -> list[str]:
             bad.append(f"group {i}: size {len(g)} outside [{delta}, {size}]")
         if len(set(g)) != len(g):
             bad.append(f"group {i}: repeated element")
-        if g and (g[0] < 1 or g[-1] > s.n):
-            bad.append(f"group {i}: element outside [1, {s.n}]")
         if seen & msk:
             bad.append(f"group {i}: overlaps an earlier group")
         seen |= msk
@@ -279,8 +286,6 @@ def _validate_frame(f: Frame, r: int, delta: int) -> list[str]:
             bad.append(f"group {i}: repeated element")
         elif len(g) != size:
             bad.append(f"group {i}: size {len(g)} != {size}")
-        if g and (g[0] < 1 or g[-1] > f.n):
-            bad.append(f"group {i}: element outside [1, {f.n}]")
     if len(f.hubs) != len(f.hub_blocks):
         bad.append(f"{len(f.hub_blocks)} hub blocks but {len(f.hubs)} hubs")
         return bad
@@ -289,9 +294,7 @@ def _validate_frame(f: Frame, r: int, delta: int) -> list[str]:
     blocks = list(f.hub_blocks) + [f.tail_block]
     for b in blocks:
         for i in b:
-            if not 1 <= i <= f.t:
-                bad.append(f"group index {i} outside [1, {f.t}]")
-            elif i in used:
+            if i in used:
                 bad.append(f"group index {i} in two blocks")
             used.add(i)
     if len(used) != f.t:

@@ -7,7 +7,8 @@ match coordinate-set conventions used throughout the package.
 
 Single matrices are reduced in scalar Python (`rank`, reduced bases);
 many small matrices at once go through `_batch_rref`, the one batched
-elimination, on the field's numpy kernel.
+elimination, on the field's numpy kernel; `_batch_nullvec` reads each
+hyperplane's functional off it.
 """
 
 from __future__ import annotations
@@ -257,3 +258,20 @@ def _batch_rref(kern, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         piv_col[sel, ld] = c
         lead[sel] = ld + 1
     return piv_col, lead
+
+
+def _batch_nullvec(kern, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right nullspace vectors for a batch of (k-1) x k matrices (A is
+    overwritten), with a mask of the matrices of full rank k-1. Only the
+    masked rows are nullvectors: phi . a = 0 for every row a of A, so
+    phi is the functional whose kernel is the span of A's rows."""
+    N, m, kk = A.shape
+    piv_col, lead = _batch_rref(kern, A)
+    pivmask = np.zeros((N, kk), dtype=bool)
+    np.put_along_axis(pivmask, piv_col, True, axis=1)
+    free = (~pivmask).argmax(axis=1)
+    vals = np.take_along_axis(A, free[:, None, None], axis=2)[:, :, 0]
+    x = kern.zeros((N, kk))
+    np.put_along_axis(x, piv_col, kern.neg(vals), axis=1)
+    x[np.arange(N), free] = 1
+    return x, lead == m

@@ -256,9 +256,11 @@ def test_criterion_10_loop_invariant_suite():
 
 
 def test_criterion_11_large_instance_within_budget():
-    # full certification needs C(37,11) = 854,992,152 rank checks; this run
-    # substitutes construction + spot-checked invariant + locality, and
-    # demands the certifier declare itself out of budget rather than guess
+    # the exact distance scans the C(37,6) = 2,324,784 hyperplanes and must
+    # find d = 27; full certification needs C(37,11) = 854,992,152 rank
+    # checks, so this run substitutes construction + spot-checked invariant
+    # + locality + distance, and demands the certifier declare itself out
+    # of budget rather than guess
     with criterion(11):
         p = CodeParams(37, 7, 3, 3)
         assert field_bound(p) == 2324784
@@ -277,6 +279,11 @@ def test_criterion_11_large_instance_within_budget():
             assert rank(code.generator, S) == 7, S
 
         assert check_locality(code).overall
+
+        rep = min_distance(code)
+        assert rep.method == RANK_METHOD
+        assert rep.d == 27 and len(rep.witness) == 37 - 27
+        assert rank(code.generator, rep.witness) < 7
 
         with pytest.raises(BudgetExceeded) as exc:
             certify_optimal(code)

@@ -306,6 +306,21 @@ def test_verify_rejects_malformed_files(tmp_path, capsys):
     assert rc == 1 and err.startswith("error: ") and "not valid JSON" in err
 
 
+def test_verify_rejects_frame_block_index_out_of_range(tmp_path, capsys):
+    path = tmp_path / "paired.json"
+    rc, _, _ = run(capsys, ["construct", "10", "5", "2", "2", "--field", "211",
+                            "--out", str(path)])
+    assert rc == 0
+    data = json.loads(path.read_text())
+    structure = data["code"]["structure"]
+    assert structure["hub_blocks"]
+    structure["hub_blocks"][0].append(len(structure["groups"]) + 1)
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: malformed code file") and "group index" in err
+
+
 def _leaf_paths(node, path=()):
     """Key paths of every scalar or empty-list value in a JSON tree."""
     items = (node.items() if isinstance(node, dict)

@@ -17,6 +17,7 @@ from lrcodes.covers import (
 )
 from lrcodes.errors import (
     CoverIncomplete,
+    IndexOutOfRange,
     NotDivisible,
     PreconditionViolated,
     TooFewGroups,
@@ -191,6 +192,32 @@ def test_validate_rejects_bad_partitions():
     ok, bad = validate(CoverSet(6, [(1, 2, 3, 4, 5), (6,)]), 2, 2)
     assert not ok  # first group too big, second below delta
     assert len(bad) == 2
+
+
+def test_structures_reject_out_of_range_coordinates():
+    # members and hubs must lie in [1, n], block entries in [1, t]; the
+    # bitmasks are never built from anything else
+    for bad in (0, -1, 6, 10 ** 20):
+        with pytest.raises(IndexOutOfRange):
+            CoverSet(5, [[bad]])
+        with pytest.raises(IndexOutOfRange):
+            CoverSet(5, [(1, 2), (3, 4, bad)])
+        with pytest.raises(IndexOutOfRange):
+            Frame(5, [(1, 2, 3), (1, 4, bad)], hub_blocks=[(1, 2)],
+                  tail_block=(), hubs=(1,))
+        with pytest.raises(IndexOutOfRange):
+            Frame(5, [(1, 2, 3), (1, 4, 5)], hub_blocks=[(1, 2)],
+                  tail_block=(), hubs=(bad,))
+    for bad in (0, 3, 10 ** 20):
+        with pytest.raises(IndexOutOfRange):
+            Frame(5, [(1, 2, 3), (1, 4, 5)], hub_blocks=[(1, bad)],
+                  tail_block=(), hubs=(1,))
+        with pytest.raises(IndexOutOfRange):
+            Frame(5, [(1, 2, 3), (1, 4, 5)], hub_blocks=[(1,)],
+                  tail_block=(bad,), hubs=(1,))
+    ok, _ = validate(Frame(5, [(1, 2, 3), (1, 4, 5)], hub_blocks=[(1, 2)],
+                           tail_block=(), hubs=(1,)), 2, 2)
+    assert ok
 
 
 def test_validate_accepts_builder_degenerates():

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -25,7 +26,7 @@ from lrcodes.verify import (
 )
 
 import lrcodes.verify as verify_mod
-from deficient_oracle import oracle_first_deficient
+from deficient_oracle import oracle_first_deficient, oracle_rank_criterion
 
 F4 = field_make(2, 2)
 
@@ -136,6 +137,7 @@ def test_locality_rejects_group_below_delta():
 
 SCAN_FIELDS = [field_make(2), field_make(3), field_make(2, 4), field_make(2, 8),
                field_make(499), field_make(2 ** 61 - 1)]
+RANK_FIELDS = SCAN_FIELDS[:2] + [field_make(7)] + SCAN_FIELDS[2:]
 
 
 def _dependent_matrix(rng, f, rows, cols):
@@ -220,7 +222,42 @@ def test_distance_rank_deficient_generator():
 def test_distance_budget_exceeded():
     code = dummy_code(mds_generator(8, 3, field_make(11)))
     with pytest.raises(BudgetExceeded):
-        min_distance(code, budget=5)  # q^k and C(8,7) both above 5
+        min_distance(code, budget=5)  # q^k and C(8,2) = 28 both above 5
+
+
+def test_distance_budget_boundary():
+    # the rank criterion scans the C(n, k-1) hyperplanes: a budget of
+    # exactly that many completes, one less is refused before any work
+    code = dummy_code(mds_generator(8, 3, field_make(11)))
+    rep = min_distance(code, budget=comb(8, 2))
+    assert rep.method == RANK_METHOD and rep.d == 6
+    with pytest.raises(BudgetExceeded) as exc:
+        min_distance(code, budget=comb(8, 2) - 1)
+    assert "C(8,2) = 28" in str(exc.value)
+
+
+def _full_rank_matrix(rng, f, k, n):
+    while True:
+        m = _dependent_matrix(rng, f, k, n)
+        if rank(m) == k:
+            return m
+
+
+@pytest.mark.parametrize("f", RANK_FIELDS, ids=repr)
+def test_rank_criterion_matches_descending_oracle(f, monkeypatch):
+    rng = random.Random(f.q % 1013)
+    for trial in range(40):
+        k = rng.randrange(1, 5)
+        n = k if trial % 5 == 0 else rng.randrange(k, 9)
+        m = _full_rank_matrix(rng, f, k, n)
+        if trial % 3 == 0:
+            # hyperplanes one at a time, so ties meet across batches
+            monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
+        rep = verify_mod._rank_criterion(m, comb(n, k - 1))
+        monkeypatch.undo()
+        assert rep.method == RANK_METHOD
+        assert (rep.d, tuple(rep.witness)) == oracle_rank_criterion(m), (
+            m.row_data())
 
 
 def test_distance_methods_agree_on_random_codes():
@@ -229,7 +266,7 @@ def test_distance_methods_agree_on_random_codes():
     f = field_make(7)
     trials = 0
     while trials < 80:
-        # k >= 3 keeps the rank-path budget q^k-1 above every C(n,s)
+        # the rank-path budget q^k-1 stays above C(n, k-1) at these sizes
         n = rng.randrange(5, 9)
         k = rng.randrange(3, 5)
         m = Matrix.from_rows(
