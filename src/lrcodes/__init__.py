@@ -63,6 +63,7 @@ from .cores import CoreQuery, Omega0, is_core, lambda_cores, omega0
 from .construct import (
     ExtensionState,
     LrcCode,
+    StepStats,
     construct,
     mds_generator,
     pick_extension_vector,
@@ -149,6 +150,7 @@ __all__ = [
     "lambda_cores",
     # construction
     "LrcCode",
+    "StepStats",
     "ExtensionState",
     "mds_generator",
     "pick_extension_vector",

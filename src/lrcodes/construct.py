@@ -8,19 +8,25 @@ a core together with lam. Random draws from the group span (seeded)
 almost always succeed when q is at least C(n, k-1); a deterministic
 lexicographic scan backs them up.
 
-Avoidance is one batched test for every field: for each paired core
-the step computes, by Gauss-Jordan on the field's numpy kernel, the
-linear functional whose kernel is the core's span, and a candidate is
-accepted when none of those functionals vanishes on it.
+Avoidance is one batched test for every field: each (k-1)-subset S0 of
+assigned coordinates has a linear functional whose kernel is span(S0),
+and a candidate is accepted when none of the functionals of the cores
+paired with lam vanishes on it. The functionals are cached across
+steps: a subset's functional depends only on its own columns, which
+never change once assigned, so each step solves (by Gauss-Jordan on the
+field's numpy kernel) only the subsets that contain a newly assigned
+coordinate, and picks the paired cores out of the cache with one
+batched core mask.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from operator import index
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +43,7 @@ from .covers import (
 # lambda_cores and reduce_vector are not called here: they are imported
 # so that the benchmark's tracer (perfbench/tracer.py), which wraps
 # functions under the module names their callers use, finds them.
-from .cores import CoreQuery, core_mask, lambda_core_batches, lambda_cores, omega0
+from .cores import _BATCH, CoreQuery, core_mask, lambda_cores, omega0
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -68,6 +74,7 @@ from .params import (
 __all__ = [
     "ExtensionState",
     "LrcCode",
+    "StepStats",
     "mds_generator",
     "pick_extension_vector",
     "run_extension",
@@ -80,10 +87,36 @@ RANDOM_ATTEMPTS = 64
 # sweep completely (only reachable after 64 failed draws at huge q).
 _SCAN_LIMIT = 1 << 20
 
+# Subsets per elimination when the functional cache grows. Smaller than
+# the cache's blocks of _BATCH rows: the gathered (k-1) x k matrices and
+# their elimination temporaries are several times a block's own size, and
+# at [37,7,3,3] an eighth of _BATCH built as fast as a full one with
+# 50 MB less peak memory.
+_SOLVE_ROWS = _BATCH // 8
+
+
+@dataclass(frozen=True)
+class StepStats:
+    """What one extension step did: the coordinate lam it assigned, the
+    (k-1)-subsets it added to the functional cache, the cores paired with
+    lam, the random draws and scan candidates it tried, and its wall time.
+    """
+
+    lam: int
+    rows_added: int
+    cores: int
+    draws: int
+    scan_steps: int
+    seconds: float
+
 
 @dataclass
 class LrcCode:
-    """A constructed code: generator matrix plus its repair-group witness."""
+    """A constructed code: generator matrix plus its repair-group witness.
+
+    `steps` holds one StepStats per extension step; it is not serialized
+    and takes no part in equality, since its timings vary run to run.
+    """
 
     field: FieldSpec
     generator: Matrix
@@ -91,6 +124,7 @@ class LrcCode:
     params: CodeParams
     claimed_d: int
     trace: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    steps: tuple[StepStats, ...] = dataclass_field(default=(), compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -143,9 +177,11 @@ class ExtensionState:
     columns: dict[int, tuple[int, ...]] = dataclass_field(default_factory=dict)
     omega: list[int] = dataclass_field(default_factory=list)
     trace: list[tuple[int, tuple[int, ...]]] = dataclass_field(default_factory=list)
+    steps: list[StepStats] = dataclass_field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.rng = random.Random(self.rng_seed)
+        self.functionals = _FunctionalCache(self.field, self.params.n, self.params.k)
 
     @property
     def matrix(self) -> Matrix:
@@ -205,16 +241,17 @@ def _combine(field: FieldSpec, coeffs: Sequence[int], rows: Sequence[tuple[int, 
 
 
 def _avoidance_search(state: ExtensionState, lam: int, b: int, accept,
-                      contained, ncores: int) -> tuple[int, ...]:
+                      contained, ncores: int) -> tuple[tuple[int, ...], int, int]:
     """Coefficient search: 64 seeded draws, then a containment check
     (certifying impossibility cheaply before any long sweep), then a
-    lexicographic scan. Returns the accepted coefficient tuple.
+    lexicographic scan. Returns the accepted coefficient tuple with the
+    number of draws and of scanned candidates it took.
     """
     q = state.field.q
-    for _ in range(RANDOM_ATTEMPTS):
+    for draws in range(1, RANDOM_ATTEMPTS + 1):
         coeffs = tuple(state.rng.randrange(q) for _ in range(b))
         if any(coeffs) and accept(coeffs):
-            return coeffs
+            return coeffs, draws, 0
     if contained():
         raise NoValidVector(
             f"no usable column for coordinate {lam}: the group span lies "
@@ -224,9 +261,9 @@ def _avoidance_search(state: ExtensionState, lam: int, b: int, accept,
     for coeffs in product(range(q), repeat=b):
         if not any(coeffs):
             continue
-        if accept(coeffs):
-            return coeffs
         scanned += 1
+        if accept(coeffs):
+            return coeffs, RANDOM_ATTEMPTS, scanned
         if not can_finish and scanned >= _SCAN_LIMIT:
             raise NoValidVector(
                 f"no usable column for coordinate {lam} among the first "
@@ -245,24 +282,93 @@ def _column_array(state: ExtensionState) -> np.ndarray:
     return cols
 
 
+class _FunctionalCache:
+    """Every (k-1)-subset S0 of the covered coordinates with the
+    functional whose kernel is span(S0) and a full-rank flag, as index,
+    functional and flag arrays in blocks of at most _BATCH rows.
+
+    A cached functional is never recomputed, so a covered coordinate must
+    keep its column. Subset indices are stored in the narrowest unsigned
+    dtype that holds n, and int64 functionals in the narrowest one that
+    holds q-1; they are widened back to the kernel's dtype when read.
+    Rows of deficient subsets stay, flagged: only a deficient subset
+    paired with lam as a core breaks the loop invariant.
+    """
+
+    def __init__(self, field: FieldSpec, n: int, k: int) -> None:
+        self.kern = field_kernel(field)
+        self.k = k
+        self.dtype = np.min_scalar_type(n)
+        self.phi_dtype = (np.min_scalar_type(field.q - 1)
+                          if self.kern.dtype == np.int64 else self.kern.dtype)
+        self.covered: set[int] = set()
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def _new_subsets(self, new: list[int]) -> Iterator[np.ndarray]:
+        """Batches of the subsets holding a coordinate of `new`: for each
+        x in turn, the (k-2)-subsets of what is covered so far plus x."""
+        k = self.k
+        if k == 1:
+            # the empty subset lies in every ground set
+            if not self.blocks:
+                yield np.zeros((1, 0), dtype=self.dtype)
+            self.covered.update(new)
+            return
+
+        def subsets():
+            for x in new:
+                for S in combinations(sorted(self.covered), k - 2):
+                    yield *S, x
+                self.covered.add(x)
+
+        it = subsets()
+        while chunk := list(islice(it, _SOLVE_ROWS)):
+            yield np.fromiter(chain.from_iterable(chunk), dtype=self.dtype,
+                              count=len(chunk) * (k - 1)).reshape(len(chunk), k - 1)
+
+    def grow(self, state: ExtensionState) -> int:
+        """Solve and store the subsets of Omega not cached yet; returns
+        how many rows that added."""
+        new = sorted(set(state.omega) - self.covered)
+        cols = _column_array(state)
+        added = 0
+        for E in self._new_subsets(new):
+            phi, full = _batch_nullvec(self.kern, cols[E])
+            rows = (E, phi.astype(self.phi_dtype), full)
+            if self.blocks and len(self.blocks[-1][0]) + len(E) <= _BATCH:
+                rows = tuple(map(np.concatenate, zip(self.blocks.pop(), rows)))
+            self.blocks.append(rows)
+            added += len(E)
+        return added
+
+    def paired(self, q: CoreQuery, lam: int) -> Iterator[np.ndarray]:
+        """Block by block, the functionals of the cached S0 for which
+        S0 + lam is a core."""
+        for E, phi, full in self.blocks:
+            ok = core_mask(q, np.concatenate(
+                [E, np.full((len(E), 1), lam, dtype=E.dtype)], axis=1))
+            if not full[ok].all():
+                raise RuntimeError(
+                    "loop invariant violated: rank-deficient core basis in batch")
+            yield phi[ok].astype(self.kern.dtype)
+
+
 def _core_functionals(state: ExtensionState, lam: int,
-                      basis_rows: list[tuple[int, ...]]) -> np.ndarray:
+                      basis_rows: list[tuple[int, ...]]) -> tuple[np.ndarray, int]:
     """For every core S0 paired with lam, the b coefficients of the linear
-    functional ker = span(S0) restricted to the group-span basis.
+    functional ker = span(S0) restricted to the group-span basis, with
+    the number of subsets this step added to the cache.
 
     A candidate with coefficient vector c avoids span(S0) iff the matching
-    row of the returned Psi has nonzero dot product with c.
+    row of the returned Psi has nonzero dot product with c. Rows follow
+    the cache's order; only the set of rows matters.
     """
     kern = field_kernel(state.field)
-    cols = _column_array(state)
+    added = state.functionals.grow(state)
     psi_chunks = [kern.zeros((0, len(basis_rows)))]
-    for E in lambda_core_batches(state.core_query(), lam):
-        phi, full = _batch_nullvec(kern, cols[E])
-        if not full.all():
-            raise RuntimeError(
-                "loop invariant violated: rank-deficient core basis in batch")
+    for phi in state.functionals.paired(state.core_query(), lam):
         psi_chunks.append(np.stack([kern.matvec(phi, w) for w in basis_rows], axis=1))
-    return np.concatenate(psi_chunks)
+    return np.concatenate(psi_chunks), added
 
 
 def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[int, ...]:
@@ -272,15 +378,17 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     scan certifies NoValidVector for small spans; for spans too large to
     sweep it gives up after a fixed budget (the draw stage is then
     overwhelmingly likely to have succeeded first when q >= C(n, k-1)),
-    and the error says the span was not exhausted.
+    and the error says the span was not exhausted. A successful step
+    appends its StepStats to `state.steps`.
     """
+    start = time.perf_counter()
     g = state.structure.groups[group - 1]
     if lam not in g or lam in state.columns:
         raise PreconditionViolated(
             f"coordinate {lam} is not an unassigned member of group {group}")
     basis_rows = [row for _, row in _group_span_basis(state, group)]
     kern = field_kernel(state.field)
-    psi = _core_functionals(state, lam, basis_rows)
+    psi, added = _core_functionals(state, lam, basis_rows)
 
     def accept(coeffs: Sequence[int]) -> bool:
         return bool((kern.matvec(psi, coeffs) != 0).all())
@@ -289,8 +397,10 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
         # an all-zero row means that core's functional kills the whole span
         return not (psi != 0).any(axis=1).all()
 
-    coeffs = _avoidance_search(state, lam, len(basis_rows), accept, contained,
-                               psi.shape[0])
+    coeffs, draws, scanned = _avoidance_search(
+        state, lam, len(basis_rows), accept, contained, psi.shape[0])
+    state.steps.append(StepStats(lam, added, psi.shape[0], draws, scanned,
+                                 time.perf_counter() - start))
     return _combine(state.field, coeffs, basis_rows, state.params.k)
 
 
@@ -350,7 +460,7 @@ def run_extension(structure: Structure, params: CodeParams, field: FieldSpec,
         field, [state.columns[j] for j in range(1, params.n + 1)])
     return LrcCode(field=field, generator=gen, structure=structure,
                    params=params, claimed_d=distance_bound(params),
-                   trace=tuple(state.trace))
+                   trace=tuple(state.trace), steps=tuple(state.steps))
 
 
 def _build_structure(params: CodeParams, method: str) -> Structure:

@@ -29,7 +29,7 @@ from .covers import Frame, Structure
 from .errors import IndexOutOfRange
 
 __all__ = ["CoreQuery", "Omega0", "is_core", "omega0", "lambda_cores",
-           "lambda_core_batches", "core_mask"]
+           "core_mask"]
 
 _BATCH = 1 << 17
 
@@ -135,29 +135,17 @@ def omega0(structure: Structure, r: int, delta: int) -> Omega0:
     return Omega0(tuple(indices), tuple(picks))
 
 
-def lambda_core_batches(q: CoreQuery, lam: int) -> Iterator[np.ndarray]:
-    """lambda_cores in batches: N x (k-1) int64 arrays whose rows, read
-    batch after batch, are the cores in lexicographic order."""
+def lambda_cores(q: CoreQuery, lam: int) -> Iterator[tuple[int, ...]]:
+    """All (k-1)-subsets S0 of the ground set with S0 u {lam} a core,
+    as sorted tuples in lexicographic order."""
     target = q.k - 1
     if target < 0:
         return
     it = combinations([x for x in q.ground if x != lam], target)
-    while True:
-        chunk = list(islice(it, _BATCH))
-        if not chunk:
-            return
+    while chunk := list(islice(it, _BATCH)):
         E = np.empty((len(chunk), target + 1), dtype=np.int64)
         E[:, :target] = np.fromiter(
             chain.from_iterable(chunk), dtype=np.int64,
             count=len(chunk) * target).reshape(len(chunk), target)
         E[:, target] = lam
-        ok = core_mask(q, E)
-        if ok.any():
-            yield E[ok, :target]
-
-
-def lambda_cores(q: CoreQuery, lam: int) -> Iterator[tuple[int, ...]]:
-    """All (k-1)-subsets S0 of the ground set with S0 u {lam} a core,
-    as sorted tuples in lexicographic order."""
-    for E in lambda_core_batches(q, lam):
-        yield from map(tuple, E.tolist())
+        yield from map(tuple, E[core_mask(q, E), :target].tolist())

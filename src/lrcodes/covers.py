@@ -13,7 +13,7 @@ Coordinates are 1-based everywhere. Groups are stored sorted; bitmasks
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, islice
 from operator import index
 from typing import Iterable, Optional, Sequence, Union
 
@@ -366,7 +366,8 @@ def deficiency_witness(groups: Sequence[Iterable[int]], k: int, r: int,
     whose union is smaller than k + ceil(k/r)(delta-1); None if no such J.
 
     The groups need not be disjoint but must each fit in r+delta-1
-    elements and jointly cover [1..max element].
+    elements and jointly cover [1..max element]; a member below 1 raises
+    IndexOutOfRange.
     """
     gs = _norm_groups(groups)
     size = r + delta - 1
@@ -375,14 +376,18 @@ def deficiency_witness(groups: Sequence[Iterable[int]], k: int, r: int,
             raise PreconditionViolated(f"group {i} has {len(g)} > {size} elements")
     if not gs or not any(gs):
         raise CoverIncomplete("no coordinates covered")
-    n = max(g[-1] for g in gs if g)
+    covered = sorted(set().union(*gs))
+    if covered[0] < 1:
+        raise IndexOutOfRange(f"group member {covered[0]} is below 1")
+    n = covered[-1]
+    if len(covered) < n:
+        # the first few gaps, found without touching all of [1..n]
+        gaps = list(islice(chain.from_iterable(
+            range(a + 1, b) for a, b in zip([0] + covered, covered)), 10))
+        raise CoverIncomplete(
+            f"{n - len(covered)} of the coordinates [1..{n}] not covered, "
+            f"first: {gaps}")
     masks = [_mask(g) for g in gs]
-    total = 0
-    for msk in masks:
-        total |= msk
-    if total != (1 << n) - 1:
-        gaps = [x for x in range(1, n + 1) if not total >> (x - 1) & 1]
-        raise CoverIncomplete(f"coordinates not covered: {gaps}")
     mu = _mu(k, r)
     if len(gs) < mu:
         raise TooFewGroups(f"need {mu} groups, got {len(gs)}")

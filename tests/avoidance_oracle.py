@@ -51,6 +51,6 @@ def oracle_pick(state, lam, group):
             all(not any(reduce_vector(field, cb, row)) for row in basis_rows)
             for cb in core_bases)
 
-    coeffs = construct_mod._avoidance_search(
+    coeffs, _, _ = construct_mod._avoidance_search(
         state, lam, len(basis_rows), accept, contained, len(cores))
     return _combine(field, coeffs, basis_rows, k)

@@ -245,12 +245,17 @@ def test_verify_budget_exhaustion_is_not_failure(tmp_path, capsys):
 # edited and malformed code files
 # ---------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _saved_text():
-    """What save_code writes for a (12,5,2,3) code over GF(499)."""
-    code = construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0)
+@lru_cache(maxsize=2)
+def _saved_text(params=(12, 5, 2, 3), q=499):
+    """What save_code writes for a code; by default the (12,5,2,3)
+    partition code over GF(499)."""
+    code = construct(CodeParams(*params), field_make(q), seed=0)
     return json.dumps(CodeFile(code=code, seed=0, tool_version="0.1.0",
                                created_at="").to_json(), indent=2)
+
+
+# a hub frame with a hub block, a tail block and a hub: (10,3,2,2) over GF(47)
+_HUB_FRAME = ((10, 3, 2, 2), 47)
 
 
 def _verify_edited(capsys, tmp_path, edit):
@@ -332,17 +337,25 @@ def _leaf_paths(node, path=()):
         yield path
 
 
-_LEAVES = list(_leaf_paths(json.loads(_saved_text())))
+_LEAVES = [(saved, path) for saved in ((), _HUB_FRAME)
+           for path in _leaf_paths(json.loads(_saved_text(*saved)))]
 _OPTIMAL = re.compile(r"^optimality: OPTIMAL \(bound d\* = (\d+),", re.M)
 _DISTANCE = re.compile(r"^distance: d = (\d+) via", re.M)
 
 
-@settings(max_examples=60, deadline=None)
-@given(path=st.sampled_from(_LEAVES),
+def test_saved_hub_frame_file_is_a_hub_frame():
+    structure = json.loads(_saved_text(*_HUB_FRAME))["code"]["structure"]
+    assert structure["hubs"] and structure["hub_blocks"] and structure["tail_block"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(leaf=st.sampled_from(_LEAVES),
        value=st.one_of(st.integers(), st.text(max_size=8),
                        st.lists(st.integers(), max_size=4), st.none()))
-def test_verify_survives_any_one_leaf_edit(path, value):
-    data = json.loads(_saved_text())
+def test_verify_survives_any_one_leaf_edit(leaf, value):
+    # one leaf of a saved partition file or hub-frame file replaced
+    saved, path = leaf
+    data = json.loads(_saved_text(*saved))
     node = data
     for key in path[:-1]:
         node = node[key]

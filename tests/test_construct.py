@@ -5,8 +5,10 @@ import subprocess
 import sys
 import textwrap
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lrcodes.construct import (
@@ -17,6 +19,7 @@ from lrcodes.construct import (
     pick_extension_vector,
     run_extension,
 )
+from lrcodes.cores import CoreQuery, lambda_cores, omega0
 from lrcodes.covers import CoverSet, Frame, hub_frame, paired_frame, uniform_partition
 from lrcodes.errors import (
     FieldTooSmall,
@@ -25,8 +28,8 @@ from lrcodes.errors import (
     PreconditionViolated,
     UnknownCase,
 )
-from lrcodes.gf import field_at_least, field_make
-from lrcodes.linalg import rank
+from lrcodes.gf import field_at_least, field_kernel, field_make
+from lrcodes.linalg import _batch_nullvec, rank
 from lrcodes.params import EXISTS, CodeParams, classify, distance_bound, field_bound
 from lrcodes.verify import certify_optimal
 
@@ -156,6 +159,139 @@ def test_engine_matches_scalar_oracle(monkeypatch):
         oracle = run_extension(*args, seed=seed)
         monkeypatch.undo()
         assert engine.to_json() == oracle.to_json()
+
+
+def _per_step_psi(state, lam, basis_rows):
+    """Psi as solved before the cache: every core paired with lam
+    enumerated afresh and eliminated in one batch."""
+    kern = field_kernel(state.field)
+    E = np.array(list(lambda_cores(state.core_query(), lam)), dtype=np.int64)
+    E = E.reshape(len(E), state.params.k - 1)
+    phi, full = _batch_nullvec(kern, construct_mod._column_array(state)[E])
+    if not full.all():
+        raise RuntimeError("loop invariant violated: rank-deficient core basis")
+    psi = kern.zeros((len(E), len(basis_rows)))
+    for j, w in enumerate(basis_rows):
+        psi[:, j] = kern.matvec(phi, w)
+    return psi
+
+
+def _checked_core_functionals(compared):
+    real = construct_mod._core_functionals
+
+    def step(state, lam, basis_rows):
+        want = _per_step_psi(state, lam, basis_rows)
+        psi, added = real(state, lam, basis_rows)
+        assert (sorted(map(tuple, psi.tolist()))
+                == sorted(map(tuple, want.tolist()))), (state.params, lam)
+        compared.append(lam)
+        return psi, added
+    return step
+
+
+def test_cached_functionals_match_per_step_solve(monkeypatch):
+    # the cache's Psi, at every step, holds the same rows as solving each
+    # paired core afresh; only the row order may differ
+    compared = []
+    monkeypatch.setattr(construct_mod, "_core_functionals",
+                        _checked_core_functionals(compared))
+    builds = [
+        lambda: construct(CodeParams(12, 5, 2, 3), field_make(499), seed=1),
+        lambda: construct(CodeParams(12, 5, 2, 3), field_make(2, 9), seed=2),
+        lambda: construct(CodeParams(10, 5, 2, 2), field_make(211), seed=0),
+        lambda: construct(CodeParams(10, 5, 2, 2), field_make(2, 8), seed=3),
+        lambda: run_extension(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
+                              field_make(29), seed=0),
+        lambda: run_extension(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
+                              field_make(2, 5), seed=1),
+        # k = 1 and k = 2: zero-column and one-column subsets
+        lambda: construct(CodeParams(6, 1, 1, 3), field_make(7), seed=0),
+        lambda: construct(CodeParams(6, 1, 1, 2), field_make(2, 3), seed=0),
+        lambda: construct(CodeParams(9, 2, 1, 3), field_make(11), seed=0),
+        lambda: construct(CodeParams(8, 2, 1, 2), field_make(2, 4), seed=1),
+    ]
+    for build in builds:
+        before = len(compared)
+        build()
+        assert len(compared) > before
+    # hand-built states: Omega set directly, nothing cached yet
+    state = _gf5_five_lines_state()
+    a, b = pick_extension_vector(state, 3, 1)
+    assert b == 4 * a % 5 and state.steps[0].rows_added == 5
+    state = ExtensionState(field=field_make(17), params=CodeParams(6, 3, 2, 2),
+                           structure=uniform_partition(6, 2, 2), rng_seed=0)
+    state.columns = {1: (1, 0, 0), 2: (0, 1, 0), 4: (0, 0, 1), 5: (1, 1, 1)}
+    state.omega = [1, 2, 4, 5]
+    state.assign(3, pick_extension_vector(state, 3, 1))
+    pick_extension_vector(state, 6, 2)
+    assert compared[-3:] == [3, 3, 6]
+    assert [s.rows_added for s in state.steps] == [comb(4, 2), comb(4, 1)]
+
+
+def test_dependent_column_still_breaks_the_next_step(monkeypatch):
+    # mutation check: coordinate 3 gets a copy of column 5, which makes
+    # every core through both deficient; the step after it (lam = 4,
+    # whose new cache rows hold 3) must raise, with and without the cache
+    real = construct_mod.pick_extension_vector
+    seen = []
+
+    def corrupt(state, lam, group):
+        seen.append(lam)
+        col = real(state, lam, group)
+        return state.columns[5] if lam == 3 else col
+
+    def per_step(state, lam, rows):
+        return _per_step_psi(state, lam, rows), 0
+
+    for f in (field_make(499), field_make(2, 9)):
+        for functionals in (construct_mod._core_functionals, per_step):
+            seen.clear()
+            monkeypatch.setattr(construct_mod, "pick_extension_vector", corrupt)
+            monkeypatch.setattr(construct_mod, "_core_functionals", functionals)
+            with pytest.raises(RuntimeError, match="rank-deficient core"):
+                construct(CodeParams(12, 5, 2, 3), f, seed=0)
+            monkeypatch.undo()
+            assert seen == [3, 4]
+    # the same corruption in a hand-built state, before its first step
+    code = construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0)
+    state = ExtensionState(field=code.field, params=code.params,
+                           structure=code.structure, rng_seed=0)
+    state.omega = [1, 2, 3, 5, 6, 9, 10]
+    state.columns = {x: code.generator.column(x) for x in state.omega}
+    state.columns[3] = state.columns[5]
+    with pytest.raises(RuntimeError, match="rank-deficient core"):
+        pick_extension_vector(state, 4, 1)
+
+
+def test_step_stats_count_cores_rows_and_draws():
+    codes = [
+        construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0),
+        construct(CodeParams(10, 5, 2, 2), field_make(2, 8), seed=1),
+        run_extension(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2), field_make(29)),
+        construct(CodeParams(6, 1, 1, 3), field_make(7), seed=0),
+        construct(CodeParams(9, 2, 1, 3), field_make(11), seed=0),
+    ]
+    for code in codes:
+        p = code.params
+        assert [s.lam for s in code.steps] == [lam for lam, _ in code.trace]
+        omega = list(omega0(code.structure, p.r, p.delta).indices)
+        for s in code.steps:
+            q = CoreQuery(code.structure, p.r, p.k, p.delta, tuple(omega))
+            assert s.cores == len(list(lambda_cores(q, s.lam)))
+            assert 1 <= s.draws <= construct_mod.RANDOM_ATTEMPTS
+            assert s.scan_steps == 0 and s.seconds >= 0
+            omega.append(s.lam)
+        # every (k-1)-subset of the last step's Omega was solved once
+        assert sum(s.rows_added for s in code.steps) == comb(p.n - 1, p.k - 1)
+        assert "steps" not in code.to_json()
+
+
+def test_step_stats_count_the_fallback_scan(monkeypatch):
+    monkeypatch.setattr(construct_mod, "RANDOM_ATTEMPTS", 0)
+    state = _gf5_five_lines_state()
+    assert pick_extension_vector(state, 3, 1) == (1, 4)
+    # (0,1) .. (0,4), (1,0) .. (1,3) miss, (1,4) is the ninth candidate
+    assert [(s.draws, s.scan_steps, s.cores) for s in state.steps] == [(0, 9, 5)]
 
 
 def test_huge_prime_builds_without_field_sized_tables():

@@ -262,6 +262,13 @@ def test_deficiency_witness_errors():
         deficiency_witness([], 2, 1, 2)
     with pytest.raises(TooFewGroups):
         deficiency_witness([(1, 2, 3)], 4, 2, 2)
+    # members are range-checked before any bitmask is built, and a huge
+    # member is reported as an incomplete cover without sizing 1 << n
+    for bad in (0, -1):
+        with pytest.raises(IndexOutOfRange):
+            deficiency_witness([[bad, 1, 2], [3, 4, 5]], 3, 2, 2)
+    with pytest.raises(CoverIncomplete, match=r"first: \[6, 7, .*15\]"):
+        deficiency_witness([[1, 2, 10 ** 20], [3, 4, 5]], 3, 2, 2)
 
 
 def test_witness_equivalent_to_coverage_for_partitions():
