@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedExtension,
 )
 from .gf import FieldSpec, field_at_least, field_make, is_prime
-from .linalg import ColumnSet, Matrix, in_span, rank
+from .linalg import Matrix, in_span, rank
 from .params import (
     EXISTS,
     EXISTS_MDS,
@@ -116,7 +116,6 @@ __all__ = [
     "is_prime",
     # linear algebra
     "Matrix",
-    "ColumnSet",
     "rank",
     "in_span",
     # parameters

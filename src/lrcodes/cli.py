@@ -40,7 +40,8 @@ from .params import (
     CodeParams,
     classify,
 )
-from .verify import certify_optimal, check_locality, check_structure_theorem, min_distance
+from .verify import (DEFAULT_BUDGET, certify_optimal, check_locality,
+                     check_structure_theorem, min_distance)
 
 __all__ = ["main"]
 
@@ -109,10 +110,6 @@ def _parse_field(text: str) -> FieldSpec:
     return field_make(*parts)
 
 
-def _field_name(field: FieldSpec) -> str:
-    return f"GF({field.p})" if field.e == 1 else f"GF({field.p}^{field.e})"
-
-
 def _group_text(g: Sequence[int]) -> str:
     return "{" + ",".join(str(x) for x in g) + "}"
 
@@ -146,7 +143,7 @@ def _build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="re-check a stored code file")
     p_ver.add_argument("file")
-    p_ver.add_argument("--budget", type=int, default=10 ** 7)
+    p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_ver.set_defaults(func=cmd_verify)
 
     p_dem = sub.add_parser("demo", help="narrated [12,5] storage-code walkthrough")
@@ -229,8 +226,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
         print(f"UNKNOWN ({exc.tag}): {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     print(f"constructed [n={params.n}, k={params.k}] code over "
-          f"{_field_name(code.field)}, claimed d = {code.claimed_d}")
-    kind = "frame" if isinstance(code.structure, Frame) else "partition"
+          f"{code.field!r}, claimed d = {code.claimed_d}")
+    kind = ("frame" if isinstance(code.structure, Frame)
+            else "partition" if sum(map(len, code.structure.groups)) == params.n
+            else "overlapping cover")
     print(f"structure: {kind} with {code.structure.t} groups")
     for i, g in enumerate(code.structure.groups, start=1):
         print(f"  group {i}: {_group_text(g)}")
@@ -245,7 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     code = cf.code
     params = code.params
     print(f"code: [n={params.n}, k={params.k}] over "
-          f"{_field_name(code.field)}, r={params.r}, delta={params.delta}, "
+          f"{code.field!r}, r={params.r}, delta={params.delta}, "
           f"claimed d = {code.claimed_d}")
     failed = False
 
@@ -299,7 +298,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     field = code.field
     m = code.generator
     print(f"A file split into {params.k} packets, stored as "
-          f"{params.n} coded symbols over {_field_name(field)}.")
+          f"{params.n} coded symbols over {field!r}.")
     print("repair groups: " + " ".join(
         _group_text(g) for g in code.structure.groups))
     print(f"optimal minimum distance from the bound: d = {code.claimed_d}")
@@ -329,8 +328,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (LrcError, ValueError, OSError, MemoryError) as exc:
+    except (LrcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

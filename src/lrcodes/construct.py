@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain, combinations, islice, product
+from itertools import combinations, product
 from operator import index
 from typing import Iterator, Optional, Sequence
 
@@ -43,7 +43,7 @@ from .covers import (
 # lambda_cores and reduce_vector are not called here: they are imported
 # so that the benchmark's tracer (perfbench/tracer.py), which wraps
 # functions under the module names their callers use, finds them.
-from .cores import _BATCH, CoreQuery, core_mask, lambda_cores, omega0
+from .cores import _BATCH, CoreQuery, core_mask, index_batches, lambda_cores, omega0
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -183,14 +183,6 @@ class ExtensionState:
         self.rng = random.Random(self.rng_seed)
         self.functionals = _FunctionalCache(self.field, self.params.n, self.params.k)
 
-    @property
-    def matrix(self) -> Matrix:
-        """Current k x n matrix; unassigned coordinates hold zero columns."""
-        k, n = self.params.k, self.params.n
-        zero = (0,) * k
-        return Matrix.from_columns(
-            self.field, [self.columns.get(j, zero) for j in range(1, n + 1)])
-
     def assign(self, lam: int, col: tuple[int, ...]) -> None:
         self.columns[lam] = col
         self.omega.append(lam)
@@ -308,23 +300,20 @@ class _FunctionalCache:
         """Batches of the subsets holding a coordinate of `new`: for each
         x in turn, the (k-2)-subsets of what is covered so far plus x."""
         k = self.k
-        if k == 1:
-            # the empty subset lies in every ground set
-            if not self.blocks:
-                yield np.zeros((1, 0), dtype=self.dtype)
-            self.covered.update(new)
-            return
 
         def subsets():
+            if k == 1:
+                # the empty subset lies in every ground set
+                if not self.covered:
+                    yield ()
+                self.covered.update(new)
+                return
             for x in new:
                 for S in combinations(sorted(self.covered), k - 2):
                     yield *S, x
                 self.covered.add(x)
 
-        it = subsets()
-        while chunk := list(islice(it, _SOLVE_ROWS)):
-            yield np.fromiter(chain.from_iterable(chunk), dtype=self.dtype,
-                              count=len(chunk) * (k - 1)).reshape(len(chunk), k - 1)
+        return index_batches(subsets(), k - 1, _SOLVE_ROWS, self.dtype)
 
     def grow(self, state: ExtensionState) -> int:
         """Solve and store the subsets of Omega not cached yet; returns
@@ -405,19 +394,21 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
 
 
 def _assert_invariant(state: ExtensionState) -> None:
-    """Full recheck: every core inside Omega has independent columns."""
+    """Full recheck: every core inside Omega has independent columns,
+    checked _SOLVE_ROWS subsets at a time."""
     q = state.core_query()
     cols = _column_array(state)
     kern = field_kernel(state.field)
     for size in range(1, min(state.params.k, len(q.ground)) + 1):
-        E = np.array(list(combinations(q.ground, size)), dtype=np.int64)
-        E = E[core_mask(q, E)]
-        _, ranks = _batch_rref(kern, cols[E])
-        bad = np.flatnonzero(ranks < size)
-        if bad.size:
-            raise RuntimeError(
-                f"loop invariant violated: core {tuple(E[bad[0]].tolist())} "
-                f"has rank {ranks[bad[0]]}")
+        for E in index_batches(combinations(q.ground, size), size,
+                               _SOLVE_ROWS, np.int64):
+            E = E[core_mask(q, E)]
+            _, ranks = _batch_rref(kern, cols[E])
+            bad = np.flatnonzero(ranks < size)
+            if bad.size:
+                raise RuntimeError(
+                    f"loop invariant violated: core {tuple(E[bad[0]].tolist())} "
+                    f"has rank {ranks[bad[0]]}")
 
 
 def run_extension(structure: Structure, params: CodeParams, field: FieldSpec,
@@ -476,12 +467,21 @@ def _build_structure(params: CodeParams, method: str) -> Structure:
     raise PreconditionViolated(f"unknown construction method {method!r}")
 
 
+def _base_length(params: CodeParams) -> int:
+    """Columns of the MDS base an extension route places on Omega_0:
+    n - t(delta-1) for its t = ceil(n/(r+delta-1)) groups."""
+    t = -(-params.n // params.group_size)
+    return params.n - t * (params.delta - 1)
+
+
 def construct(params: CodeParams, field: Optional[FieldSpec] = None,
               seed: int = 0, check_invariants: bool = False) -> LrcCode:
     """Classify, build the matching structure, and run its algorithm.
 
     The default field is the smallest prime at least max(C(n, k-1), n),
-    which guarantees the extension loop succeeds. NotExists parameters
+    which guarantees the extension loop succeeds; the r = k route also
+    takes it. An explicit field is checked against the MDS base the
+    route needs before any structure is built. NotExists parameters
     raise NotConstructible carrying the deciding rule's tag; Unknown
     parameters raise UnknownCase.
     """
@@ -496,31 +496,28 @@ def construct(params: CodeParams, field: Optional[FieldSpec] = None,
             f"r={params.r} delta={params.delta}", tag=verdict.tag)
     if field is None:
         field = field_at_least(max(field_bound(params), params.n), "prime")
-    if verdict.verdict == EXISTS_MDS:
-        return _construct_mds(params, field, seed, check_invariants)
-    structure = _build_structure(params, verdict.method)
+    n, size = params.n, params.group_size
+    if verdict.verdict == EXISTS_MDS and (n == size or n % size):
+        return _mds_windows(params, field)
+    base = _base_length(params)
+    if field.q < base:
+        raise FieldTooSmall(
+            f"need q >= {base} for the {base}-column MDS base, field has q={field.q}")
+    method = METHOD_A1_UNIFORM if verdict.verdict == EXISTS_MDS else verdict.method
+    structure = _build_structure(params, method)
     return run_extension(structure, params, field, seed, check_invariants)
 
 
-def _construct_mds(params: CodeParams, field: FieldSpec, seed: int,
-                   check_invariants: bool) -> LrcCode:
-    """r = k: optimal codes are exactly the MDS codes.
-
-    Three shapes: n = k+delta-1 fits one repair group; group-size-divisible
-    n runs the standard partition pipeline (whose output is MDS); anything
-    else needs overlapping repair groups, which no partition or frame here
-    expresses, so it is reported not constructible despite existing.
+def _mds_windows(params: CodeParams, field: FieldSpec) -> LrcCode:
+    """r = k, with n = L or n not a multiple of L = k+delta-1: optimal
+    codes are the MDS codes, and an [n, k] MDS code has (k, delta)
+    locality on any cover by L-sets, since its puncturings are MDS. So
+    the Vandermonde code gets windows [1..L], [L+1..2L], ... and a last
+    window [n-L+1..n], which overlaps its neighbour unless n = L.
     """
-    n, k, delta = params.n, params.k, params.delta
-    size = params.group_size
-    if n == k + delta - 1:
-        gen = mds_generator(n, k, field)
-        structure = CoverSet(n, [range(1, n + 1)])
-        return LrcCode(field=field, generator=gen, structure=structure,
-                       params=params, claimed_d=distance_bound(params))
-    if n % size == 0:
-        structure = uniform_partition(n, params.r, delta)
-        return run_extension(structure, params, field, seed, check_invariants)
-    raise NotConstructible(
-        f"optimal codes for r=k, n={n} need overlapping repair groups, "
-        "which this builder does not emit", tag="mds-overlapping-cover")
+    n, size = params.n, params.group_size
+    gen = mds_generator(n, params.k, field)
+    windows = [range(a + 1, a + size + 1) for a in range(0, n - size, size)]
+    windows.append(range(n - size + 1, n + 1))
+    return LrcCode(field=field, generator=gen, structure=CoverSet(n, windows),
+                   params=params, claimed_d=distance_bound(params))

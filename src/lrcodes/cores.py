@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,9 +29,19 @@ from .covers import Frame, Structure
 from .errors import IndexOutOfRange
 
 __all__ = ["CoreQuery", "Omega0", "is_core", "omega0", "lambda_cores",
-           "core_mask"]
+           "core_mask", "index_batches"]
 
 _BATCH = 1 << 17
+
+
+def index_batches(tuples: Iterable[Sequence[int]], width: int, rows: int,
+                  dtype) -> Iterator[np.ndarray]:
+    """The index tuples of length `width`, in their order, as N x width
+    arrays of `dtype` holding at most `rows` tuples each."""
+    it = iter(tuples)
+    while chunk := list(islice(it, rows)):
+        yield np.fromiter(chain.from_iterable(chunk), dtype=dtype,
+                          count=len(chunk) * width).reshape(len(chunk), width)
 
 
 @dataclass(frozen=True)
@@ -117,12 +127,8 @@ def omega0(structure: Structure, r: int, delta: int) -> Omega0:
     """Deterministic maximal initial core: smallest indices, hubs forced in."""
     picks = []
     if isinstance(structure, Frame):
-        hub_by_group: dict[int, int] = {}
-        for j, block in enumerate(structure.hub_blocks):
-            for i in block:
-                hub_by_group[i - 1] = structure.hubs[j]
-        for i, g in enumerate(structure.groups):
-            hub = hub_by_group.get(i)
+        for i, g in enumerate(structure.groups, start=1):
+            hub = structure.hub_of_group(i)
             if hub is None:
                 picks.append(tuple(g[:r]))
             else:
@@ -141,11 +147,7 @@ def lambda_cores(q: CoreQuery, lam: int) -> Iterator[tuple[int, ...]]:
     target = q.k - 1
     if target < 0:
         return
-    it = combinations([x for x in q.ground if x != lam], target)
-    while chunk := list(islice(it, _BATCH)):
-        E = np.empty((len(chunk), target + 1), dtype=np.int64)
-        E[:, :target] = np.fromiter(
-            chain.from_iterable(chunk), dtype=np.int64,
-            count=len(chunk) * target).reshape(len(chunk), target)
-        E[:, target] = lam
-        yield from map(tuple, E[core_mask(q, E), :target].tolist())
+    subsets = combinations([x for x in q.ground if x != lam], target)
+    for S0 in index_batches(subsets, target, _BATCH, np.int64):
+        E = np.concatenate([S0, np.full((len(S0), 1), lam)], axis=1)
+        yield from map(tuple, S0[core_mask(q, E)].tolist())

@@ -1,7 +1,8 @@
 """Repair-group structures over the coordinate set [1..n].
 
-Two shapes: CoverSet, a plain partition into groups of size between
-delta and r+delta-1, and Frame, a family of exactly-(r+delta-1)-sized
+Two shapes: CoverSet, plain groups of size between delta and
+r+delta-1 (a partition, except for the overlapping windows of an r = k
+MDS code), and Frame, a family of exactly-(r+delta-1)-sized
 groups where designated blocks of groups share a single hub element
 each and everything else is disjoint. Builders emit the two canonical
 partition shapes and the two canonical frame shapes used by the
@@ -58,7 +59,8 @@ def _mask(g: Iterable[int]) -> int:
 
 
 class CoverSet:
-    """A partition of [1..n] into repair groups S_1..S_t."""
+    """Repair groups S_1..S_t covering [1..n]: a partition, except for
+    the overlapping windows of an r = k MDS code."""
 
     __slots__ = ("n", "groups", "masks")
 
@@ -341,23 +343,27 @@ def validate(structure: Structure, r: int, delta: int) -> tuple[bool, list[str]]
     return (not bad, bad)
 
 
-def _mu(k: int, r: int) -> int:
-    return -(-k // r)
+def _first_small_union(masks: Sequence[int], k: int, r: int,
+                       delta: int) -> Optional[tuple[int, ...]]:
+    """Lexicographically first ceil(k/r)-subset of the groups (1-based,
+    given as bitmasks) whose union has fewer than k + ceil(k/r)(delta-1)
+    coordinates; None if there is none."""
+    mu = -(-k // r)
+    if len(masks) < mu:
+        raise TooFewGroups(f"need {mu} groups, got {len(masks)}")
+    need = k + mu * (delta - 1)
+    for sel in combinations(range(len(masks)), mu):
+        union = 0
+        for i in sel:
+            union |= masks[i]
+        if bin(union).count("1") < need:
+            return tuple(i + 1 for i in sel)
+    return None
 
 
 def coverage_check(structure: Structure, k: int, r: int, delta: int) -> bool:
     """True iff every ceil(k/r)-subset of groups covers k + ceil(k/r)(delta-1) coordinates."""
-    mu = _mu(k, r)
-    if structure.t < mu:
-        raise TooFewGroups(f"need {mu} groups, structure has {structure.t}")
-    need = k + mu * (delta - 1)
-    for sel in combinations(structure.masks, mu):
-        union = 0
-        for msk in sel:
-            union |= msk
-        if bin(union).count("1") < need:
-            return False
-    return True
+    return _first_small_union(structure.masks, k, r, delta) is None
 
 
 def deficiency_witness(groups: Sequence[Iterable[int]], k: int, r: int,
@@ -387,15 +393,4 @@ def deficiency_witness(groups: Sequence[Iterable[int]], k: int, r: int,
         raise CoverIncomplete(
             f"{n - len(covered)} of the coordinates [1..{n}] not covered, "
             f"first: {gaps}")
-    masks = [_mask(g) for g in gs]
-    mu = _mu(k, r)
-    if len(gs) < mu:
-        raise TooFewGroups(f"need {mu} groups, got {len(gs)}")
-    need = k + mu * (delta - 1)
-    for sel in combinations(range(1, len(gs) + 1), mu):
-        union = 0
-        for i in sel:
-            union |= masks[i - 1]
-        if bin(union).count("1") < need:
-            return sel
-    return None
+    return _first_small_union([_mask(g) for g in gs], k, r, delta)

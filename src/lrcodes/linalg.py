@@ -13,9 +13,8 @@ hyperplane's functional off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .gf import FieldSpec
 
 __all__ = [
     "Matrix",
-    "ColumnSet",
     "rank",
     "in_span",
     "reduced_basis",
@@ -95,41 +93,14 @@ def reduced_basis(field: FieldSpec, vectors: Iterable[Sequence[int]]) -> Basis:
     return basis
 
 
-@dataclass(frozen=True)
-class ColumnSet:
-    """Strictly increasing 1-based column indices."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = 0
-        for i in self.indices:
-            if i <= prev:
-                raise IndexOutOfRange(
-                    f"column indices must be strictly increasing and >= 1, got {self.indices}")
-            prev = i
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "ColumnSet":
-        seq = sorted(int(i) for i in indices)
-        if len(set(seq)) != len(seq):
-            raise IndexOutOfRange(f"duplicate column index in {seq}")
-        return cls(tuple(seq))
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def _as_indices(cols: Union[ColumnSet, Iterable[int], None], m: "Matrix") -> tuple[int, ...]:
+def _as_indices(cols: Optional[Iterable[int]], m: "Matrix") -> tuple[int, ...]:
+    """The selected columns as sorted 1-based indices (all of them for
+    None); a repeated index or one outside [1, m.cols] raises."""
     if cols is None:
         return tuple(range(1, m.cols + 1))
-    if isinstance(cols, ColumnSet):
-        idx = cols.indices
-    else:
-        idx = ColumnSet.of(cols).indices
+    idx = tuple(sorted(int(i) for i in cols))
+    if len(set(idx)) != len(idx):
+        raise IndexOutOfRange(f"duplicate column index in {idx}")
     if idx and (idx[0] < 1 or idx[-1] > m.cols):
         raise IndexOutOfRange(f"column index out of [1, {m.cols}]: {idx}")
     return idx
@@ -178,7 +149,7 @@ class Matrix:
             raise IndexOutOfRange(f"column {j} out of [1, {self.cols}]")
         return self._columns[j - 1]
 
-    def columns(self, cols: Union[ColumnSet, Iterable[int], None] = None) -> list[tuple[int, ...]]:
+    def columns(self, cols: Optional[Iterable[int]] = None) -> list[tuple[int, ...]]:
         return [self._columns[j - 1] for j in _as_indices(cols, self)]
 
     def row_data(self) -> tuple[tuple[int, ...], ...]:
@@ -217,7 +188,7 @@ class Matrix:
         return m
 
 
-def rank(m: Matrix, cols: Union[ColumnSet, Iterable[int], None] = None) -> int:
+def rank(m: Matrix, cols: Optional[Iterable[int]] = None) -> int:
     """Rank of the selected column submatrix (all columns when cols is None)."""
     idx = _as_indices(cols, m)
     basis: Basis = []
@@ -226,7 +197,7 @@ def rank(m: Matrix, cols: Union[ColumnSet, Iterable[int], None] = None) -> int:
     return len(basis)
 
 
-def in_span(v: Vector, basis_cols: Union[ColumnSet, Iterable[int]], m: Matrix) -> bool:
+def in_span(v: Vector, basis_cols: Iterable[int], m: Matrix) -> bool:
     """True iff v lies in the span of the selected columns."""
     vec = _canon_vector(m.field, v, m.rows)
     basis = reduced_basis(m.field, (m.column(j) for j in _as_indices(basis_cols, m)))

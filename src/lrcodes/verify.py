@@ -12,13 +12,14 @@ bound makes decisive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations
 from math import comb
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .construct import LrcCode
+from .cores import index_batches
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -30,8 +31,7 @@ from .gf import field_kernel
 # extend_basis is not called here: it is imported so that the benchmark's
 # tracer (perfbench/tracer.py), which wraps functions under the module
 # names their callers use, finds it.
-from .linalg import (ColumnSet, Matrix, _batch_nullvec, _batch_rref, extend_basis,
-                     rank)
+from .linalg import Matrix, _batch_nullvec, _batch_rref, extend_basis, rank
 from .params import distance_bound
 
 __all__ = [
@@ -82,8 +82,8 @@ class DistanceReport:
     d: int
     method: str
     # weight method: a minimum-weight codeword; rank method: the largest
-    # column set of deficient rank, as a ColumnSet
-    witness: object
+    # column set of deficient rank, as sorted 1-based indices
+    witness: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,8 @@ class StructureReport:
 def _subset_batches(pool: Sequence[int], size: int, rows: int) -> Iterator[np.ndarray]:
     """The size-subsets of pool in lexicographic order, as N x size int64
     arrays of about _BATCH_CELLS // (size * rows) subsets each."""
-    subsets = combinations(pool, size)
-    batch = max(1, _BATCH_CELLS // max(1, size * rows))
-    while chunk := list(islice(subsets, batch)):
-        yield np.fromiter(chain.from_iterable(chunk), dtype=np.int64,
-                          count=len(chunk) * size).reshape(len(chunk), size)
+    return index_batches(combinations(pool, size), size,
+                         max(1, _BATCH_CELLS // max(1, size * rows)), np.int64)
 
 
 def _first_deficient(m: Matrix, size: int, full_rank: int,
@@ -151,13 +148,13 @@ def check_locality(code: LrcCode) -> LocalityReport:
     n = code.params.n
     covered = 0
     entries = []
-    for i, g in enumerate(code.structure.groups, start=1):
+    for i, (g, msk) in enumerate(
+            zip(code.structure.groups, code.structure.masks), start=1):
         if not delta <= len(g) <= r + delta - 1:
             raise StructureMismatch(
                 f"group {i} has {len(g)} members, outside "
                 f"[delta, r+delta-1] = [{delta}, {r + delta - 1}]")
-        for x in g:
-            covered |= 1 << (x - 1)
+        covered |= msk
         grank = rank(m, g)
         ok = grank <= r
         witness = None
@@ -232,7 +229,7 @@ def _rank_criterion(m: Matrix, budget: int) -> DistanceReport:
         if counts[pos] > best_count:
             best_count, best = int(counts[pos]), on[pos]
     return DistanceReport(d=n - best_count, method=RANK_METHOD,
-                          witness=ColumnSet.of((np.flatnonzero(best) + 1).tolist()))
+                          witness=tuple((np.flatnonzero(best) + 1).tolist()))
 
 
 def min_distance(code: LrcCode, budget: int = DEFAULT_BUDGET) -> DistanceReport:

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -195,7 +199,39 @@ def test_out_of_memory_is_an_error_not_a_traceback(monkeypatch, capsys):
     monkeypatch.setattr(cli, "construct", exhausted)
     rc, _, err = run(capsys, ["construct", "12", "5", "2", "3"])
     assert rc == 1
-    assert err == "error: Unable to allocate 7.45 GiB\n"
+    assert err == "error: out of memory (Unable to allocate 7.45 GiB)\n"
+
+
+def _address_space_2gib():
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_explicit_field_rejected_before_a_billion_coordinates():
+    # the field check comes before the partition: exit 1 with the typed
+    # error's message, not an out-of-memory exit under a 2 GiB cap
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lrcodes.cli", "construct", "1000000000", "2", "1",
+         "2", "--field", "7"], capture_output=True, text=True, env=env,
+        preexec_fn=_address_space_2gib, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: need q >= 500000000")
+
+
+def test_construct_overlapping_mds_cover_verifies(tmp_path, capsys):
+    out_file = tmp_path / "mds.json"
+    rc, out, _ = run(capsys, ["construct", "5", "2", "2", "2", "--out", str(out_file)])
+    assert rc == 0
+    assert "constructed [n=5, k=2] code over GF(5), claimed d = 4" in out
+    assert "structure: overlapping cover with 2 groups" in out
+    assert "  group 1: {1,2,3}\n  group 2: {3,4,5}\n" in out
+    rc, out, _ = run(capsys, ["verify", str(out_file)])
+    assert rc == 0
+    assert "distance: d = 4" in out
+    assert "optimality: OPTIMAL" in out
 
 
 def test_construct_not_exists(capsys):
@@ -390,3 +426,41 @@ def test_demo_narrative(capsys):
     assert "repair groups: {1,2,3,4} {5,6,7,8} {9,10,11,12}" in out
     assert "d = 4" in out
     assert "rank 5 = k" in out
+
+
+# ---------------------------------------------------------------------
+# argument fuzz: construct and table
+# ---------------------------------------------------------------------
+
+_SMALL = st.integers(-2, 14)
+_FIELDS = st.sampled_from([
+    "2", "3", "5", "7", "11", "13", "31", "1000000007", "2,4", "2,8",
+    "4", "6", "9", "1", "0", "-7", "2,4,17", "2,3,9", "2,17", "3,2",
+    "", ",", "7,", "2,,11", "x", "2,4,19,1"])
+_RANGES = st.one_of(
+    st.tuples(_SMALL, _SMALL).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    _SMALL.map(str),
+    st.sampled_from(["", "..", "3..", "..5", "a..b", "1...3", "2..x"]))
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=_SMALL, k=_SMALL, r=_SMALL, delta=_SMALL, field=st.none() | _FIELDS,
+       seed=st.integers(-3, 3))
+def test_construct_survives_any_arguments(n, k, r, delta, field, seed):
+    argv = ["construct", str(n), str(k), str(r), str(delta), "--seed", str(seed)]
+    if field is not None:
+        argv += ["--field", field]
+    assert _exit_code(argv) in (0, 1, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=_SMALL, delta=_SMALL, rs=_RANGES, ks=_RANGES)
+def test_table_survives_any_arguments(n, delta, rs, ks):
+    argv = ["table", "--n", str(n), "--delta", str(delta), "--r", rs, "--k", ks]
+    assert _exit_code(argv) in (0, 1, 2, 3)

@@ -30,8 +30,16 @@ from lrcodes.errors import (
 )
 from lrcodes.gf import field_at_least, field_kernel, field_make
 from lrcodes.linalg import _batch_nullvec, rank
-from lrcodes.params import EXISTS, CodeParams, classify, distance_bound, field_bound
-from lrcodes.verify import certify_optimal
+from lrcodes.params import (
+    EXISTS,
+    EXISTS_MDS,
+    METHOD_A1_UNIFORM,
+    CodeParams,
+    classify,
+    distance_bound,
+    field_bound,
+)
+from lrcodes.verify import certify_optimal, min_distance
 
 from avoidance_oracle import oracle_pick
 
@@ -414,10 +422,80 @@ def test_construct_mds_shapes():
     assert isinstance(code.structure, CoverSet)
     ok, _ = certify_optimal(code, budget=10**6)
     assert ok
-    # any other n needs overlapping groups: reported not constructible
-    with pytest.raises(NotConstructible) as exc:
-        construct(CodeParams(5, 2, 2, 2), field_make(7))
-    assert exc.value.tag == "mds-overlapping-cover"
+    # any other n: the Vandermonde code on overlapping windows, over the
+    # default field max(C(n, k-1), n) like every other route
+    code = construct(CodeParams(5, 2, 2, 2), field_make(7))
+    assert code.generator == mds_generator(5, 2, field_make(7))
+    assert code.structure.groups == ((1, 2, 3), (3, 4, 5))
+    ok, _ = certify_optimal(code, budget=10**6)
+    assert ok and min_distance(code).d == code.claimed_d == 4
+    assert construct(CodeParams(5, 2, 2, 2)).field.q == 5
+    assert construct(CodeParams(7, 2, 2, 2)).structure.groups == (
+        (1, 2, 3), (4, 5, 6), (5, 6, 7))
+
+
+def test_explicit_field_checked_before_any_structure(monkeypatch):
+    def no_structure(*_args):
+        raise AssertionError("structure built before the field check")
+
+    monkeypatch.setattr(construct_mod, "_build_structure", no_structure)
+    monkeypatch.setattr(construct_mod, "CoverSet", no_structure)
+    # extension route: a base of n - t(delta-1) = 5e8 columns
+    with pytest.raises(FieldTooSmall, match="q >= 500000000"):
+        construct(CodeParams(10 ** 9, 2, 1, 2), field_make(7))
+    # Vandermonde route (r = k): n evaluation points
+    with pytest.raises(FieldTooSmall, match="q >= 1000001"):
+        construct(CodeParams(10 ** 6 + 1, 2, 2, 2), field_make(7))
+    with pytest.raises(FieldTooSmall):
+        construct(CodeParams(5, 2, 2, 2), field_make(3))
+
+
+def test_base_length_matches_omega0():
+    checked = 0
+    for n in range(1, 15):
+        for k in range(1, n + 1):
+            for r in range(1, k + 1):
+                for delta in range(2, n + 2):
+                    p = CodeParams(n, k, r, delta)
+                    c = classify(p)
+                    if c.verdict == EXISTS:
+                        method = c.method
+                    elif (c.verdict == EXISTS_MDS and n > p.group_size
+                          and n % p.group_size == 0):
+                        method = METHOD_A1_UNIFORM
+                    else:
+                        continue
+                    structure = construct_mod._build_structure(p, method)
+                    assert (len(omega0(structure, r, delta).indices)
+                            == construct_mod._base_length(p)), p
+                    checked += 1
+    assert checked > 300
+
+
+def test_invariant_recheck_runs_in_bounded_batches(monkeypatch):
+    monkeypatch.setattr(construct_mod, "_SOLVE_ROWS", 7)
+    real = construct_mod._batch_rref
+    sizes = []
+
+    def counted(kern, R):
+        sizes.append(len(R))
+        return real(kern, R)
+
+    monkeypatch.setattr(construct_mod, "_batch_rref", counted)
+    p, f = CodeParams(12, 5, 2, 3), field_make(499)
+    code = construct(p, f, seed=0, check_invariants=True)
+    assert code.generator == construct(p, f, seed=0).generator
+    assert sizes and max(sizes) <= 7
+    # plant a dependent column: coordinate 3 copies column 5
+    state = ExtensionState(field=f, params=p, structure=code.structure, rng_seed=0)
+    state.omega = [1, 2, 3, 5, 6, 9, 10]
+    state.columns = {x: code.generator.column(x) for x in state.omega}
+    construct_mod._assert_invariant(state)
+    state.columns[3] = state.columns[5]
+    sizes.clear()
+    with pytest.raises(RuntimeError, match=r"core \(3, 5\) has rank 1"):
+        construct_mod._assert_invariant(state)
+    assert max(sizes) <= 7
 
 
 def test_algorithm_entry_points_check_structure_kind():
@@ -428,28 +506,25 @@ def test_algorithm_entry_points_check_structure_kind():
 
 
 # ---------------------------------------------------------------------
-# sweep: everything classified Exists actually builds and certifies
+# sweep: everything classified Exists or ExistsMDS builds and certifies
 # ---------------------------------------------------------------------
 
 def test_exists_sweep_builds_and_certifies():
-    built = 0
-    for n in range(4, 13):
-        for k in range(2, n):
+    built = {EXISTS: 0, EXISTS_MDS: 0}
+    for n in range(1, 13):
+        for k in range(1, n):
             for r in range(1, k + 1):
                 for delta in range(2, n - k + 2):
-                    try:
-                        p = CodeParams(n, k, r, delta)
-                    except ValueError:
-                        continue
+                    p = CodeParams(n, k, r, delta)
                     c = classify(p)
-                    if c.verdict != EXISTS or field_bound(p) > 10**4:
+                    if c.verdict not in built or field_bound(p) > 10**4:
                         continue
                     code = construct(p, seed=0)
                     assert code.claimed_d == distance_bound(p)
                     ok, rep = certify_optimal(code, budget=10**6)
                     assert ok, (p, rep.witness)
-                    built += 1
-    assert built > 150
+                    built[c.verdict] += 1
+    assert built[EXISTS] > 150 and built[EXISTS_MDS] > 150
 
 
 # ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from lrcodes.cores import (
     CoreQuery,
     core_mask,
+    index_batches,
     is_core,
     lambda_cores,
     omega0,
@@ -166,6 +167,28 @@ def test_omega0_is_a_core():
     for s, r, k, delta in cases:
         q = CoreQuery(structure=s, r=r, k=k, delta=delta)
         assert is_core(omega0(s, r, delta).indices, q)
+
+
+# ---------------------------------------------------------------------
+# index_batches
+# ---------------------------------------------------------------------
+
+def test_index_batches_order_sizes_and_dtype():
+    tuples = list(combinations(range(1, 8), 3))
+    for rows in (1, 4, 35, 100):
+        for dtype in (np.int64, np.uint8):
+            batches = list(index_batches(iter(tuples), 3, rows, dtype))
+            assert [len(E) for E in batches] == (
+                [rows] * (35 // rows) + ([35 % rows] if 35 % rows else []))
+            assert all(E.dtype == dtype and E.shape[1] == 3 for E in batches)
+            assert [tuple(row) for E in batches for row in E.tolist()] == tuples
+
+
+def test_index_batches_empty_input_and_width_zero():
+    assert list(index_batches([], 3, 8, np.int64)) == []
+    # k = 1: the one (k-1)-subset is the empty one
+    (E,) = index_batches(combinations([1, 2], 0), 0, 8, np.uint8)
+    assert E.shape == (1, 0) and E.dtype == np.uint8
 
 
 # ---------------------------------------------------------------------

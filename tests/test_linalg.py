@@ -8,8 +8,8 @@ from sympy.polys.matrices import DomainMatrix
 from lrcodes.errors import DimensionMismatch, IndexOutOfRange
 from lrcodes.gf import field_make
 from lrcodes.linalg import (
-    ColumnSet,
     Matrix,
+    _as_indices,
     extend_basis,
     in_span,
     rank,
@@ -171,16 +171,18 @@ def test_matrix_json_round_trip():
         Matrix.from_json(bad)
 
 
-def test_columnset_normalization():
-    cs = ColumnSet.of([3, 1, 2])
-    assert cs.indices == (1, 2, 3)
-    assert list(cs) == [1, 2, 3] and len(cs) == 3
+def test_as_indices_sorts_and_checks_columns():
+    m = Matrix(field_make(5), [[1, 2, 3, 4]])
+    assert _as_indices([3, 1, 2], m) == (1, 2, 3)
+    assert _as_indices(None, m) == (1, 2, 3, 4)
+    assert _as_indices([], m) == ()
+    for bad in ([1, 1, 2], [0, 1], [2, 5], [-1]):
+        with pytest.raises(IndexOutOfRange):
+            _as_indices(bad, m)
     with pytest.raises(IndexOutOfRange):
-        ColumnSet.of([1, 1, 2])
+        rank(m, [2, 2])
     with pytest.raises(IndexOutOfRange):
-        ColumnSet((2, 1))
-    with pytest.raises(IndexOutOfRange):
-        ColumnSet.of([0, 1])
+        m.columns([4, 5])
 
 
 # ---------------------------------------------------------------------
