@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import lgamma, log
 from typing import Optional, Sequence
 
 from .codefile import load_code, save_code
@@ -49,6 +50,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_EXISTS = 2
 EXIT_UNKNOWN = 3
+
+# A field bound with more digits prints as C(n,k-1): below Python's
+# default int-to-str limit of 4300 digits, and far more than a reader uses.
+_BOUND_DIGITS = 4000
 
 _TAG_CELL = {
     TAG_OPT_EXT_1: "E_M",
@@ -152,12 +157,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _field_bound_text(c: Classification) -> str:
+    """C(n, k-1) in digits, or as the binomial itself when its log-gamma
+    estimate passes _BOUND_DIGITS digits, before it is ever computed."""
+    n, k = c.params.n, c.params.k
+    if (lgamma(n + 1) - lgamma(k) - lgamma(n - k + 2)) / log(10) > _BOUND_DIGITS:
+        return f"C({n},{k - 1})"
+    return str(c.field_bound)
+
+
 def _classification_line(c: Classification) -> tuple[str, int]:
     if c.verdict == EXISTS_MDS:
         return f"EXISTS (MDS), d*={c.bound_d}", EXIT_OK
     if c.verdict == EXISTS:
-        return (f"EXISTS via {c.method}, d*={c.bound_d}, q≥{c.field_bound}",
-                EXIT_OK)
+        return (f"EXISTS via {c.method}, d*={c.bound_d}, "
+                f"q≥{_field_bound_text(c)}", EXIT_OK)
     if c.verdict == NOT_EXISTS:
         return f"NOT-EXISTS ({c.tag})", EXIT_NOT_EXISTS
     return f"UNKNOWN ({c.tag})", EXIT_UNKNOWN
@@ -262,7 +276,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     try:
         dist = min_distance(code, budget=args.budget)
-        print(f"distance: d = {dist.d} via {dist.method}")
+        print(f"distance: d = {dist.d} via {dist.method}, "
+              f"{dist.scanned} scanned")
         if dist.d != code.claimed_d:
             print(f"  FAIL: claimed d = {code.claimed_d}")
             failed = True
@@ -272,8 +287,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         ok, report = certify_optimal(code, budget=args.budget)
         verdict = "OPTIMAL" if ok else "NOT OPTIMAL"
-        print(f"optimality: {verdict} (bound d* = {report.bound_d}, "
-              f"{report.subsets_total} subsets of size {report.subset_size})")
+        line = (f"optimality: {verdict} (bound d* = {report.bound_d}, "
+                f"{report.subsets_total} subsets of size {report.subset_size})")
+        if report.route:  # None when locality failed before any scan
+            line += f" via {report.route}, {report.scanned} scanned"
+        print(line)
         if not ok and report.witness:
             print(f"  deficient columns: {report.witness}")
         failed |= not ok

@@ -55,8 +55,8 @@ from .errors import (
     UnknownCase,
 )
 from .gf import FieldSpec, field_at_least, field_kernel
-from .linalg import (Basis, Matrix, _batch_nullvec, _batch_rref, reduce_vector,
-                     reduced_basis)
+from .linalg import (Basis, Matrix, _batch_nullspace, _batch_rref,
+                     reduce_vector, reduced_basis)
 from .params import (
     EXISTS,
     EXISTS_MDS,
@@ -322,8 +322,8 @@ class _FunctionalCache:
         cols = _column_array(state)
         added = 0
         for E in self._new_subsets(new):
-            phi, full = _batch_nullvec(self.kern, cols[E])
-            rows = (E, phi.astype(self.phi_dtype), full)
+            phi, full = _batch_nullspace(self.kern, cols[E])
+            rows = (E, phi[:, 0].astype(self.phi_dtype), full)
             if self.blocks and len(self.blocks[-1][0]) + len(E) <= _BATCH:
                 rows = tuple(map(np.concatenate, zip(self.blocks.pop(), rows)))
             self.blocks.append(rows)

@@ -337,9 +337,13 @@ class _Kernel:
 
     def matvec(self, A: np.ndarray, x: Sequence[int]) -> np.ndarray:
         """A @ x over the field for an N x m array A and m scalars x."""
-        acc = self.zeros(A.shape[0])
-        for j, xj in enumerate(x):
-            self.fma(acc, A[:, j], xj)
+        return self.matmul(A, self.array(x).reshape(-1, 1))[:, 0]
+
+    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """A @ B over the field for a ... x m array A and an m x n array B."""
+        acc = self.zeros(A.shape[:-1] + B.shape[1:])
+        for j in range(B.shape[0]):
+            self.fma(acc, A[..., j, None], B[j])
         return acc
 
 
@@ -365,6 +369,12 @@ class _PrimeKernel(_Kernel):
 
     def neg(self, a):
         return -a % self.p
+
+    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        # one reduction at the end while m products of residues fit in int64
+        if self.dtype is np.int64 and B.shape[0] * (self.p - 1) ** 2 < 2 ** 63:
+            return A @ B % self.p
+        return super().matmul(A, B)
 
     def inv(self, a: np.ndarray) -> np.ndarray:
         """Product tree: multiply neighbours pairwise up to one product,

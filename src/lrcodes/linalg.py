@@ -7,8 +7,8 @@ match coordinate-set conventions used throughout the package.
 
 Single matrices are reduced in scalar Python (`rank`, reduced bases);
 many small matrices at once go through `_batch_rref`, the one batched
-elimination, on the field's numpy kernel; `_batch_nullvec` reads each
-hyperplane's functional off it.
+elimination, on the field's numpy kernel; `_batch_nullspace` reads
+the functionals that vanish on each matrix's rows off it.
 """
 
 from __future__ import annotations
@@ -223,26 +223,31 @@ def _batch_rref(kern, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         R[sel, ld] = pivrow
         factors = R[sel, :, c]
         factors[np.arange(sel.size), ld] = 0
-        block = R[sel]
-        kern.fms(block, factors[:, :, None], pivrow[:, None, :])
-        R[sel] = block
+        if sel.size == N:
+            # every matrix has a pivot here: eliminate in place, no gather
+            kern.fms(R, factors[:, :, None], pivrow[:, None, :])
+        else:
+            block = R[sel]
+            kern.fms(block, factors[:, :, None], pivrow[:, None, :])
+            R[sel] = block
         piv_col[sel, ld] = c
         lead[sel] = ld + 1
     return piv_col, lead
 
 
-def _batch_nullvec(kern, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right nullspace vectors for a batch of (k-1) x k matrices (A is
-    overwritten), with a mask of the matrices of full rank k-1. Only the
-    masked rows are nullvectors: phi . a = 0 for every row a of A, so
-    phi is the functional whose kernel is the span of A's rows."""
+def _batch_nullspace(kern, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right nullspace bases for a batch of m x kk matrices (A is
+    overwritten), as N x (kk-m) x kk, with a mask of the matrices of
+    full rank m. Only the masked entries are bases: their rows phi span
+    the functionals with phi . a = 0 for every row a of A."""
     N, m, kk = A.shape
     piv_col, lead = _batch_rref(kern, A)
     pivmask = np.zeros((N, kk), dtype=bool)
     np.put_along_axis(pivmask, piv_col, True, axis=1)
-    free = (~pivmask).argmax(axis=1)
-    vals = np.take_along_axis(A, free[:, None, None], axis=2)[:, :, 0]
-    x = kern.zeros((N, kk))
-    np.put_along_axis(x, piv_col, kern.neg(vals), axis=1)
-    x[np.arange(N), free] = 1
+    free = np.argsort(pivmask, axis=1, kind="stable")[:, :kk - m]
+    vals = np.take_along_axis(A, free[:, None, :], axis=2)
+    x = kern.zeros((N, kk - m, kk))
+    np.put_along_axis(x, np.broadcast_to(piv_col[:, None, :], (N, kk - m, m)),
+                      kern.neg(vals).transpose(0, 2, 1), axis=2)
+    np.put_along_axis(x, free[:, :, None], 1, axis=2)
     return x, lead == m

@@ -111,14 +111,20 @@ class Classification:
 
     method is set only for Exists verdicts; tag names the deciding rule
     (None for ExistsMDS). bound_d is the raw bound value and may be
-    non-positive for vacuous parameters; field_bound is C(n, k-1).
+    non-positive for vacuous parameters.
     """
 
     verdict: str
     method: Optional[str]
     tag: Optional[str]
     bound_d: int
-    field_bound: int
+    params: CodeParams
+
+    @property
+    def field_bound(self) -> int:
+        """C(n, k-1), computed when read: near k = n/2 it has about
+        0.3 n digits and takes seconds for n in the millions."""
+        return field_bound(self.params)
 
 
 def decompose(p: CodeParams) -> ParamDecomposition:
@@ -159,11 +165,10 @@ def classify(p: CodeParams) -> Classification:
     """
     d = decompose(p)
     bound = _raw_bound(p)
-    fb = field_bound(p)
 
     def done(verdict: str, method: Optional[str] = None,
              tag: Optional[str] = None) -> Classification:
-        return Classification(verdict, method, tag, bound, fb)
+        return Classification(verdict, method, tag, bound, p)
 
     if not necessary_check(p):
         return done(NOT_EXISTS, tag=TAG_LOW_BOUND)

@@ -3,15 +3,17 @@
 Nothing here trusts the construction pipeline: locality is re-derived
 from group column ranks, the minimum distance is computed by two
 unrelated exact methods (codeword weight enumeration, and the largest
-column set of rank below k, found in one scan of the hyperplanes that
-(k-1)-subsets of the columns span), and optimality is certified by an
-exhaustive full-rank sweep at the single subset size the distance
-bound makes decisive.
+column set of rank below k, found in one scan of the pencils of
+hyperplanes through (k-2)-subsets of the columns), and optimality is
+certified by an exhaustive full-rank check at the single subset size
+the distance bound makes decisive: by the same pencil scan, or by a
+sweep of the subsets themselves when that eliminates fewer. Each report
+says which route ran and how much it eliminated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from typing import Iterator, Optional, Sequence
@@ -31,7 +33,7 @@ from .gf import field_kernel
 # extend_basis is not called here: it is imported so that the benchmark's
 # tracer (perfbench/tracer.py), which wraps functions under the module
 # names their callers use, finds it.
-from .linalg import Matrix, _batch_nullvec, _batch_rref, extend_basis, rank
+from .linalg import Matrix, _batch_nullspace, _batch_rref, extend_basis, rank
 from .params import distance_bound
 
 __all__ = [
@@ -47,15 +49,20 @@ __all__ = [
     "check_mds",
     "WEIGHT_METHOD",
     "RANK_METHOD",
+    "PENCIL_ROUTE",
+    "SUBSET_ROUTE",
 ]
 
 WEIGHT_METHOD = "weight-enumeration"
 RANK_METHOD = "rank-criterion"
+PENCIL_ROUTE = "pencil-scan"
+SUBSET_ROUTE = "subset-scan"
 
 DEFAULT_BUDGET = 10 ** 7
 
-# Field entries (subsets x subset size x rows) per batched elimination
-# in the subset scans; this bounds the working memory of one batch.
+# Field entries per batch in the subset and pencil scans (a subset's
+# matrix, or a pencil's elimination plus its projection of the n
+# columns); this bounds the working memory of one batch.
 _BATCH_CELLS = 1 << 15
 
 
@@ -84,6 +91,8 @@ class DistanceReport:
     # weight method: a minimum-weight codeword; rank method: the largest
     # column set of deficient rank, as sorted 1-based indices
     witness: tuple[int, ...]
+    # work done: codewords enumerated, or pencils eliminated
+    scanned: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,10 @@ class OptimalityReport:
     witness: Optional[tuple[int, ...]]
     locality: LocalityReport
     note: str
+    # PENCIL_ROUTE or SUBSET_ROUTE (None when locality failed first), and
+    # the pencils or subsets it eliminated; subsets_total stays C(n, s)
+    route: Optional[str] = field(default=None, compare=False)
+    scanned: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -106,17 +119,18 @@ class StructureReport:
     messages: tuple[str, ...]
 
 
-def _subset_batches(pool: Sequence[int], size: int, rows: int) -> Iterator[np.ndarray]:
+def _subset_batches(pool: Sequence[int], size: int, cells: int) -> Iterator[np.ndarray]:
     """The size-subsets of pool in lexicographic order, as N x size int64
-    arrays of about _BATCH_CELLS // (size * rows) subsets each."""
+    arrays of about _BATCH_CELLS // cells subsets each."""
     return index_batches(combinations(pool, size), size,
-                         max(1, _BATCH_CELLS // max(1, size * rows)), np.int64)
+                         max(1, _BATCH_CELLS // max(1, cells)), np.int64)
 
 
 def _first_deficient(m: Matrix, size: int, full_rank: int,
-                     cols: Optional[Sequence[int]] = None) -> Optional[tuple[int, ...]]:
+                     cols: Optional[Sequence[int]] = None
+                     ) -> tuple[Optional[tuple[int, ...]], int]:
     """Lexicographically first size-subset of the columns whose rank is
-    below full_rank, or None.
+    below full_rank, or None; and how many subsets were eliminated.
 
     The subsets are ranked in lexicographic order, a batch at a time, by
     one batched elimination over the field kernel.
@@ -125,14 +139,16 @@ def _first_deficient(m: Matrix, size: int, full_rank: int,
     kern = field_kernel(m.field)
     # columns as kernel rows, indexed by coordinate (row 0 unused)
     columns = kern.array([(0,) * m.rows] + m.columns())
-    for E in _subset_batches(pool, size, m.rows):
+    scanned = 0
+    for E in _subset_batches(pool, size, size * m.rows):
         # eliminate across the shorter side: rank is the same either way
         R = columns[E] if size >= m.rows else columns[E].transpose(0, 2, 1).copy()
         _, ranks = _batch_rref(kern, R)
+        scanned += len(E)
         bad = np.flatnonzero(ranks < full_rank)
         if bad.size:
-            return tuple(E[bad[0]].tolist())
-    return None
+            return tuple(E[bad[0]].tolist()), scanned
+    return None, scanned
 
 
 def check_locality(code: LrcCode) -> LocalityReport:
@@ -159,7 +175,7 @@ def check_locality(code: LrcCode) -> LocalityReport:
         ok = grank <= r
         witness = None
         if ok:
-            witness = _first_deficient(m, len(g) - delta + 1, grank, cols=g)
+            witness, _ = _first_deficient(m, len(g) - delta + 1, grank, cols=g)
             ok = witness is None
         entries.append(GroupLocality(index=i, group=g, rank=grank, ok=ok,
                                      witness=witness))
@@ -190,54 +206,122 @@ def _weight_enumeration(m: Matrix) -> DistanceReport:
             best_cw = acc[pos].copy()
     assert best_cw is not None
     return DistanceReport(d=best_w, method=WEIGHT_METHOD,
-                          witness=tuple(int(x) for x in best_cw))
+                          witness=tuple(int(x) for x in best_cw),
+                          scanned=total - 1)
+
+
+def _lex_first(sets: np.ndarray) -> tuple[int, ...]:
+    """The lexicographically first of equal-size column sets (boolean
+    rows) as sorted 1-based indices: the largest bit string from column 1."""
+    top = np.lexsort(np.packbits(sets, axis=1).T[::-1])[-1]
+    return tuple((np.flatnonzero(sets[top]) + 1).tolist())
+
+
+def _pencil_hyperplanes(kern, psi: np.ndarray, columns: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For pencils given by (psi1, psi2), each column's slope label (-1 at
+    infinity, -2 in span(T)), the span(T) mask, and the size of the
+    hyperplane each column names: its slope class plus span(T). A column
+    in span(T) names one only when every column is in span(T)."""
+    x, y = kern.matmul(psi, columns.T).transpose(1, 0, 2)
+    span = (x == 0) & (y == 0)
+    label = np.where(span, -2, -1).astype(x.dtype)
+    finite = x != 0
+    label[finite] = kern.mul(y[finite], kern.inv(x[finite]))
+    # class sizes from one sort per row (every row starts a run)
+    order = np.argsort(label, axis=1)
+    ranked = np.take_along_axis(label, order, axis=1)
+    starts = np.ones(label.shape, dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    runs = np.diff(np.flatnonzero(starts), append=starts.size)
+    shared = np.empty(label.shape, dtype=np.int64)
+    np.put_along_axis(shared, order, np.repeat(runs, runs).reshape(label.shape),
+                      axis=1)
+    n = span.shape[1]
+    z = span.sum(axis=1, keepdims=True)
+    return label, span, np.where(span, np.where(z == n, n, 0), z + shared)
+
+
+def _pencil_scan(m: Matrix, size: Optional[int]
+                 ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
+    """The lexicographically first largest column set of rank below k
+    (k >= 2), and the first size-subset of rank below k, or None.
+
+    Such sets lie on hyperplanes. Those through an independent
+    (k-2)-subset T form a pencil: with psi1, psi2 spanning the functionals
+    that vanish on T, a column with psi1.c = psi2.c = 0 is in span(T) and
+    on all of them, any other on the one named by its slope psi2.c/psi1.c.
+    Every hyperplane spanned by columns holds such a T. Of two hyperplanes
+    through one T, the one whose other columns start first has the first
+    set and the first size-prefix.
+    """
+    k, n = m.rows, m.cols
+    kern = field_kernel(m.field)
+    columns = kern.array(m.columns()).reshape(n, k)
+    # the answers so far; largest as (-size, set), so that the min wins
+    largest: Optional[tuple[int, tuple[int, ...]]] = None
+    first: Optional[tuple[int, ...]] = None
+    for E in _subset_batches(range(n), k - 2, (k - 2) * k + 2 * n):
+        psi, full = _batch_nullspace(kern, columns[E])
+        if not full.any():
+            continue
+        label, span, sizes = _pencil_hyperplanes(kern, psi[full], columns)
+
+        def on(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            return (label[rows] == label[rows, cols][:, None]) | span[rows]
+
+        best = sizes.argmax(axis=1)
+        top = sizes[np.arange(best.size), best]
+        most = int(top.max())
+        if largest is None or -most <= largest[0]:
+            rows = np.flatnonzero(top == most)
+            cand = (-most, _lex_first(on(rows, best[rows])))
+            largest = cand if largest is None else min(largest, cand)
+        # with no size given, no hyperplane holds the n+1 columns asked for
+        big = sizes >= (n + 1 if size is None else size)
+        rows = np.flatnonzero(big.any(axis=1))
+        if rows.size:
+            sets = on(rows, big[rows].argmax(axis=1))
+            sets &= np.cumsum(sets, axis=1) <= size
+            cand = _lex_first(sets)
+            first = cand if first is None else min(first, cand)
+    if largest is None:
+        # no k-2 columns are independent: every column set has rank below k
+        every = tuple(range(1, n + 1))
+        return every, (every[:size] if size is not None and size <= n else None)
+    return largest[1], first
+
+
+def _within_budget(what: str, n: int, j: int, unit: str, budget: int) -> int:
+    """C(n, j), the work of one scan, checked before any of it runs."""
+    total = comb(n, j)
+    if total > budget:
+        raise BudgetExceeded(
+            f"{what} needs C({n},{j}) = {total} {unit}, budget is {budget}")
+    return total
 
 
 def _rank_criterion(m: Matrix, budget: int) -> DistanceReport:
-    """d = n minus the most columns that lie on one hyperplane.
-
-    A largest column set of rank below k is the full column set of a
-    hyperplane spanned by k-1 independent columns, so the (k-1)-subsets
-    of rank k-1 cover it. Each gives the functional phi whose kernel is
-    its hyperplane, and the columns c with phi . c = 0 are the ones on
-    it. The witness is the lexicographically first largest column set.
-    """
+    """d = n minus the most columns on one hyperplane; the witness is the
+    lexicographically first largest column set of rank below k."""
     k, n = m.rows, m.cols
-    total = comb(n, k - 1)
-    if total > budget:
-        raise BudgetExceeded(
-            f"rank criterion needs C({n},{k - 1}) = {total} hyperplane checks, "
-            f"budget is {budget}")
-    kern = field_kernel(m.field)
-    columns = kern.array(m.columns()).reshape(n, k)
-    best_count, best = -1, None
-    for E in _subset_batches(range(n), k - 1, k):
-        phi, full = _batch_nullvec(kern, columns[E])
-        if not full.any():
-            continue
-        phi = phi[full]
-        dots = kern.zeros((phi.shape[0], n))
-        for i in range(k):
-            kern.fma(dots, phi[:, i, None], columns[:, i])
-        on = dots == 0
-        counts = on.sum(axis=1)
-        # The first subset (in lexicographic order) to reach the largest
-        # count spans the lexicographically first largest set: that set's
-        # greedy basis is its first independent (k-1)-subset, and greedy
-        # bases of two hyperplanes' sets compare as the sets do.
-        pos = int(counts.argmax())
-        if counts[pos] > best_count:
-            best_count, best = int(counts[pos]), on[pos]
-    return DistanceReport(d=n - best_count, method=RANK_METHOD,
-                          witness=tuple((np.flatnonzero(best) + 1).tolist()))
+    if k == 1:  # the zero hyperplane is the only one
+        total = _within_budget("rank criterion", n, 0, "hyperplane checks", budget)
+        witness = tuple(j for j, c in enumerate(m.columns(), start=1) if not any(c))
+    else:
+        total = _within_budget("rank criterion", n, k - 2, "pencil eliminations",
+                               budget)
+        witness, _ = _pencil_scan(m, None)
+    return DistanceReport(d=n - len(witness), method=RANK_METHOD,
+                          witness=witness, scanned=total)
 
 
 def min_distance(code: LrcCode, budget: int = DEFAULT_BUDGET) -> DistanceReport:
     """Exact minimum distance by whichever exact method fits the budget.
 
     Weight enumeration when q^k is small enough; otherwise one scan of
-    the C(n, k-1) hyperplanes spanned by column subsets for the largest
-    column set of rank below k (its size is n-d).
+    the C(n, k-2) pencils of hyperplanes through independent column
+    subsets for the largest column set of rank below k (its size is n-d).
     """
     code.validate()
     m = code.generator
@@ -254,9 +338,11 @@ def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
     """Certify d equals the locality-aware distance bound exactly.
 
     Checks locality, then that every column subset of size
-    k + (ceil(k/r)-1)(delta-1) has full rank k. Full rank at that single
-    size forces d above bound-1, while locality caps d at the bound, so
-    the two together pin d to the bound with no distance computation.
+    s = k + (ceil(k/r)-1)(delta-1) has full rank k. Full rank at that
+    single size forces d above bound-1, while locality caps d at the
+    bound, so the two together pin d to the bound with no distance
+    computation. The rank check scans whichever is fewer: the C(n, k-2)
+    pencils of hyperplanes, or the C(n, s) subsets themselves.
     """
     code.validate()
     p = code.params
@@ -272,17 +358,23 @@ def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
                                   locality=locality,
                                   note="locality check failed")
         return False, report
-    if total > budget:
-        raise BudgetExceeded(
-            f"optimality certification needs C({p.n},{size}) = {total} subset "
-            f"checks, budget is {budget}")
-    witness = _first_deficient(code.generator, size, p.k)
+    what = "optimality certification"
+    if p.k >= 2 and comb(p.n, p.k - 2) <= total:
+        route = PENCIL_ROUTE
+        scanned = _within_budget(what, p.n, p.k - 2, "pencil eliminations",
+                                 budget)
+        _, witness = _pencil_scan(code.generator, size)
+    else:
+        route = SUBSET_ROUTE
+        _within_budget(what, p.n, size, "subset checks", budget)
+        witness, scanned = _first_deficient(code.generator, size, p.k)
     ok = witness is None
     report = OptimalityReport(ok=ok, bound_d=bound, subset_size=size,
                               subsets_total=total, witness=witness,
                               locality=locality,
                               note=note if ok else
-                              f"column set {witness} has rank below {p.k}")
+                              f"column set {witness} has rank below {p.k}",
+                              route=route, scanned=scanned)
     return ok, report
 
 
@@ -321,7 +413,7 @@ def check_structure_theorem(code: LrcCode) -> tuple[bool, StructureReport]:
             punctured.append(False)
             msgs.append(f"group {i} spans rank {grank} != r = {p.r}")
             continue
-        w = _first_deficient(code.generator, p.r, p.r, cols=g)
+        w, _ = _first_deficient(code.generator, p.r, p.r, cols=g)
         punctured.append(w is None)
         if w is not None:
             msgs.append(f"group {i}: columns {w} are dependent")
@@ -335,4 +427,4 @@ def check_mds(m: Matrix) -> bool:
     """True iff every (rows)-sized column subset has full rank."""
     if m.rows > m.cols:
         raise DimensionMismatch(f"need rows <= cols, got {m.rows}x{m.cols}")
-    return _first_deficient(m, m.rows, m.rows) is None
+    return _first_deficient(m, m.rows, m.rows)[0] is None

@@ -9,6 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -16,7 +17,6 @@ from lrcodes.cli import _cell_tag, main
 from lrcodes.construct import construct, run_extension
 from lrcodes.cores import CoreQuery, is_core, lambda_cores
 from lrcodes.covers import CoverSet, deficiency_witness, hub_frame, paired_frame, uniform_partition
-from lrcodes.errors import BudgetExceeded
 from lrcodes.gf import field_make
 from lrcodes.linalg import Matrix, rank
 from lrcodes.params import (
@@ -27,6 +27,7 @@ from lrcodes.params import (
     field_bound,
 )
 from lrcodes.verify import (
+    PENCIL_ROUTE,
     RANK_METHOD,
     WEIGHT_METHOD,
     certify_optimal,
@@ -256,11 +257,9 @@ def test_criterion_10_loop_invariant_suite():
 
 
 def test_criterion_11_large_instance_within_budget():
-    # the exact distance scans the C(37,6) = 2,324,784 hyperplanes and must
-    # find d = 27; full certification needs C(37,11) = 854,992,152 rank
-    # checks, so this run substitutes construction + spot-checked invariant
-    # + locality + distance, and demands the certifier declare itself out
-    # of budget rather than guess
+    # the exact distance scans the C(37,5) = 435,897 pencils and must find
+    # d = 27; the certificate takes the same pencil scan, far fewer than
+    # the C(37,11) = 854,992,152 subsets it covers, and must certify
     with criterion(11):
         p = CodeParams(37, 7, 3, 3)
         assert field_bound(p) == 2324784
@@ -281,10 +280,11 @@ def test_criterion_11_large_instance_within_budget():
         assert check_locality(code).overall
 
         rep = min_distance(code)
-        assert rep.method == RANK_METHOD
+        assert rep.method == RANK_METHOD and rep.scanned == comb(37, 5)
         assert rep.d == 27 and len(rep.witness) == 37 - 27
         assert rank(code.generator, rep.witness) < 7
 
-        with pytest.raises(BudgetExceeded) as exc:
-            certify_optimal(code)
-        assert "C(37,11) = 854992152" in str(exc.value)
+        ok, report = certify_optimal(code)
+        assert ok and report.witness is None
+        assert report.subsets_total == comb(37, 11) == 854992152
+        assert (report.route, report.scanned) == (PENCIL_ROUTE, comb(37, 5))

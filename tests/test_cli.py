@@ -37,6 +37,20 @@ def test_classify_exists(capsys):
     assert out == "EXISTS via Algorithm1-uniform, d*=4, q≥495\n"
 
 
+def test_classify_prints_a_huge_field_bound_as_its_binomial():
+    # C(20004, 9999) has about 6,000 digits, past Python's default
+    # int-to-str limit: the verdict line names the binomial instead
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lrcodes.cli", "classify", "20004", "10000",
+         "5000", "2"], capture_output=True, encoding="utf-8", env=env,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("EXISTS via Algorithm1-uniform, d*=10004, "
+                           "q≥C(20004,9999)\n")
+
+
 def test_classify_mds(capsys):
     rc, out, _ = run(capsys, ["classify", "6", "3", "3", "2"])
     assert rc == 0
@@ -153,8 +167,9 @@ def test_construct_writes_verifiable_file(tmp_path, capsys):
     assert "code: [n=12, k=5] over GF(499), r=2, delta=3, claimed d = 4" in out
     assert "locality: OK" in out
     assert "  group 1 {1,2,3,4}: rank 2" in out
-    assert "distance: d = 4 via rank-criterion" in out
-    assert "optimality: OPTIMAL (bound d* = 4, 220 subsets of size 9)" in out
+    assert "distance: d = 4 via rank-criterion, 220 scanned" in out
+    assert ("optimality: OPTIMAL (bound d* = 4, 220 subsets of size 9) "
+            "via pencil-scan, 220 scanned") in out
     assert "structure theorem: not applicable (requires r | k and r < k)" in out
 
 
@@ -264,6 +279,22 @@ def test_verify_detects_tampered_distance_claim(tmp_path, capsys):
     assert rc == 1
     assert "distance: d = 4 via rank-criterion" in out
     assert "FAIL: claimed d = 5" in out
+
+
+def test_verify_names_no_route_when_locality_fails(tmp_path, capsys):
+    out_file = tmp_path / "code.json"
+    run(capsys, ["construct", "12", "5", "2", "3", "--field", "499",
+                 "--out", str(out_file)])
+    data = json.loads(out_file.read_text())
+    # column 1 becomes column 5: group {1,2,3,4} no longer has rank 2
+    for row in data["code"]["generator"]["data"]:
+        row[0] = row[4]
+    out_file.write_text(json.dumps(data))
+    rc, out, _ = run(capsys, ["verify", str(out_file)])
+    assert rc == 1
+    assert "locality: FAIL" in out
+    assert ("optimality: NOT OPTIMAL (bound d* = 4, 220 subsets of size 9)\n"
+            in out)
 
 
 def test_verify_budget_exhaustion_is_not_failure(tmp_path, capsys):

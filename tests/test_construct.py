@@ -29,7 +29,7 @@ from lrcodes.errors import (
     UnknownCase,
 )
 from lrcodes.gf import field_at_least, field_kernel, field_make
-from lrcodes.linalg import _batch_nullvec, rank
+from lrcodes.linalg import _batch_nullspace, rank
 from lrcodes.params import (
     EXISTS,
     EXISTS_MDS,
@@ -175,7 +175,8 @@ def _per_step_psi(state, lam, basis_rows):
     kern = field_kernel(state.field)
     E = np.array(list(lambda_cores(state.core_query(), lam)), dtype=np.int64)
     E = E.reshape(len(E), state.params.k - 1)
-    phi, full = _batch_nullvec(kern, construct_mod._column_array(state)[E])
+    phi, full = _batch_nullspace(kern, construct_mod._column_array(state)[E])
+    phi = phi[:, 0]
     if not full.all():
         raise RuntimeError("loop invariant violated: rank-deficient core basis")
     psi = kern.zeros((len(E), len(basis_rows)))

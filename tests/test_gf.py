@@ -248,6 +248,20 @@ def test_kernel_matches_scalar_ops():
         acc = K.zeros((5, 3))
         K.fma_outer(acc, K.array(a[:5]), K.array(b[:3]))
         assert acc.tolist() == [[f.mul(x, y) for y in b[:3]] for x in a[:5]]
+        # matmul reduces once while m products fit in int64 and loops
+        # otherwise: 10 products of GF(1000000007) residues near q do not
+        for m in (3, 10):
+            L = [[(f.q - 1 - rng.randrange(3)) % f.q for _ in range(m)] for _ in range(4)]
+            R = [[(f.q - 1 - rng.randrange(3)) % f.q for _ in range(5)] for _ in range(m)]
+            want = []
+            for row in L:
+                want.append([])
+                for j in range(5):
+                    s = 0
+                    for t in range(m):
+                        s = f.add(s, f.mul(row[t], R[t][j]))
+                    want[-1].append(s)
+            assert K.matmul(K.array(L), K.array(R)).tolist() == want
 
 
 def test_kernel_binary_tables_exhaustive_when_x_is_not_primitive():

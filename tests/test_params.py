@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import lrcodes.params as params_mod
 from lrcodes.errors import BoundNonPositive
 from lrcodes.params import (
     EXISTS,
@@ -110,6 +111,22 @@ def test_classify_known_cases():
 
     c = classify(CodeParams(6, 3, 3, 2))
     assert c.verdict == EXISTS_MDS and c.method is None and c.tag is None
+
+
+def test_classify_computes_no_field_bound(monkeypatch):
+    # C(n, k-1) is computed when read, not by classify: at n = 10**7,
+    # k = 5 * 10**6 it alone would take minutes
+    def refuse(*_args):
+        raise AssertionError("classify computed C(n, k-1)")
+
+    monkeypatch.setattr(params_mod, "comb", refuse)
+    c = classify(CodeParams(10**7, 5 * 10**6, 1, 2))
+    assert (c.verdict, c.method) == (EXISTS, METHOD_A1_UNIFORM)
+    assert c.params == CodeParams(10**7, 5 * 10**6, 1, 2)
+    c = classify(CodeParams(10**7, 5 * 10**6, 2, 2))
+    assert (c.verdict, c.tag) == (NOT_EXISTS, TAG_NON_EXST)
+    monkeypatch.undo()
+    assert classify(CodeParams(12, 5, 2, 3)).field_bound == 495
 
 
 def test_classify_feasibility_precedes_mds():

@@ -169,17 +169,19 @@ def test_first_deficient_matches_scalar_oracle(f, monkeypatch):
         if trial % 3 == 0:
             # batches of one subset, so the scan crosses many boundaries
             monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
-        got = verify_mod._first_deficient(m, size, full, cols=pool)
+        got, scanned = verify_mod._first_deficient(m, size, full, cols=pool)
         monkeypatch.undo()
         assert got == oracle_first_deficient(m, size, full, cols=pool), (
             m.row_data(), size, full, pool)
+        if got is None:
+            assert scanned == comb(cols if pool is None else len(pool), size)
 
 
 def test_first_deficient_beyond_pool_size():
     m = mds_generator(5, 3, field_make(7))
-    assert verify_mod._first_deficient(m, 6, 3) is None
-    assert verify_mod._first_deficient(m, 3, 3, cols=(1, 2)) is None
-    assert verify_mod._first_deficient(m, 0, 1) == ()
+    assert verify_mod._first_deficient(m, 6, 3) == (None, 0)
+    assert verify_mod._first_deficient(m, 3, 3, cols=(1, 2)) == (None, 0)
+    assert verify_mod._first_deficient(m, 0, 1) == ((), 1)
 
 
 # ---------------------------------------------------------------------
@@ -193,10 +195,12 @@ def test_distance_gf4_reference_both_methods():
     assert rep.method == WEIGHT_METHOD
     # witness is a codeword of minimum weight
     assert sum(1 for x in rep.witness if x) == 3
+    assert rep.scanned == 4 ** 3 - 1  # every nonzero codeword
     rep2 = min_distance(code, budget=30)  # q^k = 64 > 30 forces the rank path
     assert rep2.d == 3
     assert rep2.method == RANK_METHOD
     assert list(rep2.witness) == [1, 2, 3]
+    assert rep2.scanned == comb(6, 1)  # every pencil
     assert rank(code.generator, rep2.witness) < 3
 
 
@@ -226,14 +230,15 @@ def test_distance_budget_exceeded():
 
 
 def test_distance_budget_boundary():
-    # the rank criterion scans the C(n, k-1) hyperplanes: a budget of
+    # the rank criterion scans the C(n, k-2) pencils: a budget of
     # exactly that many completes, one less is refused before any work
     code = dummy_code(mds_generator(8, 3, field_make(11)))
-    rep = min_distance(code, budget=comb(8, 2))
+    rep = min_distance(code, budget=comb(8, 1))
     assert rep.method == RANK_METHOD and rep.d == 6
+    assert rep.scanned == comb(8, 1)
     with pytest.raises(BudgetExceeded) as exc:
-        min_distance(code, budget=comb(8, 2) - 1)
-    assert "C(8,2) = 28" in str(exc.value)
+        min_distance(code, budget=comb(8, 1) - 1)
+    assert "C(8,1) = 8 pencil eliminations" in str(exc.value)
 
 
 def _full_rank_matrix(rng, f, k, n):
@@ -247,17 +252,48 @@ def _full_rank_matrix(rng, f, k, n):
 def test_rank_criterion_matches_descending_oracle(f, monkeypatch):
     rng = random.Random(f.q % 1013)
     for trial in range(40):
-        k = rng.randrange(1, 5)
+        k = rng.randrange(1, 6)
         n = k if trial % 5 == 0 else rng.randrange(k, 9)
         m = _full_rank_matrix(rng, f, k, n)
+        work = comb(n, k - 2) if k > 1 else 1
         if trial % 3 == 0:
-            # hyperplanes one at a time, so ties meet across batches
+            # pencils one at a time, so ties meet across batches
             monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
-        rep = verify_mod._rank_criterion(m, comb(n, k - 1))
+        rep = verify_mod._rank_criterion(m, work)
         monkeypatch.undo()
-        assert rep.method == RANK_METHOD
+        assert rep.method == RANK_METHOD and rep.scanned == work
         assert (rep.d, tuple(rep.witness)) == oracle_rank_criterion(m), (
             m.row_data())
+
+
+@pytest.mark.parametrize("f", RANK_FIELDS, ids=repr)
+def test_pencil_certificate_matches_subset_oracle(f, monkeypatch):
+    # every size at once, on matrices of rank k down to 0: the first
+    # deficient subset of each size, read off the hyperplanes
+    rng = random.Random(f.q % 1019)
+    for trial in range(40):
+        k = rng.randrange(2, 6)
+        n = rng.randrange(1, 9)
+        m = _dependent_matrix(rng, f, k, n)
+        if trial % 4 == 1:
+            # rank k-1, k-2 or below: every column inside a few of them
+            basis = [tuple(rng.randrange(f.q) for _ in range(k))
+                     for _ in range(rng.randrange(0, k))]
+            cols = []
+            for _ in range(n):
+                v = [0] * k
+                for b in basis:
+                    c = rng.randrange(f.q)
+                    v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
+                cols.append(v)
+            m = Matrix.from_columns(f, cols)
+        if trial % 3 == 0:
+            monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
+        for size in range(n + 2):
+            _, got = verify_mod._pencil_scan(m, size)
+            assert got == oracle_first_deficient(m, size, k), (
+                m.row_data(), size)
+        monkeypatch.undo()
 
 
 def test_distance_methods_agree_on_random_codes():
@@ -308,6 +344,8 @@ def test_certify_optimal_positive():
     assert rep.bound_d == 3
     assert rep.subset_size == 4
     assert rep.subsets_total == 15
+    # C(6,1) = 6 pencils are fewer than the C(6,4) = 15 subsets
+    assert (rep.route, rep.scanned) == (verify_mod.PENCIL_ROUTE, 6)
     assert rep.witness is None
     assert rep.locality.overall
     assert rep.note == ("every 4-column set of full rank 3 gives d >= 3; "
@@ -324,8 +362,53 @@ def test_certify_optimal_detects_rank_gap():
     assert check_locality(code).overall
     ok, rep = certify_optimal(code)
     assert not ok
+    assert rep.route == verify_mod.PENCIL_ROUTE
     assert rep.witness == (1, 2, 3, 4)
     assert "rank below 3" in rep.note
+
+
+def test_certify_optimal_rank_far_below_k():
+    # rank 2 < k-2 = 3: no 3 columns are independent, so no pencil
+    # exists, and the certificate must still refuse, not pass vacuously
+    f = field_make(5)
+    pts = [(1, 0), (0, 1), (1, 1), (1, 2)]
+    cols = [pts[i % 4] + (0, 0, 0) for i in (0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3)]
+    m = Matrix.from_columns(f, cols)
+    code = LrcCode(field=f, generator=m, structure=uniform_partition(12, 2, 2),
+                   params=CodeParams(12, 5, 2, 2), claimed_d=6)
+    assert check_locality(code).overall
+    ok, rep = certify_optimal(code)
+    assert not ok
+    # C(12,3) = 220 pencils against C(12,7) = 792 subsets
+    assert (rep.route, rep.scanned, rep.subsets_total) == (
+        verify_mod.PENCIL_ROUTE, 220, 792)
+    assert rep.witness == (1, 2, 3, 4, 5, 6, 7)
+
+
+def test_certify_optimal_routes_by_counted_work():
+    # (8,6,3,2): s = 7 and C(8,7) = 8 subsets beat C(8,4) = 70 pencils;
+    # (9,4,2,2): s = 5 and C(9,2) = 36 pencils beat C(9,5) = 126 subsets
+    for params, route, scanned, total in [
+            (CodeParams(8, 6, 3, 2), verify_mod.SUBSET_ROUTE, 8, 8),
+            (CodeParams(9, 4, 2, 2), verify_mod.PENCIL_ROUTE, 36, 126)]:
+        code = construct(params, seed=0)
+        ok, rep = certify_optimal(code)
+        assert ok and rep.witness is None
+        assert (rep.route, rep.scanned, rep.subsets_total) == (route, scanned, total)
+        # the budget gate counts the route taken, and names its binomial
+        with pytest.raises(BudgetExceeded) as exc:
+            certify_optimal(code, budget=scanned - 1)
+        unit = "subset checks" if route == verify_mod.SUBSET_ROUTE else "pencil eliminations"
+        assert f"= {scanned} {unit}" in str(exc.value)
+        # a zero last row keeps locality but leaves rank k-1 overall
+        rows = [list(r) for r in code.generator.row_data()]
+        rows[-1] = [0] * params.n
+        broken = LrcCode(field=code.field, generator=Matrix.from_rows(code.field, rows),
+                         structure=code.structure, params=params,
+                         claimed_d=code.claimed_d)
+        ok, rep = certify_optimal(broken)
+        assert rep.locality.overall and not ok and rep.route == route
+        assert rep.witness == tuple(range(1, rep.subset_size + 1))
 
 
 def test_certify_optimal_fails_on_locality():
@@ -342,8 +425,10 @@ def test_certify_optimal_fails_on_locality():
 
 def test_certify_optimal_budget():
     code = construct(CodeParams(6, 3, 2, 2), field_make(17), seed=0)
-    with pytest.raises(BudgetExceeded):
-        certify_optimal(code, budget=14)  # needs C(6,4) = 15 checks
+    assert certify_optimal(code, budget=6)[0]
+    with pytest.raises(BudgetExceeded) as exc:
+        certify_optimal(code, budget=5)  # needs C(6,1) = 6 pencils
+    assert "C(6,1) = 6 pencil eliminations" in str(exc.value)
 
 
 # ---------------------------------------------------------------------
