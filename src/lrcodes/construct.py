@@ -6,7 +6,8 @@ coordinate lam must lie in the span of its group's already-assigned
 columns while avoiding span(S0) for every (k-1)-set S0 that would form
 a core together with lam. Random draws from the group span (seeded)
 almost always succeed when q is at least C(n, k-1); a deterministic
-lexicographic scan backs them up.
+lexicographic scan of one candidate per line of the span backs them
+up, since a candidate's multiples pass or fail with it.
 
 Avoidance is one batched test for every field: each (k-1)-subset S0 of
 assigned coordinates has a linear functional whose kernel is span(S0),
@@ -24,14 +25,15 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations, product
+from itertools import combinations
 from operator import index
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .covers import (
     CoverSet,
+    Frame,
     Structure,
     coverage_check,
     hub_frame,
@@ -40,6 +42,7 @@ from .covers import (
     structure_from_json,
     uniform_partition,
 )
+from .covers import validate as validate_structure
 # lambda_cores and reduce_vector are not called here: they are imported
 # so that the benchmark's tracer (perfbench/tracer.py), which wraps
 # functions under the module names their callers use, finds them.
@@ -149,6 +152,13 @@ class LrcCode:
             trace=tuple((lam, tuple(col)) for lam, col in data["trace"]),
         )
         code.validate()
+        if isinstance(code.structure, Frame):
+            # cores read a frame's hub layout; a CoverSet may overlap (the
+            # windows of an r = k code), so it keeps the range checks only
+            ok, bad = validate_structure(code.structure, code.params.r,
+                                         code.params.delta)
+            if not ok:
+                raise StructureMismatch("invalid frame: " + "; ".join(bad))
         return code
 
     def validate(self) -> None:
@@ -221,45 +231,38 @@ def _group_span_basis(state: ExtensionState, group: int) -> Basis:
     return reduced_basis(state.field, assigned)
 
 
-def _combine(field: FieldSpec, coeffs: Sequence[int], rows: Sequence[tuple[int, ...]],
-             k: int) -> tuple[int, ...]:
-    acc = [0] * k
-    for c, row in zip(coeffs, rows):
-        if c:
-            for i in range(k):
-                if row[i]:
-                    acc[i] = field.add(acc[i], field.mul(c, row[i]))
-    return tuple(acc)
-
-
 def _avoidance_search(state: ExtensionState, lam: int, b: int, accept,
                       contained, ncores: int) -> tuple[tuple[int, ...], int, int]:
     """Coefficient search: 64 seeded draws, then a containment check
     (certifying impossibility cheaply before any long sweep), then a
-    lexicographic scan. Returns the accepted coefficient tuple with the
-    number of draws and of scanned candidates it took.
+    lexicographic scan of the lines of GF(q)^b, whose members all pass or
+    all fail. `accept` maps N x b coefficients to a mask. Returns the
+    accepted coefficient tuple with the number of draws and of lines it took.
     """
     q = state.field.q
+    kern = field_kernel(state.field)
     for draws in range(1, RANDOM_ATTEMPTS + 1):
         coeffs = tuple(state.rng.randrange(q) for _ in range(b))
-        if any(coeffs) and accept(coeffs):
+        if any(coeffs) and accept(kern.array([coeffs]))[0]:
             return coeffs, draws, 0
     if contained():
         raise NoValidVector(
             f"no usable column for coordinate {lam}: the group span lies "
             f"inside a core span", num_cores=ncores, q=q, exhausted=True)
-    can_finish = q ** b <= _SCAN_LIMIT * 4
+    total = (q ** b - 1) // (q - 1)
+    limit = total if total <= _SCAN_LIMIT * 4 else _SCAN_LIMIT
     scanned = 0
-    for coeffs in product(range(q), repeat=b):
-        if not any(coeffs):
-            continue
-        scanned += 1
-        if accept(coeffs):
-            return coeffs, RANDOM_ATTEMPTS, scanned
-        if not can_finish and scanned >= _SCAN_LIMIT:
+    for C in kern.lines(b, max(1, _BATCH // max(1, ncores))):
+        C = C[:limit - scanned]
+        hits = np.flatnonzero(accept(C))
+        if hits.size:
+            return (tuple(C[hits[0]].tolist()), RANDOM_ATTEMPTS,
+                    scanned + int(hits[0]) + 1)
+        scanned += len(C)
+        if scanned == limit < total:
             raise NoValidVector(
                 f"no usable column for coordinate {lam} among the first "
-                f"{scanned} of {q ** b - 1} candidates: scan budget hit, "
+                f"{scanned} of {total} lines of candidates: scan budget hit, "
                 f"span not exhausted", num_cores=ncores, q=q, exhausted=False)
     raise NoValidVector(
         f"no usable column for coordinate {lam}: every candidate hits one of "
@@ -343,10 +346,10 @@ class _FunctionalCache:
 
 
 def _core_functionals(state: ExtensionState, lam: int,
-                      basis_rows: list[tuple[int, ...]]) -> tuple[np.ndarray, int]:
+                      basis: np.ndarray) -> tuple[np.ndarray, int]:
     """For every core S0 paired with lam, the b coefficients of the linear
-    functional ker = span(S0) restricted to the group-span basis, with
-    the number of subsets this step added to the cache.
+    functional ker = span(S0) restricted to the b x k group-span basis,
+    with the number of subsets this step added to the cache.
 
     A candidate with coefficient vector c avoids span(S0) iff the matching
     row of the returned Psi has nonzero dot product with c. Rows follow
@@ -354,18 +357,18 @@ def _core_functionals(state: ExtensionState, lam: int,
     """
     kern = field_kernel(state.field)
     added = state.functionals.grow(state)
-    psi_chunks = [kern.zeros((0, len(basis_rows)))]
+    psi_chunks = [kern.zeros((0, len(basis)))]
     for phi in state.functionals.paired(state.core_query(), lam):
-        psi_chunks.append(np.stack([kern.matvec(phi, w) for w in basis_rows], axis=1))
+        psi_chunks.append(kern.matmul(phi, basis.T))
     return np.concatenate(psi_chunks), added
 
 
 def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[int, ...]:
     """A nonzero vector in the group span avoiding every paired-core span.
 
-    64 seeded random draws, then a lexicographic scan of the span. The
-    scan certifies NoValidVector for small spans; for spans too large to
-    sweep it gives up after a fixed budget (the draw stage is then
+    64 seeded random draws, then a lexicographic scan of the span's
+    lines. The scan certifies NoValidVector for small spans; for spans too
+    large to sweep it gives up after a fixed budget (the draw stage is then
     overwhelmingly likely to have succeeded first when q >= C(n, k-1)),
     and the error says the span was not exhausted. A successful step
     appends its StepStats to `state.steps`.
@@ -375,22 +378,23 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     if lam not in g or lam in state.columns:
         raise PreconditionViolated(
             f"coordinate {lam} is not an unassigned member of group {group}")
-    basis_rows = [row for _, row in _group_span_basis(state, group)]
     kern = field_kernel(state.field)
-    psi, added = _core_functionals(state, lam, basis_rows)
+    basis = kern.array([row for _, row in _group_span_basis(state, group)]
+                       ).reshape(-1, state.params.k)
+    psi, added = _core_functionals(state, lam, basis)
 
-    def accept(coeffs: Sequence[int]) -> bool:
-        return bool((kern.matvec(psi, coeffs) != 0).all())
+    def accept(C: np.ndarray) -> np.ndarray:
+        return (kern.matmul(psi, C.T) != 0).all(axis=0)
 
     def contained() -> bool:
         # an all-zero row means that core's functional kills the whole span
         return not (psi != 0).any(axis=1).all()
 
     coeffs, draws, scanned = _avoidance_search(
-        state, lam, len(basis_rows), accept, contained, psi.shape[0])
+        state, lam, len(basis), accept, contained, psi.shape[0])
     state.steps.append(StepStats(lam, added, psi.shape[0], draws, scanned,
                                  time.perf_counter() - start))
-    return _combine(state.field, coeffs, basis_rows, state.params.k)
+    return tuple(kern.matmul(kern.array([coeffs]), basis)[0].tolist())
 
 
 def _assert_invariant(state: ExtensionState) -> None:
@@ -418,8 +422,6 @@ def run_extension(structure: Structure, params: CodeParams, field: FieldSpec,
     Places the MDS base on Omega_0, then assigns every remaining
     coordinate group by group with `pick_extension_vector`.
     """
-    from .covers import validate as validate_structure
-
     if structure.n != params.n:
         raise PreconditionViolated(
             f"structure covers [1..{structure.n}] but params have n={params.n}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import index
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -318,11 +318,12 @@ def field_at_least(bound: int, prefer: str = "prime",
 class _Kernel:
     """Field arithmetic on numpy arrays of canonical representatives.
 
-    Subclasses supply `dtype`, `mul`, the in-place `fma` (acc += b*c)
-    and `fms` (acc -= b*c), `neg`, and `inv` over a 1-D batch of nonzero
-    elements. Operands broadcast like numpy operands.
+    Subclasses supply the order `q`, `dtype`, `mul`, the in-place `fma`
+    (acc += b*c) and `fms` (acc -= b*c), `neg`, and `inv` over a 1-D
+    batch of nonzero elements. Operands broadcast like numpy operands.
     """
 
+    q: int
     dtype: object
 
     def array(self, data) -> np.ndarray:
@@ -331,13 +332,21 @@ class _Kernel:
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=self.dtype)
 
-    def fma_outer(self, acc: np.ndarray, coeffs: np.ndarray, row: np.ndarray) -> None:
-        """acc[i] += coeffs[i] * row for every i, in place."""
-        self.fma(acc, coeffs[:, None], row)
-
-    def matvec(self, A: np.ndarray, x: Sequence[int]) -> np.ndarray:
-        """A @ x over the field for an N x m array A and m scalars x."""
-        return self.matmul(A, self.array(x).reshape(-1, 1))[:, 0]
+    def lines(self, b: int, rows: int) -> Iterator[np.ndarray]:
+        """One vector per line through the origin of GF(q)^b, in
+        lexicographic order, as N x b arrays of at most `rows` vectors: the
+        one whose first nonzero entry is 1, which is the line's first."""
+        q = self.q
+        for t in range(b):  # entries after the leading 1
+            total = q ** t
+            for lo in range(0, total, rows):
+                idx = np.arange(lo, min(lo + rows, total),
+                                dtype=np.int64 if total < 2 ** 63 else object)
+                out = self.zeros((idx.size, b))
+                out[:, b - 1 - t] = 1
+                for s in range(t):
+                    out[:, b - t + s] = idx // q ** (t - 1 - s) % q
+                yield out
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """A @ B over the field for a ... x m array A and an m x n array B."""
@@ -353,7 +362,7 @@ class _PrimeKernel(_Kernel):
     overflow."""
 
     def __init__(self, p: int) -> None:
-        self.p = p
+        self.p = self.q = p
         self.dtype = np.int64 if p * (p - 1) < 2 ** 63 else object
 
     def mul(self, a, b):
@@ -430,10 +439,6 @@ class _BinaryKernel(_Kernel):
         acc ^= self.mul(b, c)
 
     fms = fma
-
-    def fma_outer(self, acc: np.ndarray, coeffs: np.ndarray, row: np.ndarray) -> None:
-        # a table of every multiple of row makes each product a row gather
-        acc ^= self.mul(np.arange(self.q)[:, None], row)[coeffs]
 
     def neg(self, a):
         return a

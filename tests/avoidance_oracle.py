@@ -5,12 +5,15 @@ accepts a candidate only if reducing it against each of those bases
 leaves a nonzero residual, using scalar field arithmetic alone. It draws
 candidates through the library's own `_avoidance_search`, so the two see
 the same random draws and scan order, and any disagreement lies in the
-avoidance test itself.
+avoidance test itself. Like the engine's, its `accept` takes an N x b
+array of coefficient vectors and returns a mask, one vector at a time.
 
 Drop-in replacement for `lrcodes.construct.pick_extension_vector`.
 """
 
 import importlib
+
+import numpy as np
 
 from lrcodes.cores import lambda_cores
 from lrcodes.errors import PreconditionViolated
@@ -42,9 +45,11 @@ def oracle_pick(state, lam, group):
     for cb, S0 in zip(core_bases, cores):
         assert len(cb) == k - 1, f"core {S0} spans rank {len(cb)}"
 
-    def accept(coeffs):
-        cand = _combine(field, coeffs, basis_rows, k)
-        return all(any(reduce_vector(field, cb, cand)) for cb in core_bases)
+    def accept(C):
+        return np.array([
+            all(any(reduce_vector(field, cb, _combine(field, coeffs, basis_rows, k)))
+                for cb in core_bases)
+            for coeffs in C.tolist()], dtype=bool)
 
     def contained():
         return any(

@@ -393,6 +393,39 @@ def test_verify_rejects_frame_block_index_out_of_range(tmp_path, capsys):
     assert err.startswith("error: malformed code file") and "group index" in err
 
 
+def test_verify_rejects_frames_whose_hub_layout_is_wrong(tmp_path, capsys):
+    # the paired frame of (10,5,2,2): hub blocks (1,2) and (3,4) share
+    # coordinates 3 and 8; the overlapping windows of an r = k code still load
+    path = tmp_path / "paired.json"
+    rc, _, _ = run(capsys, ["construct", "10", "5", "2", "2", "--field", "211",
+                            "--out", str(path)])
+    assert rc == 0
+    saved = json.loads(path.read_text())
+    assert saved["code"]["structure"]["hubs"] == [3, 8]
+
+    def wrong_hub(structure):
+        structure["hubs"][0] = 1
+
+    def blocks_overlap(structure):
+        structure["groups"][2] = [5, 7, 8]
+
+    for edit, needle in ((wrong_hub, "declared hub 1 is not the shared element"),
+                         (blocks_overlap, "blocks overlap each other")):
+        data = json.loads(json.dumps(saved))
+        edit(data["code"]["structure"])
+        path.write_text(json.dumps(data))
+        rc, out, err = run(capsys, ["verify", str(path)])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: malformed code file: invalid frame")
+        assert needle in err
+    rc, _, _ = run(capsys, ["construct", "7", "3", "3", "2", "--out", str(path)])
+    assert rc == 0
+    assert json.loads(path.read_text())["code"]["structure"]["groups"] == [
+        [1, 2, 3, 4], [4, 5, 6, 7]]
+    rc, out, _ = run(capsys, ["verify", str(path)])
+    assert rc == 0 and "optimality: OPTIMAL" in out
+
+
 def _leaf_paths(node, path=()):
     """Key paths of every scalar or empty-list value in a JSON tree."""
     items = (node.items() if isinstance(node, dict)

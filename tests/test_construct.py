@@ -1,10 +1,11 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from pathlib import Path
 
@@ -169,7 +170,7 @@ def test_engine_matches_scalar_oracle(monkeypatch):
         assert engine.to_json() == oracle.to_json()
 
 
-def _per_step_psi(state, lam, basis_rows):
+def _per_step_psi(state, lam, basis):
     """Psi as solved before the cache: every core paired with lam
     enumerated afresh and eliminated in one batch."""
     kern = field_kernel(state.field)
@@ -179,18 +180,15 @@ def _per_step_psi(state, lam, basis_rows):
     phi = phi[:, 0]
     if not full.all():
         raise RuntimeError("loop invariant violated: rank-deficient core basis")
-    psi = kern.zeros((len(E), len(basis_rows)))
-    for j, w in enumerate(basis_rows):
-        psi[:, j] = kern.matvec(phi, w)
-    return psi
+    return kern.matmul(phi, basis.T)
 
 
 def _checked_core_functionals(compared):
     real = construct_mod._core_functionals
 
-    def step(state, lam, basis_rows):
-        want = _per_step_psi(state, lam, basis_rows)
-        psi, added = real(state, lam, basis_rows)
+    def step(state, lam, basis):
+        want = _per_step_psi(state, lam, basis)
+        psi, added = real(state, lam, basis)
         assert (sorted(map(tuple, psi.tolist()))
                 == sorted(map(tuple, want.tolist()))), (state.params, lam)
         compared.append(lam)
@@ -299,8 +297,9 @@ def test_step_stats_count_the_fallback_scan(monkeypatch):
     monkeypatch.setattr(construct_mod, "RANDOM_ATTEMPTS", 0)
     state = _gf5_five_lines_state()
     assert pick_extension_vector(state, 3, 1) == (1, 4)
-    # (0,1) .. (0,4), (1,0) .. (1,3) miss, (1,4) is the ninth candidate
-    assert [(s.draws, s.scan_steps, s.cores) for s in state.steps] == [(0, 9, 5)]
+    # the scan takes one vector per line: (0,1), (1,0) .. (1,3) miss, and
+    # (1,4) is the sixth
+    assert [(s.draws, s.scan_steps, s.cores) for s in state.steps] == [(0, 6, 5)]
 
 
 def test_huge_prime_builds_without_field_sized_tables():
@@ -365,6 +364,127 @@ def test_no_valid_vector_says_when_the_scan_budget_stopped_it(monkeypatch):
     assert "every candidate" not in str(exc.value)
     monkeypatch.setattr(construct_mod, "_SCAN_LIMIT", 1 << 20)
     assert pick_extension_vector(_gf5_five_lines_state(), 3, 1) == (1, 4)
+
+
+def _unit_state(f, b):
+    """Coordinate b+1 of [2b+2, b] with (b, 2) locality, its group holding
+    the unit vectors: a candidate's coefficients are its column."""
+    state = ExtensionState(field=f, params=CodeParams(2 * b + 2, b, b, 2),
+                           structure=uniform_partition(2 * b + 2, b, 2), rng_seed=0)
+    state.columns = {i: tuple(int(i == j) for j in range(1, b + 1))
+                     for i in range(1, b + 1)}
+    state.omega = list(range(1, b + 1))
+    return state
+
+
+def _dot(f, row, v):
+    acc = 0
+    for x, y in zip(row, v):
+        acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+def _tails(q, t):
+    """product(range(q), repeat=t), without materialising its pools."""
+    if t == 0:
+        yield ()
+        return
+    for x in range(q):
+        for rest in _tails(q, t - 1):
+            yield (x,) + rest
+
+
+def _leading_ones(q, b):
+    """The vectors of GF(q)^b that lead with 1, in product order."""
+    return ((0,) * (b - 1 - t) + (1,) + tail for t in range(b) for tail in _tails(q, t))
+
+
+def _scalar_scan(f, psi, b, limit):
+    """The first vector c in product order with psi.c nonzero in every
+    row, counting lines (a line is counted at its vector that leads with
+    1, its first in product order) and stopping after `limit` of them:
+    (c, lines), or (None, whether every line was scanned). On a huge
+    field only the vectors that lead with 1 are walked; product order
+    puts too many others before the second line."""
+    if any(not any(row) for row in psi):
+        return None, True
+    vectors = _tails(f.q, b) if f.q ** b <= 1 << 16 else _leading_ones(f.q, b)
+    lines = 0
+    for v in vectors:
+        if not any(v):
+            continue
+        if v[next(i for i, x in enumerate(v) if x)] == 1:
+            if lines == limit:
+                return None, False
+            lines += 1
+        if all(_dot(f, row, v) for row in psi):
+            return v, lines
+    return None, True
+
+
+def _killer(rng, f, u, spare):
+    """A random functional that vanishes on u, a vector that leads with 1,
+    and not on spare (unless spare is None)."""
+    lead = u.index(1)
+    while True:
+        row = [rng.randrange(f.q) for _ in u]
+        row[lead] = 0
+        row[lead] = f.neg(_dot(f, row, u))
+        if spare is None or _dot(f, row, spare):
+            return row
+
+
+@pytest.mark.parametrize("f", [field_make(2), field_make(3), field_make(5),
+                               field_make(2, 4), field_make(4294967311)], ids=repr)
+def test_fallback_scan_matches_scalar_product_order(f, monkeypatch):
+    # no draws: the line scan, in batches down to one line, returns the
+    # first vector in product order that avoids every core functional,
+    # or says whether it ruled out every candidate
+    rng = random.Random(f.q % 1031)
+    huge = f.q > 1 << 16
+    kern = field_kernel(f)
+    for trial in range(30):
+        b = rng.randrange(2 if huge else 1, 4 if f.q > 5 else 5)
+        # core functionals on each of the first h lines, sparing line h
+        # unless h runs past them, then a few random ones
+        first = list(islice(_leading_ones(f.q, b), 40))
+        h = rng.randrange(len(first) + 1)
+        spare = first[h] if h < len(first) else None
+        psi = [_killer(rng, f, u, spare) for u in first[:h]]
+        psi += [[rng.randrange(f.q) for _ in range(b)] for _ in range(rng.randrange(3))]
+        if trial == 7:
+            psi.append([0] * b)  # contains the whole span
+        rng.shuffle(psi)
+        limit = 1 + rng.randrange(40) if huge else 1 << 20
+        rows = rng.choice([1, 2, 1 << 17])
+        P = kern.array(psi).reshape(len(psi), b)
+        monkeypatch.setattr(construct_mod, "RANDOM_ATTEMPTS", 0)
+        monkeypatch.setattr(construct_mod, "_SCAN_LIMIT", limit)
+        monkeypatch.setattr(construct_mod, "_BATCH", rows * max(1, len(psi)))
+        monkeypatch.setattr(construct_mod, "_core_functionals",
+                            lambda state, lam, basis: (P, 0))
+        state = _unit_state(f, b)
+        total = (f.q ** b - 1) // (f.q - 1)
+        want, lines = _scalar_scan(f, psi, b,
+                                   total if total <= 4 * limit else limit)
+        try:
+            got = pick_extension_vector(state, b + 1, 1)
+        except NoValidVector as exc:
+            assert want is None and exc.exhausted == lines, (f, psi, limit)
+            assert exc.num_cores == len(psi)
+        else:
+            assert got == want, (f, psi, limit)
+            assert state.steps[0].scan_steps == lines
+        monkeypatch.undo()
+
+
+def test_fallback_scan_exhausts_the_found_input_quickly():
+    # 11^6 - 1 candidates lie on 177,156 lines, and every one meets one of
+    # the 83 core spans of coordinate 7
+    with pytest.raises(NoValidVector) as exc:
+        construct(CodeParams(13, 7, 6, 3), field_make(11), seed=0)
+    assert exc.value.exhausted and exc.value.num_cores == 83
+    assert "every candidate hits one of 83 core spans" in str(exc.value)
 
 
 def test_pick_extension_vector_precondition():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -242,12 +243,11 @@ def test_kernel_matches_scalar_ops():
         K.fma(acc, A, B)
         assert acc.tolist() == a
         M = K.array([a[:3], b[:3]] * 4)
-        assert K.matvec(M, nz[:3]).tolist() == [
-            f.add(f.add(f.mul(r[0], nz[0]), f.mul(r[1], nz[1])), f.mul(r[2], nz[2]))
+        assert K.matmul(M, K.array(nz[:3]).reshape(3, 1)).tolist() == [
+            [f.add(f.add(f.mul(r[0], nz[0]), f.mul(r[1], nz[1])), f.mul(r[2], nz[2]))]
             for r in M.tolist()]
-        acc = K.zeros((5, 3))
-        K.fma_outer(acc, K.array(a[:5]), K.array(b[:3]))
-        assert acc.tolist() == [[f.mul(x, y) for y in b[:3]] for x in a[:5]]
+        assert K.matmul(K.array(a[:5]).reshape(5, 1), K.array([b[:3]])).tolist() == [
+            [f.mul(x, y) for y in b[:3]] for x in a[:5]]
         # matmul reduces once while m products fit in int64 and loops
         # otherwise: 10 products of GF(1000000007) residues near q do not
         for m in (3, 10):
@@ -262,6 +262,30 @@ def test_kernel_matches_scalar_ops():
                         s = f.add(s, f.mul(row[t], R[t][j]))
                     want[-1].append(s)
             assert K.matmul(K.array(L), K.array(R)).tolist() == want
+
+
+def test_kernel_lines_one_per_line_in_lexicographic_order():
+    # the first vector of each line of GF(q)^b, where the first nonzero
+    # entry is 1, in product order; every batch size gives the same list
+    for f in (field_make(2), field_make(3), field_make(13), field_make(2, 2),
+              field_make(2, 3)):
+        K = field_kernel(f)
+        for b in range(4):
+            want = [v for v in product(range(f.q), repeat=b)
+                    if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1]
+            assert len(want) == (f.q ** b - 1) // (f.q - 1)
+            for rows in (1, 2, 7, 1000):
+                batches = list(K.lines(b, rows))
+                assert all(0 < len(B) <= rows and B.shape[1:] == (b,)
+                           and B.dtype == K.dtype for B in batches)
+                got = [tuple(v) for B in batches for v in B.tolist()]
+                assert got == want, (f, b, rows)
+    # past int64 the digits come from Python ints: GF(2^89-1)^3 has p
+    # lines that lead with one zero, more than an int64 counts
+    K = field_kernel(field_make(2 ** 89 - 1))
+    it = K.lines(3, 3)
+    assert next(it).tolist() == [[0, 0, 1]]
+    assert next(it).tolist() == [[0, 1, x] for x in range(3)]
 
 
 def test_kernel_binary_tables_exhaustive_when_x_is_not_primitive():

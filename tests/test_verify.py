@@ -27,6 +27,7 @@ from lrcodes.verify import (
 
 import lrcodes.verify as verify_mod
 from deficient_oracle import oracle_first_deficient, oracle_rank_criterion
+from weight_oracle import oracle_weight_enumeration
 
 F4 = field_make(2, 2)
 
@@ -195,13 +196,33 @@ def test_distance_gf4_reference_both_methods():
     assert rep.method == WEIGHT_METHOD
     # witness is a codeword of minimum weight
     assert sum(1 for x in rep.witness if x) == 3
-    assert rep.scanned == 4 ** 3 - 1  # every nonzero codeword
+    assert rep.scanned == (4 ** 3 - 1) // 3  # a codeword per line of messages
     rep2 = min_distance(code, budget=30)  # q^k = 64 > 30 forces the rank path
     assert rep2.d == 3
     assert rep2.method == RANK_METHOD
     assert list(rep2.witness) == [1, 2, 3]
     assert rep2.scanned == comb(6, 1)  # every pencil
     assert rank(code.generator, rep2.witness) < 3
+
+
+@pytest.mark.parametrize("f", [f for f in RANK_FIELDS if f.q <= 1 << 9], ids=repr)
+def test_weight_enumeration_matches_full_space_oracle(f, monkeypatch):
+    # one message per line finds the full scan's d and its first
+    # least-weight codeword, also on deficient generators (d = 0)
+    rng = random.Random(f.q % 1021)
+    ks = [k for k in range(1, 5) if f.q ** k <= 1 << 18]
+    for trial in range(30):
+        k = ks[trial % len(ks)]
+        m = _dependent_matrix(rng, f, k, rng.randrange(k, 9))
+        if trial % 3 == 0:
+            # a message or two per batch, so that ties meet across batches
+            monkeypatch.setattr(verify_mod, "_BATCH_CELLS",
+                                (1 + trial % 2) * (k + m.cols))
+        rep = verify_mod._weight_enumeration(m)
+        monkeypatch.undo()
+        assert (rep.d, rep.witness) == oracle_weight_enumeration(m), m.row_data()
+        assert rep.method == WEIGHT_METHOD
+        assert rep.scanned == (f.q ** k - 1) // (f.q - 1)
 
 
 def test_distance_mds_generator():
