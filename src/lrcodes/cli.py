@@ -263,7 +263,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = False
 
     loc = check_locality(code)
-    print(f"locality: {'OK' if loc.overall else 'FAIL'}")
+    print(f"locality: {'OK' if loc.overall else 'FAIL'}, {loc.scanned} scanned")
     for e in loc.per_group:
         line = f"  group {e.index} {_group_text(e.group)}: rank {e.rank}"
         if not e.ok:

@@ -14,10 +14,11 @@ assigned coordinates has a linear functional whose kernel is span(S0),
 and a candidate is accepted when none of the functionals of the cores
 paired with lam vanishes on it. The functionals are cached across
 steps: a subset's functional depends only on its own columns, which
-never change once assigned, so each step solves (by Gauss-Jordan on the
-field's numpy kernel) only the subsets that contain a newly assigned
-coordinate, and picks the paired cores out of the cache with one
-batched core mask.
+never change once assigned. Each is derived from its (k-2)-prefix's
+pencil, the two functionals vanishing on that prefix, with two dot
+products; only the pencils are solved (by Gauss-Jordan on the field's
+numpy kernel), each once per construction. Each step picks the paired
+cores out of the cache with one batched core mask.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import random
 import time
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
+from math import comb
 from operator import index
 from typing import Iterator, Optional
 
@@ -90,23 +92,26 @@ RANDOM_ATTEMPTS = 64
 # sweep completely (only reachable after 64 failed draws at huge q).
 _SCAN_LIMIT = 1 << 20
 
-# Subsets per elimination when the functional cache grows. Smaller than
-# the cache's blocks of _BATCH rows: the gathered (k-1) x k matrices and
-# their elimination temporaries are several times a block's own size, and
-# at [37,7,3,3] an eighth of _BATCH built as fast as a full one with
-# 50 MB less peak memory.
+# Subsets per elimination, and pencils per derivation, when the functional
+# cache grows. Smaller than the cache's blocks of _BATCH rows: the
+# gathered matrices and their temporaries are several times a block's own
+# size. At [37,7,3,3] an eighth of _BATCH eliminated as fast as a full one
+# with 50 MB less peak memory, and deriving in such slices kept
+# construct-large's peak RSS about 3% below deriving whole blocks at once.
 _SOLVE_ROWS = _BATCH // 8
 
 
 @dataclass(frozen=True)
 class StepStats:
     """What one extension step did: the coordinate lam it assigned, the
-    (k-1)-subsets it added to the functional cache, the cores paired with
+    (k-1)-subsets whose functionals it derived into the cache, the
+    (k-2)-subsets it eliminated for their pencils, the cores paired with
     lam, the random draws and scan candidates it tried, and its wall time.
     """
 
     lam: int
     rows_added: int
+    pencils_solved: int
     cores: int
     draws: int
     scan_steps: int
@@ -277,13 +282,32 @@ def _column_array(state: ExtensionState) -> np.ndarray:
     return cols
 
 
+def _append_rows(blocks: list, rows: tuple[np.ndarray, ...]) -> None:
+    """Add rows to a list of blocks of parallel arrays, filling its last
+    block up to _BATCH rows before starting another."""
+    if blocks and len(blocks[-1][0]) + len(rows[0]) <= _BATCH:
+        rows = tuple(map(np.concatenate, zip(blocks.pop(), rows)))
+    blocks.append(rows)
+
+
 class _FunctionalCache:
     """Every (k-1)-subset S0 of the covered coordinates with the
     functional whose kernel is span(S0) and a full-rank flag, as index,
     functional and flag arrays in blocks of at most _BATCH rows.
 
-    A cached functional is never recomputed, so a covered coordinate must
-    keep its column. Subset indices are stored in the narrowest unsigned
+    The functionals are derived, not solved. A second cache, of pencils,
+    holds each (k-2)-subset T of the covered coordinates with two
+    functionals psi1, psi2 that vanish on T and its full-rank flag; when T
+    is independent they span every functional vanishing on T. Covering x
+    derives, for every cached T, the functional of T + x as
+    (psi2 . c_x) psi1 - (psi1 . c_x) psi2, which vanishes on T and on c_x,
+    and is zero exactly when T is deficient or c_x lies in span(T). Only
+    pencils are eliminated, each once, when the coordinate covered after
+    their last one is: at most C(n-2, k-2) per construction, as the last
+    covered coordinate's pencils are never needed.
+
+    A cached row is never recomputed, so a covered coordinate must keep
+    its column. Subset indices are stored in the narrowest unsigned
     dtype that holds n, and int64 functionals in the narrowest one that
     holds q-1; they are widened back to the kernel's dtype when read.
     Rows of deficient subsets stay, flagged: only a deficient subset
@@ -296,71 +320,110 @@ class _FunctionalCache:
         self.dtype = np.min_scalar_type(n)
         self.phi_dtype = (np.min_scalar_type(field.q - 1)
                           if self.kern.dtype == np.int64 else self.kern.dtype)
-        self.covered: set[int] = set()
+        self.covered: list[int] = []
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.pencils: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        if k == 2:
+            # the empty subset: every functional on GF(q)^2 vanishes on it
+            self.pencils.append((np.zeros((1, 0), self.dtype),
+                                 np.eye(2, dtype=self.phi_dtype)[None],
+                                 np.ones(1, dtype=bool)))
 
-    def _new_subsets(self, new: list[int]) -> Iterator[np.ndarray]:
-        """Batches of the subsets holding a coordinate of `new`: for each
-        x in turn, the (k-2)-subsets of what is covered so far plus x."""
-        k = self.k
-
-        def subsets():
-            if k == 1:
-                # the empty subset lies in every ground set
-                if not self.covered:
-                    yield ()
-                self.covered.update(new)
-                return
-            for x in new:
-                for S in combinations(sorted(self.covered), k - 2):
-                    yield *S, x
-                self.covered.add(x)
-
-        return index_batches(subsets(), k - 1, _SOLVE_ROWS, self.dtype)
-
-    def grow(self, state: ExtensionState) -> int:
-        """Solve and store the subsets of Omega not cached yet; returns
-        how many rows that added."""
-        new = sorted(set(state.omega) - self.covered)
+    def grow(self, state: ExtensionState) -> tuple[int, int]:
+        """Cover the coordinates of Omega not covered yet, in increasing
+        order; returns how many functionals that derived and how many
+        pencils it solved."""
+        old = len(self.covered)
+        order = self.covered = self.covered + sorted(
+            set(state.omega).difference(self.covered))
+        if self.k == 1:
+            if old or not order:
+                return 0, 0
+            # the one (k-1)-subset is the empty one, killed by 1 in GF(q)^1
+            self.blocks.append((np.zeros((1, 0), self.dtype),
+                                np.ones((1, 1), self.phi_dtype),
+                                np.ones(1, dtype=bool)))
+            return 1, 0
         cols = _column_array(state)
+        solved = 0
+        if self.k > 2:
+            # pencils through each covered coordinate but the last, in cover
+            # order, so the (k-2)-subsets of order[:i] are the first C(i, k-2)
+            solved = self._solve(cols, (
+                (*S, order[i]) for i in range(max(old - 1, 0), len(order) - 1)
+                for S in combinations(order[:i], self.k - 3)))
+        added = sum(self._derive(cols, order[i], comb(i, self.k - 2))
+                    for i in range(old, len(order)))
+        return added, solved
+
+    def _solve(self, cols: np.ndarray, subsets: Iterator[tuple[int, ...]]) -> int:
+        """Eliminate the (k-2)-subsets and cache their pencils."""
+        solved = 0
+        for T in index_batches(subsets, self.k - 2, _SOLVE_ROWS, self.dtype):
+            psi, full = _batch_nullspace(self.kern, cols[T])
+            _append_rows(self.pencils, (T, psi.astype(self.phi_dtype), full))
+            solved += len(T)
+        return solved
+
+    def _derive(self, cols: np.ndarray, x: int, count: int) -> int:
+        """Cache the functional of T + x for the first `count` cached
+        pencils T, _SOLVE_ROWS pencils at a time."""
+        kern = self.kern
+        c = cols[x][:, None]
         added = 0
-        for E in self._new_subsets(new):
-            phi, full = _batch_nullspace(self.kern, cols[E])
-            rows = (E, phi[:, 0].astype(self.phi_dtype), full)
-            if self.blocks and len(self.blocks[-1][0]) + len(E) <= _BATCH:
-                rows = tuple(map(np.concatenate, zip(self.blocks.pop(), rows)))
-            self.blocks.append(rows)
-            added += len(E)
+        for T, pencil, full in self.pencils:
+            for lo in range(0, min(len(T), count), _SOLVE_ROWS):
+                rows = slice(lo, min(lo + _SOLVE_ROWS, count))
+                psi = pencil[rows].astype(kern.dtype)
+                dots = kern.matmul(psi, c)
+                phi = kern.mul(psi[:, 0], dots[:, 1])
+                kern.fms(phi, psi[:, 1], dots[:, 0])
+                E = np.concatenate(
+                    [T[rows], np.full((len(psi), 1), x, dtype=self.dtype)], axis=1)
+                ok = full[rows] & (phi != 0).any(axis=1)
+                _append_rows(self.blocks, (E, phi.astype(self.phi_dtype), ok))
+                added += len(E)
+            count -= len(T)
         return added
 
-    def paired(self, q: CoreQuery, lam: int) -> Iterator[np.ndarray]:
-        """Block by block, the functionals of the cached S0 for which
-        S0 + lam is a core."""
-        for E, phi, full in self.blocks:
+    def paired(self, q: CoreQuery, lam: int) -> list[np.ndarray]:
+        """Per block, the mask of the cached S0 for which S0 + lam is a
+        core."""
+        masks = []
+        for E, _, full in self.blocks:
             ok = core_mask(q, np.concatenate(
                 [E, np.full((len(E), 1), lam, dtype=E.dtype)], axis=1))
             if not full[ok].all():
                 raise RuntimeError(
                     "loop invariant violated: rank-deficient core basis in batch")
-            yield phi[ok].astype(self.kern.dtype)
+            masks.append(ok)
+        return masks
 
 
 def _core_functionals(state: ExtensionState, lam: int,
-                      basis: np.ndarray) -> tuple[np.ndarray, int]:
+                      basis: np.ndarray) -> tuple[np.ndarray, int, int]:
     """For every core S0 paired with lam, the b coefficients of the linear
     functional ker = span(S0) restricted to the b x k group-span basis,
-    with the number of subsets this step added to the cache.
+    with the numbers of functionals and pencils this step added to the cache.
 
     A candidate with coefficient vector c avoids span(S0) iff the matching
     row of the returned Psi has nonzero dot product with c. Rows follow
-    the cache's order; only the set of rows matters.
+    the cache's order, each up to a nonzero scalar; only the lines the
+    rows span matter.
     """
     kern = field_kernel(state.field)
-    added = state.functionals.grow(state)
-    psi_chunks = [kern.zeros((0, len(basis)))]
-    for phi in state.functionals.paired(state.core_query(), lam):
-        psi_chunks.append(kern.matmul(phi, basis.T))
-    return np.concatenate(psi_chunks), added
+    cache = state.functionals
+    added, solved = cache.grow(state)
+    masks = cache.paired(state.core_query(), lam)
+    # filled in place: concatenating projected blocks would hold Psi twice,
+    # which set the peak memory of a large build
+    psi = kern.zeros((sum(int(ok.sum()) for ok in masks), len(basis)))
+    at = 0
+    for (_, phi, _), ok in zip(cache.blocks, masks):
+        rows = kern.matmul(phi[ok].astype(kern.dtype), basis.T)
+        psi[at:at + len(rows)] = rows
+        at += len(rows)
+    return psi, added, solved
 
 
 def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[int, ...]:
@@ -381,7 +444,7 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     kern = field_kernel(state.field)
     basis = kern.array([row for _, row in _group_span_basis(state, group)]
                        ).reshape(-1, state.params.k)
-    psi, added = _core_functionals(state, lam, basis)
+    psi, added, solved = _core_functionals(state, lam, basis)
 
     def accept(C: np.ndarray) -> np.ndarray:
         return (kern.matmul(psi, C.T) != 0).all(axis=0)
@@ -392,8 +455,8 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
 
     coeffs, draws, scanned = _avoidance_search(
         state, lam, len(basis), accept, contained, psi.shape[0])
-    state.steps.append(StepStats(lam, added, psi.shape[0], draws, scanned,
-                                 time.perf_counter() - start))
+    state.steps.append(StepStats(lam, added, solved, psi.shape[0], draws,
+                                 scanned, time.perf_counter() - start))
     return tuple(kern.matmul(kern.array([coeffs]), basis)[0].tolist())
 
 

@@ -83,6 +83,8 @@ class LocalityReport:
     per_group: tuple[GroupLocality, ...]
     covered: bool
     overall: bool
+    # work done: recovery subsets eliminated, summed over the groups
+    scanned: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def check_locality(code: LrcCode) -> LocalityReport:
     m = code.generator
     r, delta = code.params.r, code.params.delta
     n = code.params.n
-    covered = 0
+    covered = scanned = 0
     entries = []
     for i, (g, msk) in enumerate(
             zip(code.structure.groups, code.structure.masks), start=1):
@@ -176,14 +178,15 @@ def check_locality(code: LrcCode) -> LocalityReport:
         ok = grank <= r
         witness = None
         if ok:
-            witness, _ = _first_deficient(m, len(g) - delta + 1, grank, cols=g)
+            witness, work = _first_deficient(m, len(g) - delta + 1, grank, cols=g)
+            scanned += work
             ok = witness is None
         entries.append(GroupLocality(index=i, group=g, rank=grank, ok=ok,
                                      witness=witness))
     all_covered = covered == (1 << n) - 1
     overall = all_covered and all(e.ok for e in entries)
     return LocalityReport(per_group=tuple(entries), covered=all_covered,
-                          overall=overall)
+                          overall=overall, scanned=scanned)
 
 
 def _weight_enumeration(m: Matrix) -> DistanceReport:

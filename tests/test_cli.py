@@ -297,6 +297,23 @@ def test_verify_names_no_route_when_locality_fails(tmp_path, capsys):
             in out)
 
 
+def test_verify_prints_the_locality_work(tmp_path, capsys):
+    # three groups of 4 with delta = 3: C(4, 2) recovery pairs each; a
+    # group whose rank exceeds r fails before its pairs are scanned
+    out_file = tmp_path / "code.json"
+    run(capsys, ["construct", "12", "5", "2", "3", "--field", "499",
+                 "--out", str(out_file)])
+    rc, out, _ = run(capsys, ["verify", str(out_file)])
+    assert rc == 0 and "locality: OK, 18 scanned\n" in out
+    data = json.loads(out_file.read_text())
+    for row in data["code"]["generator"]["data"]:
+        row[0] = row[4]
+    out_file.write_text(json.dumps(data))
+    rc, out, _ = run(capsys, ["verify", str(out_file)])
+    assert rc == 1 and "locality: FAIL, 12 scanned\n" in out
+    assert "  group 1 {1,2,3,4}: rank 3  FAIL (rank exceeds r)" in out
+
+
 def test_verify_budget_exhaustion_is_not_failure(tmp_path, capsys):
     out_file = tmp_path / "code.json"
     run(capsys, ["construct", "12", "5", "2", "3", "--field", "499",

@@ -8,6 +8,7 @@ import textwrap
 from itertools import combinations, islice
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -183,22 +184,34 @@ def _per_step_psi(state, lam, basis):
     return kern.matmul(phi, basis.T)
 
 
+def _projective_rows(f, rows):
+    """The rows, each nonzero one scaled to lead with 1, sorted: two
+    arrays give the same list iff their rows agree up to order and
+    nonzero scalars."""
+    out = []
+    for row in rows.tolist():
+        inv = f.inv(next((v for v in row if v), 1))
+        out.append(tuple(f.mul(inv, v) for v in row))
+    return sorted(out)
+
+
 def _checked_core_functionals(compared):
     real = construct_mod._core_functionals
 
     def step(state, lam, basis):
         want = _per_step_psi(state, lam, basis)
-        psi, added = real(state, lam, basis)
-        assert (sorted(map(tuple, psi.tolist()))
-                == sorted(map(tuple, want.tolist()))), (state.params, lam)
+        psi, added, solved = real(state, lam, basis)
+        assert (_projective_rows(state.field, psi)
+                == _projective_rows(state.field, want)), (state.params, lam)
         compared.append(lam)
-        return psi, added
+        return psi, added, solved
     return step
 
 
 def test_cached_functionals_match_per_step_solve(monkeypatch):
     # the cache's Psi, at every step, holds the same rows as solving each
-    # paired core afresh; only the row order may differ
+    # paired core afresh, up to row order and nonzero row scalars; also
+    # with cache blocks of a few rows, so Psi gathers many blocks
     compared = []
     monkeypatch.setattr(construct_mod, "_core_functionals",
                         _checked_core_functionals(compared))
@@ -217,10 +230,12 @@ def test_cached_functionals_match_per_step_solve(monkeypatch):
         lambda: construct(CodeParams(9, 2, 1, 3), field_make(11), seed=0),
         lambda: construct(CodeParams(8, 2, 1, 2), field_make(2, 4), seed=1),
     ]
-    for build in builds:
-        before = len(compared)
-        build()
-        assert len(compared) > before
+    for batch in (5, construct_mod._BATCH):
+        monkeypatch.setattr(construct_mod, "_BATCH", batch)
+        for build in builds:
+            before = len(compared)
+            build()
+            assert len(compared) > before
     # hand-built states: Omega set directly, nothing cached yet
     state = _gf5_five_lines_state()
     a, b = pick_extension_vector(state, 3, 1)
@@ -233,6 +248,103 @@ def test_cached_functionals_match_per_step_solve(monkeypatch):
     pick_extension_vector(state, 6, 2)
     assert compared[-3:] == [3, 3, 6]
     assert [s.rows_added for s in state.steps] == [comb(4, 2), comb(4, 1)]
+
+
+def _cache_state(f, n, k, rng):
+    """Random columns for coordinates 1..n over f with planted defects: a
+    zero column, a column parallel to another (for k >= 3, every subset
+    through both is deficient) and, for k >= 4, a column in the span of
+    two others."""
+    cols = {x: tuple(rng.randrange(f.q) for _ in range(k)) for x in range(1, n + 1)}
+    x0, x1, x2, x3, x4, x5 = rng.sample(range(1, n + 1), 6)
+    cols[x0] = (0,) * k
+    cols[x1] = tuple(f.mul(3, v) for v in cols[x2])
+    if k >= 4:
+        cols[x3] = tuple(f.add(u, f.mul(5, v)) for u, v in zip(cols[x4], cols[x5]))
+    return SimpleNamespace(field=f, params=SimpleNamespace(n=n, k=k),
+                           columns=cols, omega=[])
+
+
+@pytest.mark.parametrize("f", [field_make(11), field_make(1000003),
+                               field_make(2, 4), field_make(4294967311)], ids=repr)
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
+    # after every growth, the cache holds each (k-1)-subset of the covered
+    # coordinates once; its flag is the subset's full rank, and a full
+    # subset's functional is its own nullspace up to a nonzero scalar;
+    # also with blocks and slices of a few rows, so that a coordinate's
+    # pencils span several blocks
+    rng = random.Random(f.q * 10 + k)
+    kern = field_kernel(f)
+    deficient_pencils = 0
+    for batch, rows in [(1 << 17, 1 << 14), (5, 2), (3, 3), (1, 1)]:
+        monkeypatch.setattr(construct_mod, "_BATCH", batch)
+        monkeypatch.setattr(construct_mod, "_SOLVE_ROWS", rows)
+        n = 9
+        state = _cache_state(f, n, k, rng)
+        cache = construct_mod._FunctionalCache(f, n, k)
+        # cover a few coordinates, then one or two at a time, in an order
+        # that is not increasing
+        order = rng.sample(range(1, n + 1), n)
+        cuts = [rng.randrange(1, 5)]
+        while cuts[-1] < n:
+            cuts.append(min(n, cuts[-1] + rng.randrange(1, 3)))
+        for cut in cuts:
+            state.omega = order[:cut]
+            cache.grow(state)
+            if cut < k - 1:
+                assert not cache.blocks
+                continue
+            E, phi, full = (np.concatenate(a) for a in zip(*cache.blocks))
+            assert (sorted(tuple(sorted(S)) for S in E.tolist())
+                    == list(combinations(sorted(order[:cut]), k - 1)))
+            want, want_full = _batch_nullspace(
+                kern, construct_mod._column_array(state)[E.astype(np.int64)])
+            assert full.tolist() == want_full.tolist(), (f, k, cut)
+            for i in np.flatnonzero(full):
+                assert (_projective_rows(f, phi[i:i + 1].astype(kern.dtype))
+                        == _projective_rows(f, want[i, :1])), (f, k, E[i])
+            deficient_pencils += sum(int((~ok).sum()) for _, _, ok in cache.pencils)
+    if k >= 3:
+        assert deficient_pencils
+
+
+def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
+    builds = [
+        lambda: construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0),
+        lambda: construct(CodeParams(10, 5, 2, 2), field_make(2, 8), seed=1),
+        lambda: run_extension(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
+                              field_make(29)),
+    ]
+    for build in builds:
+        want = build()
+        monkeypatch.setattr(construct_mod, "_SOLVE_ROWS", 7)
+        real_nullspace, real_append = (construct_mod._batch_nullspace,
+                                       construct_mod._append_rows)
+        shapes, appended, pencils = [], [], []
+
+        def nullspace(kern, A):
+            shapes.append(A.shape)
+            return real_nullspace(kern, A)
+
+        def append(blocks, rows):
+            appended.append(len(rows[0]))
+            if rows[1].ndim == 3:  # (T, psi1 and psi2, flag)
+                pencils.extend(frozenset(T) for T in rows[0].tolist())
+            real_append(blocks, rows)
+
+        monkeypatch.setattr(construct_mod, "_batch_nullspace", nullspace)
+        monkeypatch.setattr(construct_mod, "_append_rows", append)
+        code = build()
+        monkeypatch.undo()
+        p = code.params
+        assert code.generator == want.generator
+        # only (k-2)-subsets are eliminated, each once, 7 at a time, and
+        # the functionals are derived 7 pencils at a time
+        assert shapes and all(m == p.k - 2 and N <= 7 for N, m, _ in shapes)
+        assert max(appended) <= 7
+        assert len(pencils) == len(set(pencils)) == sum(N for N, _, _ in shapes)
+        assert len(pencils) == sum(s.pencils_solved for s in code.steps)
 
 
 def test_dependent_column_still_breaks_the_next_step(monkeypatch):
@@ -248,7 +360,7 @@ def test_dependent_column_still_breaks_the_next_step(monkeypatch):
         return state.columns[5] if lam == 3 else col
 
     def per_step(state, lam, rows):
-        return _per_step_psi(state, lam, rows), 0
+        return _per_step_psi(state, lam, rows), 0, 0
 
     for f in (field_make(499), field_make(2, 9)):
         for functionals in (construct_mod._core_functionals, per_step):
@@ -288,8 +400,15 @@ def test_step_stats_count_cores_rows_and_draws():
             assert 1 <= s.draws <= construct_mod.RANDOM_ATTEMPTS
             assert s.scan_steps == 0 and s.seconds >= 0
             omega.append(s.lam)
-        # every (k-1)-subset of the last step's Omega was solved once
+        # every (k-1)-subset of the last step's Omega was derived once, from
+        # pencils of (k-2)-subsets eliminated once each, all but those
+        # through the last coordinate covered (k = 2 starts from the
+        # empty subset's pencil, which takes no elimination)
         assert sum(s.rows_added for s in code.steps) == comb(p.n - 1, p.k - 1)
+        solved = sum(s.pencils_solved for s in code.steps)
+        if p.k >= 2:
+            assert solved <= comb(p.n - 1, p.k - 2)
+        assert solved == (comb(p.n - 2, p.k - 2) if p.k > 2 else 0)
         assert "steps" not in code.to_json()
 
 
@@ -462,7 +581,7 @@ def test_fallback_scan_matches_scalar_product_order(f, monkeypatch):
         monkeypatch.setattr(construct_mod, "_SCAN_LIMIT", limit)
         monkeypatch.setattr(construct_mod, "_BATCH", rows * max(1, len(psi)))
         monkeypatch.setattr(construct_mod, "_core_functionals",
-                            lambda state, lam, basis: (P, 0))
+                            lambda state, lam, basis: (P, 0, 0))
         state = _unit_state(f, b)
         total = (f.q ** b - 1) // (f.q - 1)
         want, lines = _scalar_scan(f, psi, b,

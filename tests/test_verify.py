@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -121,6 +122,25 @@ def test_locality_witness_matches_scalar_scan():
     for e in rep.per_group:
         keep = len(e.group) - 3 + 1
         assert e.witness == oracle_first_deficient(m, keep, e.rank, cols=e.group)
+
+
+def test_locality_counts_the_subsets_it_eliminates():
+    # every (|g|-delta+1)-subset of a group of rank at most r is
+    # eliminated; a group over rank r fails without a scan
+    assert check_locality(gf4_code()).scanned == 2 * comb(3, 2)
+    assert check_locality(gf4_code(delta=3)).scanned == 2 * comb(3, 1)
+    code = construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0)
+    rep = check_locality(code)
+    assert rep.overall and rep.scanned == 3 * comb(4, 2)
+    cols = code.generator.columns()
+    cols[0] = cols[4]
+    broken = LrcCode(field=code.field, generator=Matrix.from_columns(code.field, cols),
+                     structure=code.structure, params=code.params,
+                     claimed_d=code.claimed_d)
+    bad = check_locality(broken)
+    assert bad.per_group[0].rank == 3 and bad.scanned == 2 * comb(4, 2)
+    # the count is work done, not part of the verdict
+    assert bad == replace(bad, scanned=0)
 
 
 def test_locality_rejects_group_below_delta():
