@@ -54,12 +54,14 @@ class CodeFile:
         except (LrcError, ArithmeticError, AttributeError, IndexError, TypeError,
                 ValueError) as exc:
             raise CodeFileError(f"malformed code file: {exc}") from exc
-        return cls(
-            code=code,
-            seed=data.get("seed"),
-            tool_version=data.get("tool_version", ""),
-            created_at=data.get("created_at", ""),
-        )
+        seed = data.get("seed")
+        if seed is not None and type(seed) is not int:
+            raise CodeFileError(f"seed must be an integer or null, got {seed!r}")
+        strings = {key: data.get(key, "") for key in ("tool_version", "created_at")}
+        for key, value in strings.items():
+            if not isinstance(value, str):
+                raise CodeFileError(f"{key} must be a string, got {value!r}")
+        return cls(code=code, seed=seed, **strings)
 
 
 def save_code(code: LrcCode, path: Union[str, Path],

@@ -14,11 +14,12 @@ assigned coordinates has a linear functional whose kernel is span(S0),
 and a candidate is accepted when none of the functionals of the cores
 paired with lam vanishes on it. The functionals are cached across
 steps: a subset's functional depends only on its own columns, which
-never change once assigned. Each is derived from its (k-2)-prefix's
-pencil, the two functionals vanishing on that prefix, with two dot
-products; only the pencils are solved (by Gauss-Jordan on the field's
-numpy kernel), each once per construction. Each step picks the paired
-cores out of the cache with one batched core mask.
+never change once assigned. Nothing is eliminated: the functionals
+vanishing on T + x come from those vanishing on T and the column of x
+by one annihilator step (`linalg._annihilate`), so the cache is a tower
+of the j-subsets for j = 0 .. k-1, each derived once from its prefix.
+Each step picks the paired cores out of the cache with one batched core
+mask.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 from math import comb
 from operator import index
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .covers import validate as validate_structure
 # functions under the module names their callers use, finds them.
 from .cores import _BATCH, CoreQuery, core_mask, index_batches, lambda_cores, omega0
 from .errors import (
+    CodeFileError,
     DimensionMismatch,
     FieldMismatch,
     FieldTooSmall,
@@ -60,8 +62,8 @@ from .errors import (
     UnknownCase,
 )
 from .gf import FieldSpec, field_at_least, field_kernel
-from .linalg import (Basis, Matrix, _batch_nullspace, _batch_rref,
-                     reduce_vector, reduced_basis)
+from .linalg import (Basis, Matrix, _annihilate, _batch_rref, reduce_vector,
+                     reduced_basis)
 from .params import (
     EXISTS,
     EXISTS_MDS,
@@ -92,26 +94,23 @@ RANDOM_ATTEMPTS = 64
 # sweep completely (only reachable after 64 failed draws at huge q).
 _SCAN_LIMIT = 1 << 20
 
-# Subsets per elimination, and pencils per derivation, when the functional
-# cache grows. Smaller than the cache's blocks of _BATCH rows: the
-# gathered matrices and their temporaries are several times a block's own
-# size. At [37,7,3,3] an eighth of _BATCH eliminated as fast as a full one
-# with 50 MB less peak memory, and deriving in such slices kept
-# construct-large's peak RSS about 3% below deriving whole blocks at once.
+# Rows per annihilator step as the functional cache grows, and subsets per
+# elimination in the invariant recheck: fewer than the _BATCH rows a core
+# mask takes, as the gathered bases and their temporaries are several
+# times a slice's own size.
 _SOLVE_ROWS = _BATCH // 8
 
 
 @dataclass(frozen=True)
 class StepStats:
     """What one extension step did: the coordinate lam it assigned, the
-    (k-1)-subsets whose functionals it derived into the cache, the
-    (k-2)-subsets it eliminated for their pencils, the cores paired with
-    lam, the random draws and scan candidates it tried, and its wall time.
+    (k-1)-subsets whose functionals it derived into the cache, the cores
+    paired with lam, the random draws and scan candidates it tried, and
+    its wall time.
     """
 
     lam: int
     rows_added: int
-    pencils_solved: int
     cores: int
     draws: int
     scan_steps: int
@@ -154,9 +153,16 @@ class LrcCode:
             structure=structure_from_json(data["structure"]),
             params=CodeParams(*(index(pp[key]) for key in ("n", "k", "r", "delta"))),
             claimed_d=index(data["claimed_d"]),
-            trace=tuple((lam, tuple(col)) for lam, col in data["trace"]),
+            trace=tuple((index(lam), tuple(map(index, col)))
+                        for lam, col in data["trace"]),
         )
         code.validate()
+        lams = [lam for lam, _ in code.trace]
+        if len(set(lams)) < len(lams):
+            raise CodeFileError(f"trace assigns a coordinate twice: {lams}")
+        for lam, col in code.trace:  # column() rejects lam outside [1, n]
+            if col != code.generator.column(lam):
+                raise CodeFileError(f"trace column {lam} is not the generator's")
         if isinstance(code.structure, Frame):
             # cores read a frame's hub layout; a CoverSet may overlap (the
             # windows of an r = k code), so it keeps the range checks only
@@ -282,118 +288,75 @@ def _column_array(state: ExtensionState) -> np.ndarray:
     return cols
 
 
-def _append_rows(blocks: list, rows: tuple[np.ndarray, ...]) -> None:
-    """Add rows to a list of blocks of parallel arrays, filling its last
-    block up to _BATCH rows before starting another."""
-    if blocks and len(blocks[-1][0]) + len(rows[0]) <= _BATCH:
-        rows = tuple(map(np.concatenate, zip(blocks.pop(), rows)))
-    blocks.append(rows)
-
-
 class _FunctionalCache:
-    """Every (k-1)-subset S0 of the covered coordinates with the
-    functional whose kernel is span(S0) and a full-rank flag, as index,
-    functional and flag arrays in blocks of at most _BATCH rows.
-
-    The functionals are derived, not solved. A second cache, of pencils,
-    holds each (k-2)-subset T of the covered coordinates with two
-    functionals psi1, psi2 that vanish on T and its full-rank flag; when T
-    is independent they span every functional vanishing on T. Covering x
-    derives, for every cached T, the functional of T + x as
-    (psi2 . c_x) psi1 - (psi1 . c_x) psi2, which vanishes on T and on c_x,
-    and is zero exactly when T is deficient or c_x lies in span(T). Only
-    pencils are eliminated, each once, when the coordinate covered after
-    their last one is: at most C(n-2, k-2) per construction, as the last
-    covered coordinate's pencils are never needed.
+    """A tower of levels j = 0 .. k-1 of index, basis and flag arrays: a
+    row of level j is a j-subset T of the covered coordinates, a basis of
+    the k-j functionals that vanish on span(T), and whether T has full
+    rank. Level 0 is the empty subset with the identity; covering x
+    derives T + x at level j from T at level j-1 by one `_annihilate`
+    step. Rows stay in cover order, so the first C(i, j) rows of level j
+    are the j-subsets of the first i covered coordinates. Each level is
+    allocated once with C(n-1, j) rows, what a build fills, as the last
+    coordinate it assigns is never covered.
 
     A cached row is never recomputed, so a covered coordinate must keep
     its column. Subset indices are stored in the narrowest unsigned
     dtype that holds n, and int64 functionals in the narrowest one that
     holds q-1; they are widened back to the kernel's dtype when read.
-    Rows of deficient subsets stay, flagged: only a deficient subset
-    paired with lam as a core breaks the loop invariant.
+    Rows of deficient subsets stay, zero and flagged: only a deficient
+    subset paired with lam as a core breaks the loop invariant.
     """
 
     def __init__(self, field: FieldSpec, n: int, k: int) -> None:
         self.kern = field_kernel(field)
-        self.k = k
-        self.dtype = np.min_scalar_type(n)
-        self.phi_dtype = (np.min_scalar_type(field.q - 1)
-                          if self.kern.dtype == np.int64 else self.kern.dtype)
+        self.n, self.k = n, k
+        dtype = np.min_scalar_type(n)
+        phi_dtype = (np.min_scalar_type(field.q - 1)
+                     if self.kern.dtype == np.int64 else self.kern.dtype)
         self.covered: list[int] = []
-        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.pencils: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        if k == 2:
-            # the empty subset: every functional on GF(q)^2 vanishes on it
-            self.pencils.append((np.zeros((1, 0), self.dtype),
-                                 np.eye(2, dtype=self.phi_dtype)[None],
-                                 np.ones(1, dtype=bool)))
+        self.levels = [(np.empty((comb(n - 1, j), j), dtype),
+                        np.empty((comb(n - 1, j), k - j, k), phi_dtype),
+                        np.empty(comb(n - 1, j), dtype=bool)) for j in range(k)]
+        self.levels[0][1][0] = np.eye(k, dtype=phi_dtype)
+        self.levels[0][2][0] = True
 
-    def grow(self, state: ExtensionState) -> tuple[int, int]:
+    def grow(self, state: ExtensionState) -> int:
         """Cover the coordinates of Omega not covered yet, in increasing
-        order; returns how many functionals that derived and how many
-        pencils it solved."""
+        order, level by level in slices of _SOLVE_ROWS rows; returns how
+        many (k-1)-subsets that added."""
         old = len(self.covered)
         order = self.covered = self.covered + sorted(
             set(state.omega).difference(self.covered))
-        if self.k == 1:
-            if old or not order:
-                return 0, 0
-            # the one (k-1)-subset is the empty one, killed by 1 in GF(q)^1
-            self.blocks.append((np.zeros((1, 0), self.dtype),
-                                np.ones((1, 1), self.phi_dtype),
-                                np.ones(1, dtype=bool)))
-            return 1, 0
+        if len(order) >= self.n:
+            raise PreconditionViolated(
+                f"the cache holds subsets of at most {self.n - 1} coordinates")
         cols = _column_array(state)
-        solved = 0
-        if self.k > 2:
-            # pencils through each covered coordinate but the last, in cover
-            # order, so the (k-2)-subsets of order[:i] are the first C(i, k-2)
-            solved = self._solve(cols, (
-                (*S, order[i]) for i in range(max(old - 1, 0), len(order) - 1)
-                for S in combinations(order[:i], self.k - 3)))
-        added = sum(self._derive(cols, order[i], comb(i, self.k - 2))
-                    for i in range(old, len(order)))
-        return added, solved
-
-    def _solve(self, cols: np.ndarray, subsets: Iterator[tuple[int, ...]]) -> int:
-        """Eliminate the (k-2)-subsets and cache their pencils."""
-        solved = 0
-        for T in index_batches(subsets, self.k - 2, _SOLVE_ROWS, self.dtype):
-            psi, full = _batch_nullspace(self.kern, cols[T])
-            _append_rows(self.pencils, (T, psi.astype(self.phi_dtype), full))
-            solved += len(T)
-        return solved
-
-    def _derive(self, cols: np.ndarray, x: int, count: int) -> int:
-        """Cache the functional of T + x for the first `count` cached
-        pencils T, _SOLVE_ROWS pencils at a time."""
-        kern = self.kern
-        c = cols[x][:, None]
-        added = 0
-        for T, pencil, full in self.pencils:
-            for lo in range(0, min(len(T), count), _SOLVE_ROWS):
-                rows = slice(lo, min(lo + _SOLVE_ROWS, count))
-                psi = pencil[rows].astype(kern.dtype)
-                dots = kern.matmul(psi, c)
-                phi = kern.mul(psi[:, 0], dots[:, 1])
-                kern.fms(phi, psi[:, 1], dots[:, 0])
-                E = np.concatenate(
-                    [T[rows], np.full((len(psi), 1), x, dtype=self.dtype)], axis=1)
-                ok = full[rows] & (phi != 0).any(axis=1)
-                _append_rows(self.blocks, (E, phi.astype(self.phi_dtype), ok))
-                added += len(E)
-            count -= len(T)
-        return added
+        xs = np.array(order, dtype=self.levels[0][0].dtype)
+        for j in range(1, self.k):
+            (E0, A0, _), (E, A, full) = self.levels[j - 1], self.levels[j]
+            # covered coordinate i owns rows C(i, j) .. C(i+1, j) - 1
+            starts = np.array([comb(i, j) for i in range(old, len(order) + 1)])
+            for lo in range(starts[0], starts[-1], _SOLVE_ROWS):
+                hi = min(lo + _SOLVE_ROWS, starts[-1])
+                i = np.searchsorted(starts, np.arange(lo, hi), side="right") - 1
+                src = np.arange(lo, hi) - starts[i]
+                x = xs[old + i]
+                A[lo:hi], full[lo:hi] = _annihilate(
+                    self.kern, A0[src].astype(self.kern.dtype), cols[x])
+                E[lo:hi] = np.concatenate([E0[src], x[:, None]], axis=1)
+        return comb(len(order), self.k - 1) - comb(old, self.k - 1)
 
     def paired(self, q: CoreQuery, lam: int) -> list[np.ndarray]:
-        """Per block, the mask of the cached S0 for which S0 + lam is a
-        core."""
+        """Per slice of _BATCH rows of the top level, the mask of the
+        cached S0 for which S0 + lam is a core."""
+        E, _, full = self.levels[-1]
+        live = comb(len(self.covered), self.k - 1)
         masks = []
-        for E, _, full in self.blocks:
+        for lo in range(0, live, _BATCH):
+            hi = min(lo + _BATCH, live)
             ok = core_mask(q, np.concatenate(
-                [E, np.full((len(E), 1), lam, dtype=E.dtype)], axis=1))
-            if not full[ok].all():
+                [E[lo:hi], np.full((hi - lo, 1), lam, dtype=E.dtype)], axis=1))
+            if not full[lo:hi][ok].all():
                 raise RuntimeError(
                     "loop invariant violated: rank-deficient core basis in batch")
             masks.append(ok)
@@ -401,10 +364,10 @@ class _FunctionalCache:
 
 
 def _core_functionals(state: ExtensionState, lam: int,
-                      basis: np.ndarray) -> tuple[np.ndarray, int, int]:
+                      basis: np.ndarray) -> tuple[np.ndarray, int]:
     """For every core S0 paired with lam, the b coefficients of the linear
     functional ker = span(S0) restricted to the b x k group-span basis,
-    with the numbers of functionals and pencils this step added to the cache.
+    with the number of functionals this step added to the cache.
 
     A candidate with coefficient vector c avoids span(S0) iff the matching
     row of the returned Psi has nonzero dot product with c. Rows follow
@@ -413,17 +376,18 @@ def _core_functionals(state: ExtensionState, lam: int,
     """
     kern = field_kernel(state.field)
     cache = state.functionals
-    added, solved = cache.grow(state)
+    added = cache.grow(state)
     masks = cache.paired(state.core_query(), lam)
-    # filled in place: concatenating projected blocks would hold Psi twice,
+    _, phi, _ = cache.levels[-1]
+    # filled in place: concatenating projected slices would hold Psi twice,
     # which set the peak memory of a large build
     psi = kern.zeros((sum(int(ok.sum()) for ok in masks), len(basis)))
     at = 0
-    for (_, phi, _), ok in zip(cache.blocks, masks):
-        rows = kern.matmul(phi[ok].astype(kern.dtype), basis.T)
+    for lo, ok in zip(range(0, len(phi), _BATCH), masks):
+        rows = kern.matmul(phi[lo:lo + len(ok), 0][ok].astype(kern.dtype), basis.T)
         psi[at:at + len(rows)] = rows
         at += len(rows)
-    return psi, added, solved
+    return psi, added
 
 
 def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[int, ...]:
@@ -444,7 +408,7 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     kern = field_kernel(state.field)
     basis = kern.array([row for _, row in _group_span_basis(state, group)]
                        ).reshape(-1, state.params.k)
-    psi, added, solved = _core_functionals(state, lam, basis)
+    psi, added = _core_functionals(state, lam, basis)
 
     def accept(C: np.ndarray) -> np.ndarray:
         return (kern.matmul(psi, C.T) != 0).all(axis=0)
@@ -455,7 +419,7 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
 
     coeffs, draws, scanned = _avoidance_search(
         state, lam, len(basis), accept, contained, psi.shape[0])
-    state.steps.append(StepStats(lam, added, solved, psi.shape[0], draws,
+    state.steps.append(StepStats(lam, added, psi.shape[0], draws,
                                  scanned, time.perf_counter() - start))
     return tuple(kern.matmul(kern.array([coeffs]), basis)[0].tolist())
 

@@ -349,10 +349,12 @@ class _Kernel:
                 yield out
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """A @ B over the field for a ... x m array A and an m x n array B."""
-        acc = self.zeros(A.shape[:-1] + B.shape[1:])
-        for j in range(B.shape[0]):
-            self.fma(acc, A[..., j, None], B[j])
+        """A @ B over the field for a ... x l x m array A and an m x n
+        array B, or a ... x m x n batch of them, broadcast like numpy's."""
+        acc = self.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                         + A.shape[-2:-1] + B.shape[-1:])
+        for j in range(B.shape[-2]):
+            self.fma(acc, A[..., j, None], B[..., j, None, :])
         return acc
 
 
@@ -381,7 +383,7 @@ class _PrimeKernel(_Kernel):
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         # one reduction at the end while m products of residues fit in int64
-        if self.dtype is np.int64 and B.shape[0] * (self.p - 1) ** 2 < 2 ** 63:
+        if self.dtype is np.int64 and B.shape[-2] * (self.p - 1) ** 2 < 2 ** 63:
             return A @ B % self.p
         return super().matmul(A, B)
 

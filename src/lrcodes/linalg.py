@@ -7,8 +7,9 @@ match coordinate-set conventions used throughout the package.
 
 Single matrices are reduced in scalar Python (`rank`, reduced bases);
 many small matrices at once go through `_batch_rref`, the one batched
-elimination, on the field's numpy kernel; `_batch_nullspace` reads
-the functionals that vanish on each matrix's rows off it.
+elimination, on the field's numpy kernel. The functionals that vanish
+on column sets are never eliminated: `_annihilate` extends a basis of
+those of T to those of T + c, one column at a time from the identity.
 """
 
 from __future__ import annotations
@@ -235,19 +236,19 @@ def _batch_rref(kern, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return piv_col, lead
 
 
-def _batch_nullspace(kern, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right nullspace bases for a batch of m x kk matrices (A is
-    overwritten), as N x (kk-m) x kk, with a mask of the matrices of
-    full rank m. Only the masked entries are bases: their rows phi span
-    the functionals with phi . a = 0 for every row a of A."""
-    N, m, kk = A.shape
-    piv_col, lead = _batch_rref(kern, A)
-    pivmask = np.zeros((N, kk), dtype=bool)
-    np.put_along_axis(pivmask, piv_col, True, axis=1)
-    free = np.argsort(pivmask, axis=1, kind="stable")[:, :kk - m]
-    vals = np.take_along_axis(A, free[:, None, :], axis=2)
-    x = kern.zeros((N, kk - m, kk))
-    np.put_along_axis(x, np.broadcast_to(piv_col[:, None, :], (N, kk - m, m)),
-                      kern.neg(vals).transpose(0, 2, 1), axis=2)
-    np.put_along_axis(x, free[:, :, None], 1, axis=2)
-    return x, lead == m
+def _annihilate(kern, A: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bases (N x m x kk) of the functionals vanishing on column sets T,
+    and one column c (N x kk) each, to bases (N x (m-1) x kk) for T + c:
+    with a = A.c and p its first nonzero entry, the rows a_p A_i - a_i A_p
+    for i != p. T + c has full rank iff T has and a != 0, the mask
+    returned. Where a = 0 the rows are zero, so a deficient set keeps a
+    zero basis, and a = 0, in every later step."""
+    N, m, _ = A.shape
+    a = kern.matmul(A, c[:, :, None])[:, :, 0]
+    nonzero = a != 0
+    p = nonzero.argmax(axis=1)
+    rows = np.arange(N)[:, None]
+    rest = np.arange(m - 1) + (np.arange(m - 1) >= p[:, None])
+    out = kern.mul(A[rows, rest], a[rows, p[:, None], None])
+    kern.fms(out, a[rows, rest, None], A[rows, p[:, None]])
+    return out, nonzero.any(axis=1)

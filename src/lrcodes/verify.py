@@ -8,8 +8,10 @@ scan of the pencils of hyperplanes through (k-2)-subsets of the
 columns), and optimality is certified by an exhaustive full-rank
 check at the single subset size the distance bound makes decisive: by
 the same pencil scan, or by a sweep of the subsets themselves when
-that eliminates fewer. Each report says which route ran and how much
-it eliminated.
+that scans fewer. The pencils take no elimination: each comes from its
+(k-3)-prefix's functionals by one annihilator step, and each prefix's
+from the identity by k-3. Each report says which route ran and how much
+it scanned.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .gf import field_kernel
 # extend_basis is not called here: it is imported so that the benchmark's
 # tracer (perfbench/tracer.py), which wraps functions under the module
 # names their callers use, finds it.
-from .linalg import Matrix, _batch_nullspace, _batch_rref, extend_basis, rank
+from .linalg import Matrix, _annihilate, _batch_rref, extend_basis, rank
 from .params import distance_bound
 
 __all__ = [
@@ -62,7 +64,7 @@ SUBSET_ROUTE = "subset-scan"
 DEFAULT_BUDGET = 10 ** 7
 
 # Field entries per batch in the subset and pencil scans (a subset's
-# matrix, or a pencil's elimination plus its projection of the n
+# matrix, or a pencil's prefix basis plus its projection of the n
 # columns); this bounds the working memory of one batch.
 _BATCH_CELLS = 1 << 15
 
@@ -94,7 +96,7 @@ class DistanceReport:
     # weight method: a minimum-weight codeword; rank method: the largest
     # column set of deficient rank, as sorted 1-based indices
     witness: tuple[int, ...]
-    # work done: codewords enumerated (one per line), or pencils eliminated
+    # work done: codewords enumerated (one per line), or pencils scanned
     scanned: int = field(default=0, compare=False)
 
 
@@ -108,7 +110,7 @@ class OptimalityReport:
     locality: LocalityReport
     note: str
     # PENCIL_ROUTE or SUBSET_ROUTE (None when locality failed first), and
-    # the pencils or subsets it eliminated; subsets_total stays C(n, s)
+    # the pencils or subsets it scanned; subsets_total stays C(n, s)
     route: Optional[str] = field(default=None, compare=False)
     scanned: int = field(default=0, compare=False)
 
@@ -242,6 +244,35 @@ def _pencil_hyperplanes(kern, psi: np.ndarray, columns: np.ndarray
     return label, span, np.where(span, np.where(z == n, n, 0), z + shared)
 
 
+def _pencils(kern, columns: np.ndarray) -> Iterator[np.ndarray]:
+    """The pencils of the independent (k-2)-subsets T of the n x k columns,
+    in lexicographic order, as N x 2 x k batches of the two functionals
+    that vanish on T. A batch of (k-3)-prefixes P gets its functionals by
+    k-3 annihilator steps from the identity, and each P + x, x > max(P),
+    by one more."""
+    n, k = columns.shape
+    eye = kern.array(np.eye(k, dtype=np.int64))
+    if k == 2:  # the empty subset: every functional vanishes on it
+        yield eye[None]
+        return
+    rows = max(1, _BATCH_CELLS // ((k - 2) * k + 2 * n))
+    # a prefix's first step works on the k x k identity, with temporaries
+    # of about three times its size
+    for P in _subset_batches(range(n), k - 3, 4 * k * k):
+        A = np.repeat(eye[None], len(P), axis=0)
+        for t in range(k - 3):
+            A, _ = _annihilate(kern, A, columns[P[:, t]])
+        # prefix i owns the pencils ends[i-1] .. ends[i] - 1, whose last
+        # columns run up to n - 1
+        ends = np.cumsum(n - 1 - P.max(axis=1, initial=-1))
+        for lo in range(0, ends[-1], rows):
+            at = np.arange(lo, min(lo + rows, ends[-1]))
+            owner = np.searchsorted(ends, at, side="right")
+            psi, full = _annihilate(kern, A[owner], columns[at - ends[owner] + n])
+            if full.any():
+                yield psi[full]
+
+
 def _pencil_scan(m: Matrix, size: Optional[int]
                  ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
     """The lexicographically first largest column set of rank below k
@@ -261,11 +292,8 @@ def _pencil_scan(m: Matrix, size: Optional[int]
     # the answers so far; largest as (-size, set), so that the min wins
     largest: Optional[tuple[int, tuple[int, ...]]] = None
     first: Optional[tuple[int, ...]] = None
-    for E in _subset_batches(range(n), k - 2, (k - 2) * k + 2 * n):
-        psi, full = _batch_nullspace(kern, columns[E])
-        if not full.any():
-            continue
-        label, span, sizes = _pencil_hyperplanes(kern, psi[full], columns)
+    for psi in _pencils(kern, columns):
+        label, span, sizes = _pencil_hyperplanes(kern, psi, columns)
 
         def on(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
             return (label[rows] == label[rows, cols][:, None]) | span[rows]

@@ -395,6 +395,54 @@ def test_verify_rejects_malformed_files(tmp_path, capsys):
     assert rc == 1 and err.startswith("error: ") and "not valid JSON" in err
 
 
+def test_verify_rejects_bad_trace_and_provenance(tmp_path, capsys):
+    # a trace of a non-integer coordinate with string entries and an
+    # out-of-range coordinate once verified OPTIMAL and exited 0
+    def repro(data):
+        data["code"]["trace"] = [["x", ["a", "b"]], [99, [1, 2, 3, 4, 5]]]
+
+    def out_of_range(data):
+        data["code"]["trace"][0][0] = 99
+
+    def repeated(data):
+        data["code"]["trace"].append(data["code"]["trace"][0])
+
+    def wrong_column(data):
+        col = data["code"]["trace"][0][1]
+        col[0] = (col[0] + 1) % 499
+
+    def string_entry(data):
+        data["code"]["trace"][0][1][0] = "7"
+
+    def seed_string(data):
+        data["seed"] = "7"
+
+    def seed_bool(data):
+        data["seed"] = True
+
+    def version_int(data):
+        data["tool_version"] = 3
+
+    def created_null(data):
+        data["created_at"] = None
+
+    lam = json.loads(_saved_text())["code"]["trace"][0][0]
+    for edit, needle in ((repro, "'str' object cannot be interpreted as an integer"),
+                         (out_of_range, "column 99 out of [1, 12]"),
+                         (repeated, "trace assigns a coordinate twice"),
+                         (wrong_column, f"trace column {lam} is not the generator's"),
+                         (string_entry, "str"),
+                         (seed_string, "seed must be an integer or null, got '7'"),
+                         (seed_bool, "seed must be an integer or null, got True"),
+                         (version_int, "tool_version must be a string, got 3"),
+                         (created_null, "created_at must be a string, got None")):
+        rc, out, err = _verify_edited(capsys, tmp_path, edit)
+        assert rc == 1 and out == "", edit.__name__
+        assert err.startswith("error: ") and needle in err, (edit.__name__, err)
+    rc, out, _ = _verify_edited(capsys, tmp_path, lambda data: None)
+    assert rc == 0 and "optimality: OPTIMAL" in out
+
+
 def test_verify_rejects_frame_block_index_out_of_range(tmp_path, capsys):
     path = tmp_path / "paired.json"
     rc, _, _ = run(capsys, ["construct", "10", "5", "2", "2", "--field", "211",

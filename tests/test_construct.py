@@ -31,7 +31,7 @@ from lrcodes.errors import (
     UnknownCase,
 )
 from lrcodes.gf import field_at_least, field_kernel, field_make
-from lrcodes.linalg import _batch_nullspace, rank
+from lrcodes.linalg import rank
 from lrcodes.params import (
     EXISTS,
     EXISTS_MDS,
@@ -44,6 +44,7 @@ from lrcodes.params import (
 from lrcodes.verify import certify_optimal, min_distance
 
 from avoidance_oracle import oracle_pick
+from nullspace_oracle import batch_nullspace, row_spaces
 
 construct_mod = importlib.import_module("lrcodes.construct")
 
@@ -177,7 +178,7 @@ def _per_step_psi(state, lam, basis):
     kern = field_kernel(state.field)
     E = np.array(list(lambda_cores(state.core_query(), lam)), dtype=np.int64)
     E = E.reshape(len(E), state.params.k - 1)
-    phi, full = _batch_nullspace(kern, construct_mod._column_array(state)[E])
+    phi, full = batch_nullspace(kern, construct_mod._column_array(state)[E])
     phi = phi[:, 0]
     if not full.all():
         raise RuntimeError("loop invariant violated: rank-deficient core basis")
@@ -200,11 +201,11 @@ def _checked_core_functionals(compared):
 
     def step(state, lam, basis):
         want = _per_step_psi(state, lam, basis)
-        psi, added, solved = real(state, lam, basis)
+        psi, added = real(state, lam, basis)
         assert (_projective_rows(state.field, psi)
                 == _projective_rows(state.field, want)), (state.params, lam)
         compared.append(lam)
-        return psi, added, solved
+        return psi, added
     return step
 
 
@@ -269,20 +270,19 @@ def _cache_state(f, n, k, rng):
                                field_make(2, 4), field_make(4294967311)], ids=repr)
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
-    # after every growth, the cache holds each (k-1)-subset of the covered
-    # coordinates once; its flag is the subset's full rank, and a full
-    # subset's functional is its own nullspace up to a nonzero scalar;
-    # also with blocks and slices of a few rows, so that a coordinate's
-    # pencils span several blocks
+    # after every growth, level j of the cache holds each j-subset T of
+    # the covered coordinates once, in cover order; its flag is T's full
+    # rank, and a full T's rows span T's own nullspace; also with slices
+    # of a few rows, so that a coordinate's rows span several slices
     rng = random.Random(f.q * 10 + k)
     kern = field_kernel(f)
-    deficient_pencils = 0
-    for batch, rows in [(1 << 17, 1 << 14), (5, 2), (3, 3), (1, 1)]:
-        monkeypatch.setattr(construct_mod, "_BATCH", batch)
+    deficient = 0
+    for rows in [1 << 14, 2, 3, 1]:
         monkeypatch.setattr(construct_mod, "_SOLVE_ROWS", rows)
         n = 9
         state = _cache_state(f, n, k, rng)
-        cache = construct_mod._FunctionalCache(f, n, k)
+        # sized for n + 1 coordinates, so that all n can be covered
+        cache = construct_mod._FunctionalCache(f, n + 1, k)
         # cover a few coordinates, then one or two at a time, in an order
         # that is not increasing
         order = rng.sample(range(1, n + 1), n)
@@ -292,59 +292,78 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
         for cut in cuts:
             state.omega = order[:cut]
             cache.grow(state)
-            if cut < k - 1:
-                assert not cache.blocks
-                continue
-            E, phi, full = (np.concatenate(a) for a in zip(*cache.blocks))
-            assert (sorted(tuple(sorted(S)) for S in E.tolist())
-                    == list(combinations(sorted(order[:cut]), k - 1)))
-            want, want_full = _batch_nullspace(
-                kern, construct_mod._column_array(state)[E.astype(np.int64)])
-            assert full.tolist() == want_full.tolist(), (f, k, cut)
-            for i in np.flatnonzero(full):
-                assert (_projective_rows(f, phi[i:i + 1].astype(kern.dtype))
-                        == _projective_rows(f, want[i, :1])), (f, k, E[i])
-            deficient_pencils += sum(int((~ok).sum()) for _, _, ok in cache.pencils)
+            assert sorted(cache.covered) == sorted(order[:cut])
+            for j, (E, A, full) in enumerate(cache.levels):
+                live = comb(cut, j)
+                E, A, full = E[:live], A[:live], full[:live]
+                # by last covered member, then by the rest: the first C(i, j)
+                # rows are the j-subsets of the first i covered coordinates
+                want = sorted(combinations(range(cut), j), key=lambda t: t[::-1])
+                assert E.tolist() == [[cache.covered[i] for i in t]
+                                      for t in want], (f, k, j, cut)
+                if j == 0:
+                    assert full.all() and (A == np.eye(k)).all()
+                    continue
+                want, want_full = batch_nullspace(
+                    kern, construct_mod._column_array(state)[E.astype(np.int64)])
+                assert full.tolist() == want_full.tolist(), (f, k, j, cut)
+                assert (row_spaces(kern, A[full])
+                        == row_spaces(kern, want[full])).all(), (f, k, j, cut)
+                deficient += int((~full).sum())
     if k >= 3:
-        assert deficient_pencils
+        assert deficient
+    # a cache of n coordinates holds subsets of n - 1: covering all n raises
+    cache = construct_mod._FunctionalCache(f, n, k)
+    state.omega = list(range(1, n + 1))
+    with pytest.raises(PreconditionViolated, match="at most 8 coordinates"):
+        cache.grow(state)
 
 
 def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
+    # nothing is eliminated: every level row is derived by one annihilator
+    # step from the level below, once, in slices of at most _SOLVE_ROWS
     builds = [
         lambda: construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0),
         lambda: construct(CodeParams(10, 5, 2, 2), field_make(2, 8), seed=1),
         lambda: run_extension(hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2),
                               field_make(29)),
+        lambda: construct(CodeParams(9, 2, 1, 3), field_make(11), seed=0),
     ]
     for build in builds:
         want = build()
         monkeypatch.setattr(construct_mod, "_SOLVE_ROWS", 7)
-        real_nullspace, real_append = (construct_mod._batch_nullspace,
-                                       construct_mod._append_rows)
-        shapes, appended, pencils = [], [], []
+        real = construct_mod._annihilate
+        shapes, caches = [], []
 
-        def nullspace(kern, A):
+        def annihilate(kern, A, c):
             shapes.append(A.shape)
-            return real_nullspace(kern, A)
+            return real(kern, A, c)
 
-        def append(blocks, rows):
-            appended.append(len(rows[0]))
-            if rows[1].ndim == 3:  # (T, psi1 and psi2, flag)
-                pencils.extend(frozenset(T) for T in rows[0].tolist())
-            real_append(blocks, rows)
+        def rref(kern, R):
+            raise AssertionError("the cache eliminated a subset")
 
-        monkeypatch.setattr(construct_mod, "_batch_nullspace", nullspace)
-        monkeypatch.setattr(construct_mod, "_append_rows", append)
+        class Cache(construct_mod._FunctionalCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(self)
+
+        monkeypatch.setattr(construct_mod, "_annihilate", annihilate)
+        monkeypatch.setattr(construct_mod, "_batch_rref", rref)
+        monkeypatch.setattr(construct_mod, "_FunctionalCache", Cache)
         code = build()
         monkeypatch.undo()
         p = code.params
         assert code.generator == want.generator
-        # only (k-2)-subsets are eliminated, each once, 7 at a time, and
-        # the functionals are derived 7 pencils at a time
-        assert shapes and all(m == p.k - 2 and N <= 7 for N, m, _ in shapes)
-        assert max(appended) <= 7
-        assert len(pencils) == len(set(pencils)) == sum(N for N, _, _ in shapes)
-        assert len(pencils) == sum(s.pencils_solved for s in code.steps)
+        assert max(N for N, _, _ in shapes) <= 7
+        (cache,) = caches
+        assert len(cache.covered) == p.n - 1
+        for j, (E, _, _) in enumerate(cache.levels):
+            # the level is full, each row a distinct j-subset, and the steps
+            # into it derived exactly as many rows as it has
+            assert len(E) == comb(p.n - 1, j)
+            assert len({frozenset(T) for T in E.tolist()}) == len(E)
+            if j:
+                assert sum(N for N, m, _ in shapes if m == p.k - j + 1) == len(E)
 
 
 def test_dependent_column_still_breaks_the_next_step(monkeypatch):
@@ -360,7 +379,7 @@ def test_dependent_column_still_breaks_the_next_step(monkeypatch):
         return state.columns[5] if lam == 3 else col
 
     def per_step(state, lam, rows):
-        return _per_step_psi(state, lam, rows), 0, 0
+        return _per_step_psi(state, lam, rows), 0
 
     for f in (field_make(499), field_make(2, 9)):
         for functionals in (construct_mod._core_functionals, per_step):
@@ -400,15 +419,12 @@ def test_step_stats_count_cores_rows_and_draws():
             assert 1 <= s.draws <= construct_mod.RANDOM_ATTEMPTS
             assert s.scan_steps == 0 and s.seconds >= 0
             omega.append(s.lam)
-        # every (k-1)-subset of the last step's Omega was derived once, from
-        # pencils of (k-2)-subsets eliminated once each, all but those
-        # through the last coordinate covered (k = 2 starts from the
-        # empty subset's pencil, which takes no elimination)
-        assert sum(s.rows_added for s in code.steps) == comb(p.n - 1, p.k - 1)
-        solved = sum(s.pencils_solved for s in code.steps)
-        if p.k >= 2:
-            assert solved <= comb(p.n - 1, p.k - 2)
-        assert solved == (comb(p.n - 2, p.k - 2) if p.k > 2 else 0)
+        # every (k-1)-subset of the last step's Omega was derived once; for
+        # k = 1 the cache starts with its one row, the empty subset
+        added = [s.rows_added for s in code.steps]
+        assert sum(added) == (comb(p.n - 1, p.k - 1) if p.k > 1 else 0)
+        base = len(omega) - len(code.steps)
+        assert added[0] == comb(base, p.k - 1) - comb(0, p.k - 1)
         assert "steps" not in code.to_json()
 
 
@@ -581,7 +597,7 @@ def test_fallback_scan_matches_scalar_product_order(f, monkeypatch):
         monkeypatch.setattr(construct_mod, "_SCAN_LIMIT", limit)
         monkeypatch.setattr(construct_mod, "_BATCH", rows * max(1, len(psi)))
         monkeypatch.setattr(construct_mod, "_core_functionals",
-                            lambda state, lam, basis: (P, 0, 0))
+                            lambda state, lam, basis: (P, 0))
         state = _unit_state(f, b)
         total = (f.q ** b - 1) // (f.q - 1)
         want, lines = _scalar_scan(f, psi, b,

@@ -1,14 +1,16 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from lrcodes.errors import DimensionMismatch, IndexOutOfRange
-from lrcodes.gf import field_make
+from lrcodes.gf import field_kernel, field_make
 from lrcodes.linalg import (
     Matrix,
+    _annihilate,
     _as_indices,
     extend_basis,
     in_span,
@@ -16,6 +18,8 @@ from lrcodes.linalg import (
     reduce_vector,
     reduced_basis,
 )
+
+from nullspace_oracle import batch_nullspace, row_spaces
 
 
 def _random_matrix(rng, field, rows, cols):
@@ -198,3 +202,55 @@ def test_in_span_agrees_with_rank_growth():
         v = [rng.randrange(7) for _ in range(4)]
         grown = Matrix.from_columns(f, [m.column(j) for j in cols] + [v])
         assert in_span(v, cols, m) == (rank(grown) == rank(m, cols))
+
+
+# ---------------------------------------------------------------------
+# annihilator recurrence against Gauss-Jordan
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("f", [field_make(2, 2), field_make(11), field_make(2, 4),
+                               field_make(1000003), field_make(4294967311)],
+                         ids=repr)
+@pytest.mark.parametrize("kk", [2, 3, 4, 5])
+def test_annihilate_matches_gauss_jordan(f, kk):
+    # from the identity, one column at a time (m = kk down to 2): the
+    # flags are the full rank of each prefix T + c, and where T + c is
+    # full the rows span its nullspace; planted zero columns, columns in
+    # span(T), and steps after T went deficient must all show up
+    rng = random.Random(f.q * 10 + kk)
+    kern = field_kernel(f)
+    N = 60
+    cols = []
+    planted = {"zero": 0, "in span": 0, "after deficient": 0}
+    for t in range(kk - 1):
+        step = []
+        for i in range(N):
+            roll = rng.random()
+            if roll < 0.15:
+                step.append((0,) * kk)
+            elif roll < 0.35:
+                c = [0] * kk
+                for prev in cols:
+                    a = rng.randrange(f.q)
+                    c = [f.add(x, f.mul(a, y)) for x, y in zip(c, prev[i])]
+                step.append(tuple(c))
+            else:
+                step.append(tuple(rng.randrange(f.q) for _ in range(kk)))
+        cols.append(step)
+    A = kern.array(np.broadcast_to(np.eye(kk, dtype=np.int64), (N, kk, kk)))
+    was_full = np.ones(N, dtype=bool)
+    for t, step in enumerate(cols):
+        c = kern.array(step)
+        A, full = _annihilate(kern, A, c)
+        assert A.shape == (N, kk - t - 1, kk) and A.dtype == kern.dtype
+        T = kern.array([[cols[s][i] for s in range(t + 1)] for i in range(N)])
+        want, want_full = batch_nullspace(kern, T)
+        assert full.tolist() == want_full.tolist(), (f, kk, t)
+        assert (row_spaces(kern, A[full]) == row_spaces(kern, want[full])).all()
+        assert not A[~full].any()
+        planted["zero"] += int((was_full & ~c.any(axis=1)).sum())
+        planted["in span"] += int((was_full & ~full & c.any(axis=1)).sum())
+        planted["after deficient"] += int((~was_full).sum())
+        was_full = full
+    if kk >= 3:
+        assert all(planted.values()), planted

@@ -1,7 +1,9 @@
 import random
 from dataclasses import replace
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from lrcodes.construct import LrcCode, construct, mds_generator
@@ -13,7 +15,7 @@ from lrcodes.errors import (
     RankDeficient,
     StructureMismatch,
 )
-from lrcodes.gf import field_make
+from lrcodes.gf import field_kernel, field_make
 from lrcodes.linalg import Matrix, rank
 from lrcodes.params import CodeParams, distance_bound
 from lrcodes.verify import (
@@ -28,6 +30,7 @@ from lrcodes.verify import (
 
 import lrcodes.verify as verify_mod
 from deficient_oracle import oracle_first_deficient, oracle_rank_criterion
+from nullspace_oracle import batch_nullspace, row_spaces
 from weight_oracle import oracle_weight_enumeration
 
 F4 = field_make(2, 2)
@@ -289,6 +292,49 @@ def _full_rank_matrix(rng, f, k, n):
             return m
 
 
+def _low_rank_matrix(rng, f, k, n):
+    """n columns in the span of fewer than k random vectors."""
+    basis = [tuple(rng.randrange(f.q) for _ in range(k))
+             for _ in range(rng.randrange(0, k))]
+    cols = []
+    for _ in range(n):
+        v = [0] * k
+        for b in basis:
+            c = rng.randrange(f.q)
+            v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
+        cols.append(v)
+    return Matrix.from_columns(f, cols)
+
+
+def _two_pencils_per_batch(monkeypatch, k, n):
+    """Pencil batches of two: the n-k+3 pencils through the first
+    (k-3)-prefix then span at least two batches (for k >= 3 and n >= k)."""
+    monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 2 * ((k - 2) * k + 2 * n))
+
+
+@pytest.mark.parametrize("f", RANK_FIELDS, ids=repr)
+def test_pencils_are_each_independent_subset_in_order(f, monkeypatch):
+    # the pencils, batch after batch, are those of the independent
+    # (k-2)-subsets in lexicographic order, each spanning its subset's
+    # own nullspace, with pencils one, two or all per batch
+    rng = random.Random(f.q % 1051)
+    kern = field_kernel(f)
+    for trial in range(24):
+        k = 2 + trial % 4
+        m = _dependent_matrix(rng, f, k, rng.randrange(max(1, k - 2), 9))
+        n = m.cols
+        columns = kern.array(m.columns()).reshape(n, k)
+        T = np.array(list(combinations(range(n), k - 2)), dtype=np.int64)
+        want, full = batch_nullspace(kern, columns[T.reshape(len(T), k - 2)])
+        for cells in (1, 2 * ((k - 2) * k + 2 * n), verify_mod._BATCH_CELLS):
+            monkeypatch.setattr(verify_mod, "_BATCH_CELLS", cells)
+            got = list(verify_mod._pencils(kern, columns))
+            monkeypatch.undo()
+            got = np.concatenate(got) if got else kern.zeros((0, 2, k))
+            assert (row_spaces(kern, got).tolist()
+                    == row_spaces(kern, want[full]).tolist()), (m.row_data(), cells)
+
+
 @pytest.mark.parametrize("f", RANK_FIELDS, ids=repr)
 def test_rank_criterion_matches_descending_oracle(f, monkeypatch):
     rng = random.Random(f.q % 1013)
@@ -305,6 +351,13 @@ def test_rank_criterion_matches_descending_oracle(f, monkeypatch):
         assert rep.method == RANK_METHOD and rep.scanned == work
         assert (rep.d, tuple(rep.witness)) == oracle_rank_criterion(m), (
             m.row_data())
+    for k in (2, 3, 4, 5):
+        m = _full_rank_matrix(rng, f, k, k + 3)
+        _two_pencils_per_batch(monkeypatch, k, m.cols)
+        rep = verify_mod._rank_criterion(m, comb(m.cols, k - 2))
+        monkeypatch.undo()
+        assert (rep.d, tuple(rep.witness)) == oracle_rank_criterion(m), (
+            m.row_data())
 
 
 @pytest.mark.parametrize("f", RANK_FIELDS, ids=repr)
@@ -318,16 +371,7 @@ def test_pencil_certificate_matches_subset_oracle(f, monkeypatch):
         m = _dependent_matrix(rng, f, k, n)
         if trial % 4 == 1:
             # rank k-1, k-2 or below: every column inside a few of them
-            basis = [tuple(rng.randrange(f.q) for _ in range(k))
-                     for _ in range(rng.randrange(0, k))]
-            cols = []
-            for _ in range(n):
-                v = [0] * k
-                for b in basis:
-                    c = rng.randrange(f.q)
-                    v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
-                cols.append(v)
-            m = Matrix.from_columns(f, cols)
+            m = _low_rank_matrix(rng, f, k, n)
         if trial % 3 == 0:
             monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
         for size in range(n + 2):
@@ -335,6 +379,15 @@ def test_pencil_certificate_matches_subset_oracle(f, monkeypatch):
             assert got == oracle_first_deficient(m, size, k), (
                 m.row_data(), size)
         monkeypatch.undo()
+    for k in (2, 3, 4, 5):
+        for m in (_dependent_matrix(rng, f, k, k + 3),
+                  _low_rank_matrix(rng, f, k, k + 3)):
+            _two_pencils_per_batch(monkeypatch, k, m.cols)
+            for size in range(m.cols + 2):
+                _, got = verify_mod._pencil_scan(m, size)
+                assert got == oracle_first_deficient(m, size, k), (
+                    m.row_data(), size)
+            monkeypatch.undo()
 
 
 def test_distance_methods_agree_on_random_codes():
