@@ -8,7 +8,9 @@ scriptable: 0 success / code exists, 1 usage or runtime failure,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import asdict
 from math import lgamma, log
 from typing import Optional, Sequence
 
@@ -144,6 +146,7 @@ def _build_parser() -> _Parser:
     p_con.add_argument("--field", metavar="P[,E[,POLY]]", default=None)
     p_con.add_argument("--seed", type=int, default=0)
     p_con.add_argument("--out", metavar="FILE", default=None)
+    p_con.add_argument("--stats", action="store_true", help="print the steps as JSON")
     p_con.set_defaults(func=cmd_construct)
 
     p_ver = sub.add_parser("verify", help="re-check a stored code file")
@@ -250,6 +253,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.out:
         save_code(code, args.out, seed=args.seed)
         print(f"wrote {args.out}")
+    if args.stats:
+        print(json.dumps({"steps": [asdict(s) for s in code.steps]}))
     return EXIT_OK
 
 

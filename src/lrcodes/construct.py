@@ -18,8 +18,8 @@ never change once assigned. Nothing is eliminated: the functionals
 vanishing on T + x come from those vanishing on T and the column of x
 by one annihilator step (`linalg._annihilate`), so the cache is a tower
 of the j-subsets for j = 0 .. k-1, each derived once from its prefix.
-Each step picks the paired cores out of the cache with one batched core
-mask.
+Rows keep their subsets' group counts too (T + x: T's plus x's), so a step
+picks the cores paired with lam by one cap test on those counts plus lam's.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .covers import validate as validate_structure
 # lambda_cores and reduce_vector are not called here: they are imported
 # so that the benchmark's tracer (perfbench/tracer.py), which wraps
 # functions under the module names their callers use, finds them.
-from .cores import _BATCH, CoreQuery, core_mask, index_batches, lambda_cores, omega0
+from .cores import (_BATCH, CoreQuery, _BlockModel, _block_model, core_mask,
+                    index_batches, lambda_cores, omega0)
 from .errors import (
     CodeFileError,
     DimensionMismatch,
@@ -104,13 +105,14 @@ _SOLVE_ROWS = _BATCH // 8
 @dataclass(frozen=True)
 class StepStats:
     """What one extension step did: the coordinate lam it assigned, the
-    (k-1)-subsets whose functionals it derived into the cache, the cores
-    paired with lam, the random draws and scan candidates it tried, and
-    its wall time.
+    (k-1)-subsets it derived into the cache and those its core mask tested,
+    the cores paired with lam, the random draws and scan candidates it
+    tried, and its wall time.
     """
 
     lam: int
     rows_added: int
+    subsets: int
     cores: int
     draws: int
     scan_steps: int
@@ -202,7 +204,9 @@ class ExtensionState:
 
     def __post_init__(self) -> None:
         self.rng = random.Random(self.rng_seed)
-        self.functionals = _FunctionalCache(self.field, self.params.n, self.params.k)
+        p = self.params
+        self.functionals = _FunctionalCache(
+            self.field, p.n, p.k, _block_model(self.structure, p.r, p.delta))
 
     def assign(self, lam: int, col: tuple[int, ...]) -> None:
         self.columns[lam] = col
@@ -289,32 +293,32 @@ def _column_array(state: ExtensionState) -> np.ndarray:
 
 
 class _FunctionalCache:
-    """A tower of levels j = 0 .. k-1 of index, basis and flag arrays: a
-    row of level j is a j-subset T of the covered coordinates, a basis of
-    the k-j functionals that vanish on span(T), and whether T has full
-    rank. Level 0 is the empty subset with the identity; covering x
-    derives T + x at level j from T at level j-1 by one `_annihilate`
-    step. Rows stay in cover order, so the first C(i, j) rows of level j
-    are the j-subsets of the first i covered coordinates. Each level is
-    allocated once with C(n-1, j) rows, what a build fills, as the last
-    coordinate it assigns is never covered.
+    """A tower of levels j = 0 .. k-1 of count, basis and flag arrays: a
+    row of level j is a j-subset T of the covered coordinates, held as its
+    group counts, a basis of the k-j functionals that vanish on span(T),
+    and whether T has full rank. Level 0 is the empty subset, zero counts
+    and the identity; covering x derives T + x at level j from T at level
+    j-1 by one `_annihilate` step and adds counted[x] to T's counts. Rows
+    stay in cover order, so the first C(i, j) rows of level j are the
+    j-subsets of the first i covered coordinates. Each level is allocated
+    once with C(n-1, j) rows, what a build fills, as the last coordinate it
+    assigns is never covered.
 
     A cached row is never recomputed, so a covered coordinate must keep
-    its column. Subset indices are stored in the narrowest unsigned
-    dtype that holds n, and int64 functionals in the narrowest one that
-    holds q-1; they are widened back to the kernel's dtype when read.
-    Rows of deficient subsets stay, zero and flagged: only a deficient
-    subset paired with lam as a core breaks the loop invariant.
+    its column. int64 functionals are stored in the narrowest dtype that
+    holds q-1 and widened back to the kernel's dtype when read. Rows of
+    deficient subsets stay, zero and flagged: only a deficient subset
+    paired with lam as a core breaks the loop invariant.
     """
 
-    def __init__(self, field: FieldSpec, n: int, k: int) -> None:
+    def __init__(self, field: FieldSpec, n: int, k: int, model: _BlockModel) -> None:
         self.kern = field_kernel(field)
-        self.n, self.k = n, k
-        dtype = np.min_scalar_type(n)
+        self.n, self.k, self.model = n, k, model
+        counted = model.counted
         phi_dtype = (np.min_scalar_type(field.q - 1)
                      if self.kern.dtype == np.int64 else self.kern.dtype)
         self.covered: list[int] = []
-        self.levels = [(np.empty((comb(n - 1, j), j), dtype),
+        self.levels = [(np.zeros((comb(n - 1, j), counted.shape[1]), counted.dtype),
                         np.empty((comb(n - 1, j), k - j, k), phi_dtype),
                         np.empty(comb(n - 1, j), dtype=bool)) for j in range(k)]
         self.levels[0][1][0] = np.eye(k, dtype=phi_dtype)
@@ -331,9 +335,9 @@ class _FunctionalCache:
             raise PreconditionViolated(
                 f"the cache holds subsets of at most {self.n - 1} coordinates")
         cols = _column_array(state)
-        xs = np.array(order, dtype=self.levels[0][0].dtype)
+        xs = np.array(order)
         for j in range(1, self.k):
-            (E0, A0, _), (E, A, full) = self.levels[j - 1], self.levels[j]
+            (counts0, A0, _), (counts, A, full) = self.levels[j - 1], self.levels[j]
             # covered coordinate i owns rows C(i, j) .. C(i+1, j) - 1
             starts = np.array([comb(i, j) for i in range(old, len(order) + 1)])
             for lo in range(starts[0], starts[-1], _SOLVE_ROWS):
@@ -343,31 +347,27 @@ class _FunctionalCache:
                 x = xs[old + i]
                 A[lo:hi], full[lo:hi] = _annihilate(
                     self.kern, A0[src].astype(self.kern.dtype), cols[x])
-                E[lo:hi] = np.concatenate([E0[src], x[:, None]], axis=1)
+                counts[lo:hi] = counts0[src] + self.model.counted[x]
         return comb(len(order), self.k - 1) - comb(old, self.k - 1)
 
-    def paired(self, q: CoreQuery, lam: int) -> list[np.ndarray]:
-        """Per slice of _BATCH rows of the top level, the mask of the
-        cached S0 for which S0 + lam is a core."""
-        E, _, full = self.levels[-1]
+    def paired(self, lam: int) -> np.ndarray:
+        """Which live top-level rows S0 make S0 + lam a core, _BATCH at a time."""
+        (counts, _, full), model = self.levels[-1], self.model
         live = comb(len(self.covered), self.k - 1)
-        masks = []
+        ok = np.empty(live, dtype=bool)
         for lo in range(0, live, _BATCH):
             hi = min(lo + _BATCH, live)
-            ok = core_mask(q, np.concatenate(
-                [E[lo:hi], np.full((hi - lo, 1), lam, dtype=E.dtype)], axis=1))
-            if not full[lo:hi][ok].all():
-                raise RuntimeError(
-                    "loop invariant violated: rank-deficient core basis in batch")
-            masks.append(ok)
-        return masks
+            ok[lo:hi] = model.mask(counts[lo:hi] + model.counted[lam])
+        if not full[:live][ok].all():
+            raise RuntimeError("loop invariant violated: rank-deficient core basis")
+        return ok
 
 
 def _core_functionals(state: ExtensionState, lam: int,
-                      basis: np.ndarray) -> tuple[np.ndarray, int]:
+                      basis: np.ndarray) -> tuple[np.ndarray, int, int]:
     """For every core S0 paired with lam, the b coefficients of the linear
     functional ker = span(S0) restricted to the b x k group-span basis,
-    with the number of functionals this step added to the cache.
+    with how many subsets this step added to the cache and tested.
 
     A candidate with coefficient vector c avoids span(S0) iff the matching
     row of the returned Psi has nonzero dot product with c. Rows follow
@@ -377,17 +377,17 @@ def _core_functionals(state: ExtensionState, lam: int,
     kern = field_kernel(state.field)
     cache = state.functionals
     added = cache.grow(state)
-    masks = cache.paired(state.core_query(), lam)
-    _, phi, _ = cache.levels[-1]
-    # filled in place: concatenating projected slices would hold Psi twice,
-    # which set the peak memory of a large build
-    psi = kern.zeros((sum(int(ok.sum()) for ok in masks), len(basis)))
+    ok = cache.paired(lam)
+    phi = cache.levels[-1][1][:len(ok), 0]
+    # filled in place, _BATCH rows at a time: concatenating projected slices
+    # would hold Psi twice, which set the peak memory of a large build
+    psi = kern.zeros((int(ok.sum()), len(basis)))
     at = 0
-    for lo, ok in zip(range(0, len(phi), _BATCH), masks):
-        rows = kern.matmul(phi[lo:lo + len(ok), 0][ok].astype(kern.dtype), basis.T)
-        psi[at:at + len(rows)] = rows
+    for lo in range(0, len(ok), _BATCH):
+        rows = phi[lo:lo + _BATCH][ok[lo:lo + _BATCH]].astype(kern.dtype)
+        psi[at:at + len(rows)] = kern.matmul(rows, basis.T)
         at += len(rows)
-    return psi, added
+    return psi, added, len(ok)
 
 
 def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[int, ...]:
@@ -408,7 +408,7 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     kern = field_kernel(state.field)
     basis = kern.array([row for _, row in _group_span_basis(state, group)]
                        ).reshape(-1, state.params.k)
-    psi, added = _core_functionals(state, lam, basis)
+    psi, added, subsets = _core_functionals(state, lam, basis)
 
     def accept(C: np.ndarray) -> np.ndarray:
         return (kern.matmul(psi, C.T) != 0).all(axis=0)
@@ -419,7 +419,7 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
 
     coeffs, draws, scanned = _avoidance_search(
         state, lam, len(basis), accept, contained, psi.shape[0])
-    state.steps.append(StepStats(lam, added, psi.shape[0], draws,
+    state.steps.append(StepStats(lam, added, subsets, psi.shape[0], draws,
                                  scanned, time.perf_counter() - start))
     return tuple(kern.matmul(kern.array([coeffs]), basis)[0].tolist())
 

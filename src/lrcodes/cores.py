@@ -11,9 +11,9 @@ block's hub element is taken:
              stay <= r-1;
   tail:      |S n S_i| <= r.
 
-The rule is written once, as `core_mask` over a batch of index tuples;
-`is_core`, `lambda_cores` and the construction's avoidance step all
-read it. Cores are closed downward: any subset of a core is a core.
+The rule is written once, as a test on a set's group counts; `core_mask`
+sums them over a batch of index tuples, the construction carries them in
+its cache. Cores are closed downward: any subset of a core is a core.
 """
 
 from __future__ import annotations
@@ -76,24 +76,34 @@ class Omega0:
 class _BlockModel:
     """Both structure kinds as arrays for the core predicate.
 
-    member[x] marks the groups holding coordinate x; cap[i] bounds
-    |S n S_i| (|S_i|-delta+1 in a partition, r in a frame); hub_blocks
-    holds (hub, group indices) pairs, whose groups may all reach r only
-    when the hub is in S.
+    counted[x] marks the groups holding coordinate x, then the hubs equal
+    to x, so the counts of S (counted summed over S) hold each |S n S_i|
+    and which hubs S holds. cap bounds each column (|S_i|-delta+1 in a
+    partition, r in a frame, 1 for a hub); hub_blocks holds (hub column,
+    group indices) pairs, whose groups may all reach r only when the hub
+    is in S.
     """
 
     def __init__(self, structure: Structure, r: int, delta: int) -> None:
-        self.r = r
-        self.member = np.zeros((structure.n + 1, structure.t), dtype=np.int64)
-        for i, g in enumerate(structure.groups):
-            self.member[list(g), i] = 1
-        if isinstance(structure, Frame):
-            self.cap = np.full(structure.t, r)
-            self.hub_blocks = [(hub, np.array(block) - 1) for hub, block
-                               in zip(structure.hubs, structure.hub_blocks)]
-        else:
-            self.cap = np.array([len(g) - delta + 1 for g in structure.groups])
-            self.hub_blocks = []
+        self.r, t = r, structure.t
+        frame = isinstance(structure, Frame)
+        hubs, blocks = (structure.hubs, structure.hub_blocks) if frame else ((), ())
+        size = max(map(len, structure.groups), default=1)
+        self.counted = np.zeros((structure.n + 1, t + len(hubs)),
+                                dtype=np.min_scalar_type(-1 - size))  # holds +size
+        for c, xs in enumerate([*structure.groups, *([h] for h in hubs)]):
+            self.counted[list(xs), c] = 1
+        caps = [r if frame else len(g) - delta + 1 for g in structure.groups]
+        # a cap clipped to the counts' range admits the same sets
+        self.cap = np.clip(caps + [1] * len(hubs), -1, size).astype(self.counted.dtype)
+        self.hub_blocks = [(t + h, np.array(b) - 1) for h, b in enumerate(blocks)]
+
+    def mask(self, counts: np.ndarray) -> np.ndarray:
+        """Which rows of counts, each a set of distinct coordinates', are cores."""
+        ok = (counts <= self.cap).all(axis=1)
+        for col, idx in self.hub_blocks:
+            ok &= ((counts[:, idx] == self.r).sum(axis=1) <= 1) | (counts[:, col] > 0)
+        return ok
 
 
 @lru_cache(maxsize=64)
@@ -104,14 +114,7 @@ def _block_model(structure: Structure, r: int, delta: int) -> _BlockModel:
 def core_mask(q: CoreQuery, E: np.ndarray) -> np.ndarray:
     """Which rows of E, an N x s array of distinct coordinates, are cores."""
     model = _block_model(q.structure, q.r, q.delta)
-    counts = np.zeros((E.shape[0], model.cap.size), dtype=np.int64)
-    for j in range(E.shape[1]):
-        counts += model.member[E[:, j]]
-    ok = (counts <= model.cap).all(axis=1)
-    for hub, idx in model.hub_blocks:
-        at_r = (counts[:, idx] == model.r).sum(axis=1)
-        ok &= (at_r <= 1) | (E == hub).any(axis=1)
-    return ok
+    return model.mask(model.counted[E].sum(axis=1, dtype=model.counted.dtype))
 
 
 def is_core(S: Iterable[int], q: CoreQuery) -> bool:
@@ -125,8 +128,10 @@ def is_core(S: Iterable[int], q: CoreQuery) -> bool:
 
 def omega0(structure: Structure, r: int, delta: int) -> Omega0:
     """Deterministic maximal initial core: smallest indices, hubs forced in."""
-    picks = []
-    if isinstance(structure, Frame):
+    if not isinstance(structure, Frame):
+        picks = [tuple(g[:len(g) - delta + 1]) for g in structure.groups]
+    else:
+        picks = []
         for i, g in enumerate(structure.groups, start=1):
             hub = structure.hub_of_group(i)
             if hub is None:
@@ -134,11 +139,7 @@ def omega0(structure: Structure, r: int, delta: int) -> Omega0:
             else:
                 rest = [x for x in g if x != hub]
                 picks.append(tuple(sorted([hub] + rest[:r - 1])))
-    else:
-        for g in structure.groups:
-            picks.append(tuple(g[:len(g) - delta + 1]))
-    indices = sorted(set().union(*picks)) if picks else []
-    return Omega0(tuple(indices), tuple(picks))
+    return Omega0(tuple(sorted(set().union(*picks))), tuple(picks))
 
 
 def lambda_cores(q: CoreQuery, lam: int) -> Iterator[tuple[int, ...]]:

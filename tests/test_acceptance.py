@@ -34,6 +34,7 @@ from lrcodes.verify import (
     check_locality,
     min_distance,
 )
+from test_golden import generator_sha256
 from test_verify import dummy_code
 
 
@@ -266,6 +267,9 @@ def test_criterion_11_large_instance_within_budget():
         code = construct(p, seed=0)
         assert code.field.q >= 2324784
         assert code.claimed_d == 27 == distance_bound(p)
+        # seed 0 keeps its generator (hashed as in test_golden.py)
+        assert generator_sha256(code) == (
+            "c8127a78a33b4a835b64cbcada642238c8b280dc64c19c526e74417746b363ef")
 
         q = CoreQuery(structure=code.structure, r=3, k=7, delta=3)
         rng = random.Random(2024)

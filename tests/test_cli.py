@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -171,6 +172,29 @@ def test_construct_writes_verifiable_file(tmp_path, capsys):
     assert ("optimality: OPTIMAL (bound d* = 4, 220 subsets of size 9) "
             "via pencil-scan, 220 scanned") in out
     assert "structure theorem: not applicable (requires r | k and r < k)" in out
+
+
+def test_construct_stats_prints_the_steps_as_json(capsys):
+    # --stats adds one JSON line after the unchanged text: each step's
+    # StepStats, with its cores the lam-cores of that step's Omega
+    argv = ["construct", "12", "5", "2", "3", "--field", "499"]
+    rc, text, _ = run(capsys, argv)
+    assert rc == 0
+    rc, out, _ = run(capsys, argv + ["--stats"])
+    assert rc == 0
+    *lines, last = out.splitlines()
+    assert lines == text.splitlines()
+    steps = json.loads(last)["steps"]
+    code = construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0)
+    assert [{k: v for k, v in s.items() if k != "seconds"} for s in steps] == [
+        {"lam": s.lam, "rows_added": s.rows_added, "subsets": s.subsets,
+         "cores": s.cores, "draws": s.draws, "scan_steps": s.scan_steps}
+        for s in code.steps]
+    assert [s["subsets"] for s in steps] == [comb(6 + i, 4) for i in range(6)]
+    assert all(s["seconds"] >= 0 for s in steps)
+    # a windowed MDS code has no extension steps
+    rc, out, _ = run(capsys, ["construct", "5", "2", "2", "2", "--stats"])
+    assert rc == 0 and json.loads(out.splitlines()[-1]) == {"steps": []}
 
 
 def test_construct_frame_and_structure_theorem(tmp_path, capsys):

@@ -21,7 +21,7 @@ from lrcodes.construct import (
     pick_extension_vector,
     run_extension,
 )
-from lrcodes.cores import CoreQuery, lambda_cores, omega0
+from lrcodes.cores import CoreQuery, is_core, lambda_cores, omega0
 from lrcodes.covers import CoverSet, Frame, hub_frame, paired_frame, uniform_partition
 from lrcodes.errors import (
     FieldTooSmall,
@@ -201,11 +201,11 @@ def _checked_core_functionals(compared):
 
     def step(state, lam, basis):
         want = _per_step_psi(state, lam, basis)
-        psi, added = real(state, lam, basis)
+        psi, added, subsets = real(state, lam, basis)
         assert (_projective_rows(state.field, psi)
                 == _projective_rows(state.field, want)), (state.params, lam)
         compared.append(lam)
-        return psi, added
+        return psi, added, subsets
     return step
 
 
@@ -266,6 +266,28 @@ def _cache_state(f, n, k, rng):
                            columns=cols, omega=[])
 
 
+def _cover_order(covered, j):
+    """The j-subsets of the covered coordinates in the cache's row order:
+    by last covered member, then by the rest, so that the first C(i, j)
+    are the j-subsets of the first i covered coordinates."""
+    return [[covered[i] for i in t] for t in
+            sorted(combinations(range(len(covered)), j), key=lambda t: t[::-1])]
+
+
+def _counts_of(counted, subsets):
+    """The group counts of each subset, summed in Python."""
+    return [[sum(int(counted[x][c]) for x in T) for c in range(counted.shape[1])]
+            for T in subsets]
+
+
+def _assert_levels_in_cover_order(cache):
+    # every live row of every level holds its subset's counts, in cover order
+    for j, (counts, _, _) in enumerate(cache.levels):
+        subsets = _cover_order(cache.covered, j)
+        assert (counts[:len(subsets)].tolist()
+                == _counts_of(cache.model.counted, subsets)), j
+
+
 @pytest.mark.parametrize("f", [field_make(11), field_make(1000003),
                                field_make(2, 4), field_make(4294967311)], ids=repr)
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -277,12 +299,18 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
     rng = random.Random(f.q * 10 + k)
     kern = field_kernel(f)
     deficient = 0
+    n = 9
+    # one indicator column per coordinate, so a row's counts name its
+    # subset, then random 0/1 columns that a row's counts sum
+    model = SimpleNamespace(counted=np.concatenate(
+        [np.eye(n + 1, dtype=np.int8),
+         np.array([[rng.randrange(2) for _ in range(4)] for _ in range(n + 1)],
+                  dtype=np.int8)], axis=1))
     for rows in [1 << 14, 2, 3, 1]:
         monkeypatch.setattr(construct_mod, "_SOLVE_ROWS", rows)
-        n = 9
         state = _cache_state(f, n, k, rng)
         # sized for n + 1 coordinates, so that all n can be covered
-        cache = construct_mod._FunctionalCache(f, n + 1, k)
+        cache = construct_mod._FunctionalCache(f, n + 1, k, model)
         # cover a few coordinates, then one or two at a time, in an order
         # that is not increasing
         order = rng.sample(range(1, n + 1), n)
@@ -293,19 +321,17 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
             state.omega = order[:cut]
             cache.grow(state)
             assert sorted(cache.covered) == sorted(order[:cut])
-            for j, (E, A, full) in enumerate(cache.levels):
+            _assert_levels_in_cover_order(cache)
+            for j, (_, A, full) in enumerate(cache.levels):
                 live = comb(cut, j)
-                E, A, full = E[:live], A[:live], full[:live]
-                # by last covered member, then by the rest: the first C(i, j)
-                # rows are the j-subsets of the first i covered coordinates
-                want = sorted(combinations(range(cut), j), key=lambda t: t[::-1])
-                assert E.tolist() == [[cache.covered[i] for i in t]
-                                      for t in want], (f, k, j, cut)
+                A, full = A[:live], full[:live]
+                E = np.array(_cover_order(cache.covered, j),
+                             dtype=np.int64).reshape(live, j)
                 if j == 0:
                     assert full.all() and (A == np.eye(k)).all()
                     continue
                 want, want_full = batch_nullspace(
-                    kern, construct_mod._column_array(state)[E.astype(np.int64)])
+                    kern, construct_mod._column_array(state)[E])
                 assert full.tolist() == want_full.tolist(), (f, k, j, cut)
                 assert (row_spaces(kern, A[full])
                         == row_spaces(kern, want[full])).all(), (f, k, j, cut)
@@ -313,7 +339,7 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
     if k >= 3:
         assert deficient
     # a cache of n coordinates holds subsets of n - 1: covering all n raises
-    cache = construct_mod._FunctionalCache(f, n, k)
+    cache = construct_mod._FunctionalCache(f, n, k, model)
     state.omega = list(range(1, n + 1))
     with pytest.raises(PreconditionViolated, match="at most 8 coordinates"):
         cache.grow(state)
@@ -357,13 +383,63 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
         assert max(N for N, _, _ in shapes) <= 7
         (cache,) = caches
         assert len(cache.covered) == p.n - 1
-        for j, (E, _, _) in enumerate(cache.levels):
-            # the level is full, each row a distinct j-subset, and the steps
-            # into it derived exactly as many rows as it has
-            assert len(E) == comb(p.n - 1, j)
-            assert len({frozenset(T) for T in E.tolist()}) == len(E)
+        # the levels are full, each row its subset's counts in cover order,
+        # and the steps into a level derived exactly as many rows as it has
+        _assert_levels_in_cover_order(cache)
+        for j, (counts, _, _) in enumerate(cache.levels):
+            assert len(counts) == comb(p.n - 1, j)
             if j:
-                assert sum(N for N, m, _ in shapes if m == p.k - j + 1) == len(E)
+                assert sum(N for N, m, _ in shapes if m == p.k - j + 1) == len(counts)
+
+
+def test_cached_counts_and_core_mask_match_brute_force(monkeypatch):
+    # after every growth, each live row of every level holds the counted
+    # sum over its subset; and for every coordinate lam not covered, the
+    # cache's mask over the top level is is_core(S0 + (lam,)) row by row,
+    # on a partition, a hub frame and a paired frame; also with mask
+    # slices of a few rows
+    builds = [
+        (uniform_partition(12, 2, 3), CodeParams(12, 5, 2, 3), field_make(499)),
+        (hub_frame(13, 3, 2), CodeParams(13, 5, 3, 2), field_make(719)),
+        (paired_frame(10, 2, 2), CodeParams(10, 5, 2, 2), field_make(211)),
+    ]
+    for batch in (5, construct_mod._BATCH):
+        monkeypatch.setattr(construct_mod, "_BATCH", batch)
+        checked = []
+
+        class Cache(construct_mod._FunctionalCache):
+            def grow(self, state):
+                added = super().grow(state)
+                _assert_levels_in_cover_order(self)
+                q = CoreQuery(state.structure, state.params.r, state.params.k,
+                              state.params.delta)
+                top = _cover_order(self.covered, self.k - 1)
+                for lam in set(range(1, self.n + 1)).difference(self.covered):
+                    got = self.paired(lam).tolist()
+                    assert got == [is_core(S0 + [lam], q) for S0 in top], lam
+                    checked.append(lam)
+                return added
+
+        monkeypatch.setattr(construct_mod, "_FunctionalCache", Cache)
+        for structure, params, f in builds:
+            want = construct(params, f, seed=0)
+            before = len(checked)
+            code = run_extension(structure, params, f, seed=0)
+            assert code.generator == want.generator
+            assert len(checked) - before >= params.n - len(
+                omega0(structure, params.r, params.delta).indices)
+
+
+@pytest.mark.parametrize("params, steps, cores", [
+    ((26, 7, 3, 3), 12, 610648),
+    ((23, 8, 3, 3), 10, 406201),
+    ((20, 8, 4, 2), 4, 111280),
+])
+def test_step_core_counts_pinned(params, steps, cores):
+    # the benchmark's three large builds at seed 0 over the default field
+    # pick the same cores step after step
+    code = construct(CodeParams(*params), seed=0)
+    assert (len(code.steps), sum(s.cores for s in code.steps)) == (steps, cores)
 
 
 def test_dependent_column_still_breaks_the_next_step(monkeypatch):
@@ -379,7 +455,7 @@ def test_dependent_column_still_breaks_the_next_step(monkeypatch):
         return state.columns[5] if lam == 3 else col
 
     def per_step(state, lam, rows):
-        return _per_step_psi(state, lam, rows), 0
+        return _per_step_psi(state, lam, rows), 0, 0
 
     for f in (field_make(499), field_make(2, 9)):
         for functionals in (construct_mod._core_functionals, per_step):
@@ -416,6 +492,7 @@ def test_step_stats_count_cores_rows_and_draws():
         for s in code.steps:
             q = CoreQuery(code.structure, p.r, p.k, p.delta, tuple(omega))
             assert s.cores == len(list(lambda_cores(q, s.lam)))
+            assert s.subsets == comb(len(omega), p.k - 1)
             assert 1 <= s.draws <= construct_mod.RANDOM_ATTEMPTS
             assert s.scan_steps == 0 and s.seconds >= 0
             omega.append(s.lam)
@@ -597,7 +674,7 @@ def test_fallback_scan_matches_scalar_product_order(f, monkeypatch):
         monkeypatch.setattr(construct_mod, "_SCAN_LIMIT", limit)
         monkeypatch.setattr(construct_mod, "_BATCH", rows * max(1, len(psi)))
         monkeypatch.setattr(construct_mod, "_core_functionals",
-                            lambda state, lam, basis: (P, 0))
+                            lambda state, lam, basis: (P, 0, 0))
         state = _unit_state(f, b)
         total = (f.q ** b - 1) // (f.q - 1)
         want, lines = _scalar_scan(f, psi, b,

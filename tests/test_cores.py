@@ -12,7 +12,8 @@ from lrcodes.cores import (
     lambda_cores,
     omega0,
 )
-from lrcodes.covers import Frame, hub_frame, paired_frame, remainder_partition, uniform_partition
+from lrcodes.covers import (CoverSet, Frame, hub_frame, paired_frame, remainder_partition,
+                            uniform_partition)
 from lrcodes.errors import IndexOutOfRange
 
 
@@ -308,3 +309,38 @@ def test_core_mask_matches_set_restatement():
             assert got.tolist() == [_caps_hold(S, s, r, delta) for S in rows]
             assert got.tolist() == [is_core(S, q) for S in rows]
 
+
+
+def test_core_mask_counts_wide_sets():
+    # groups of 300 and 200: a set may put more than 127 coordinates in
+    # one group, which a narrow count would wrap
+    wide = CoverSet(500, [range(1, 301), range(301, 501)])
+    frame = Frame(399, groups=[range(1, 201), [1, *range(201, 400)]],
+                  hub_blocks=[(1, 2)], tail_block=(), hubs=(1,))
+    cases = [(wide, 250, 2), (frame, 199, 2)]
+    rng = random.Random(7)
+    for s, r, delta in cases:
+        q = CoreQuery(structure=s, r=r, k=s.n, delta=delta)
+        g1, g2 = (list(g) for g in s.groups)
+        rows = [g1[:r], g1[:r + 1], g1[-r:], g1[1:r + 1] + g2[1:r + 1],
+                g1[:r] + g2[1:r + 1], g1[:r + 1] + g2[1:129]]
+        for size in (128, 150, 199, 200, 250, 299):
+            rows += [sorted(rng.sample(range(1, s.n + 1), size)) for _ in range(20)]
+        width = max(map(len, rows))
+        for w in sorted({len(S) for S in rows}):
+            batch = [sorted(set(S)) for S in rows if len(S) == w]
+            got = core_mask(q, np.array(batch, dtype=np.int64).reshape(len(batch), w))
+            assert got.tolist() == [_caps_hold(S, s, r, delta) for S in batch]
+            assert got.tolist() == [is_core(S, q) for S in batch]
+        assert width > 127
+    # the hub decides: both groups at r = 199 only with the hub in S
+    q = CoreQuery(structure=frame, r=199, k=399, delta=2)
+    assert is_core(list(range(1, 200)) + list(range(201, 399)), q)
+    assert not is_core(list(range(2, 201)) + list(range(201, 400)), q)
+    assert is_core(list(range(2, 201)) + list(range(201, 399)), q)
+    # a partition's cap of |S_i| - delta + 1 = 299 holds for 299, not 300
+    q = CoreQuery(structure=wide, r=250, k=500, delta=2)
+    assert is_core(range(1, 300), q) and not is_core(range(1, 301), q)
+    # a group of 128: a count of 128 must not wrap below its cap of 127
+    q = CoreQuery(structure=CoverSet(128, [range(1, 129)]), r=127, k=128, delta=2)
+    assert is_core(range(1, 128), q) and not is_core(range(1, 129), q)
