@@ -76,7 +76,6 @@ from .verify import (
     StructureReport,
     certify_optimal,
     check_locality,
-    check_mds,
     check_structure_theorem,
     min_distance,
 )
@@ -164,7 +163,6 @@ __all__ = [
     "min_distance",
     "certify_optimal",
     "check_structure_theorem",
-    "check_mds",
     # persistence
     "CodeFile",
     "save_code",

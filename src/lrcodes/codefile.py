@@ -79,6 +79,6 @@ def load_code(path: Union[str, Path]) -> CodeFile:
     """Read a stored code; CodeFileError if the file is not a valid one."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CodeFileError(f"{path}: not valid JSON ({exc})") from exc
     return CodeFile.from_json(data)

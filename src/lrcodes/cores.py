@@ -61,9 +61,6 @@ class CoreQuery:
                 f"ground set not within [1, {self.structure.n}]: {norm}")
         object.__setattr__(self, "ground", norm)
 
-    def with_ground(self, ground: Iterable[int]) -> "CoreQuery":
-        return CoreQuery(self.structure, self.r, self.k, self.delta, tuple(ground))
-
 
 @dataclass(frozen=True)
 class Omega0:

@@ -126,10 +126,6 @@ class Frame:
     def t(self) -> int:
         return len(self.groups)
 
-    @property
-    def alpha(self) -> int:
-        return len(self.hub_blocks)
-
     def hub_of_group(self, i: int) -> Optional[int]:
         """The hub element of group i (1-based), or None for tail groups."""
         for j, block in enumerate(self.hub_blocks):
@@ -148,7 +144,7 @@ class Frame:
         return hash((self.n, self.groups, self.hub_blocks, self.tail_block, self.hubs))
 
     def __repr__(self) -> str:
-        return f"Frame(n={self.n}, t={self.t}, alpha={self.alpha})"
+        return f"Frame(n={self.n}, t={self.t}, alpha={len(self.hub_blocks)})"
 
     def to_json(self) -> dict:
         return {
@@ -219,12 +215,10 @@ def hub_frame(n: int, r: int, delta: int) -> Frame:
         groups.append([1] + list(range(start, start + size - 1)))
     for a in range(big, n, size):
         groups.append(range(a + 1, a + size + 1))
-    t = len(groups)
-    if t != w + 1:
-        raise PreconditionViolated(f"internal layout error: t={t} != w+1={w + 1}")
+    # the tail starts at n - size*(w-ell), so there are w+1 groups
     return Frame(n, groups,
                  hub_blocks=[range(1, ell + 2)],
-                 tail_block=range(ell + 2, t + 1),
+                 tail_block=range(ell + 2, w + 2),
                  hubs=[1])
 
 
@@ -253,12 +247,10 @@ def paired_frame(n: int, r: int, delta: int) -> Frame:
         hubs.append(start + size - 1)
     for a in range(ell * span, n, size):
         groups.append(range(a + 1, a + size + 1))
-    t = len(groups)
-    if t != w + 1:
-        raise PreconditionViolated(f"internal layout error: t={t} != w+1={w + 1}")
+    # the tail starts at n - size*(w+1-2*ell), so there are w+1 groups
     return Frame(n, groups,
                  hub_blocks=[(2 * i + 1, 2 * i + 2) for i in range(ell)],
-                 tail_block=range(2 * ell + 1, t + 1),
+                 tail_block=range(2 * ell + 1, w + 2),
                  hubs=hubs)
 
 

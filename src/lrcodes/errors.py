@@ -34,7 +34,7 @@ class FieldMismatch(LrcError):
 
 
 class BoundTooLarge(LrcError):
-    """Requested field size exceeds the configured ceiling."""
+    """Requested field size exceeds a fixed cap of the package."""
 
 
 # linear algebra

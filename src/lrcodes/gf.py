@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import index
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -59,15 +59,20 @@ IRREDUCIBLE_POLY: dict[int, int] = {
     16: 0b10000000000101011,  # x^16 + x^5 + x^3 + x + 1
 }
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base in _MR_WITNESSES
+# (1287836182261 * 2575672364521): is_prime is exact below it.
+_MR_EXACT_BELOW = 3317044064679887385961981
+# The largest field order field_at_least returns.
+_CEILING = 2 ** 31
+# Binary fields stop here: the built-in moduli and the kernel's tables.
+_MAX_BINARY_DEGREE = 16
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test.
-
-    The witness set is exact for every n below 3.3e24, far beyond any
-    field order this package constructs.
-    """
+    """Deterministic Miller-Rabin primality test, exact for every n below
+    _MR_EXACT_BELOW = 3,317,044,064,679,887,385,961,981; field_make
+    refuses characteristics from there on."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -190,11 +195,6 @@ class FieldSpec:
             return (a - b) % self.p
         return a ^ b
 
-    def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return a
-
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
@@ -206,11 +206,6 @@ class FieldSpec:
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise DivisionByZero(f"division by zero in {self!r}")
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, exponent: int) -> int:
         if self.e == 1:
@@ -241,14 +236,17 @@ class FieldSpec:
 
 
 def field_make(characteristic: int, degree: int = 1,
-               modulus_poly: Optional[Union[int, Sequence[int]]] = None) -> FieldSpec:
+               modulus_poly: Optional[int] = None) -> FieldSpec:
     """Build a validated FieldSpec.
 
-    `modulus_poly` may be an integer bitmask or a coefficient sequence
-    (index i = coefficient of x^i). It must be monic of the requested
-    degree and irreducible over GF(2); omitted, the built-in table
-    (degrees 2..16) is used.
+    `modulus_poly` is a bitmask (bit i = coefficient of x^i), monic of
+    the requested degree and irreducible over GF(2); omitted, the
+    built-in table is used. Degrees stop at 16.
     """
+    if characteristic >= _MR_EXACT_BELOW:
+        raise BoundTooLarge(
+            f"characteristic {characteristic} is too large to prove prime; "
+            f"it must be below {_MR_EXACT_BELOW}")
     if not is_prime(characteristic):
         raise CompositeCharacteristic(f"{characteristic} is not prime")
     if degree < 1:
@@ -259,23 +257,13 @@ def field_make(characteristic: int, degree: int = 1,
         raise UnsupportedExtension(
             f"extension fields are supported only over GF(2), "
             f"got characteristic {characteristic}")
+    if degree > _MAX_BINARY_DEGREE:
+        raise UnsupportedExtension(
+            f"binary fields stop at degree {_MAX_BINARY_DEGREE}, got {degree}")
     if modulus_poly is None:
-        try:
-            poly = IRREDUCIBLE_POLY[degree]
-        except KeyError:
-            raise UnsupportedExtension(
-                f"no built-in modulus for degree {degree}; "
-                f"supported degrees are 2..16") from None
+        poly = IRREDUCIBLE_POLY[degree]
     else:
-        if isinstance(modulus_poly, int):
-            poly = modulus_poly
-        else:
-            poly = 0
-            for i, c in enumerate(modulus_poly):
-                if c not in (0, 1):
-                    raise ReduciblePolynomial(
-                        "modulus coefficients must be 0 or 1")
-                poly |= (c & 1) << i
+        poly = modulus_poly
         if poly.bit_length() - 1 != degree:
             raise ReduciblePolynomial(
                 f"modulus must be monic of degree {degree}, "
@@ -286,31 +274,28 @@ def field_make(characteristic: int, degree: int = 1,
     return FieldSpec(2, degree, poly)
 
 
-def field_at_least(bound: int, prefer: str = "prime",
-                   ceiling: int = 2 ** 31) -> FieldSpec:
+def field_at_least(bound: int, prefer: str = "prime") -> FieldSpec:
     """Smallest supported field of order >= bound.
 
-    prefer="prime" walks up to the next prime; prefer="binary" rounds up
-    to the next power of two (degree capped at 16 by the modulus table).
-    Raises BoundTooLarge when the result would exceed `ceiling`.
+    prefer="prime" walks up to the next prime, up to 2^31;
+    prefer="binary" rounds up to the next power of two, up to 2^16.
+    Raises BoundTooLarge past either cap.
     """
     if bound < 2:
         bound = 2
     if prefer == "prime":
         q = bound
-        while q <= ceiling:
+        while q <= _CEILING:
             if is_prime(q):
                 return FieldSpec(q, 1, 0)
             q += 1
-        raise BoundTooLarge(
-            f"no prime in [{bound}, {ceiling}]; raise the ceiling")
+        raise BoundTooLarge(f"no prime in [{bound}, {_CEILING}]")
     if prefer == "binary":
         e = max(1, (bound - 1).bit_length())
-        if 2 ** e > ceiling:
-            raise BoundTooLarge(f"2^{e} exceeds the ceiling {ceiling}")
-        if e > 16:
+        if e > _MAX_BINARY_DEGREE:
             raise BoundTooLarge(
-                f"2^{e} exceeds the supported binary degrees (2..16)")
+                f"2^{e} exceeds the supported binary degrees "
+                f"(2..{_MAX_BINARY_DEGREE})")
         return field_make(2, e)
     raise ValueError(f"prefer must be 'prime' or 'binary', got {prefer!r}")
 
@@ -319,7 +304,7 @@ class _Kernel:
     """Field arithmetic on numpy arrays of canonical representatives.
 
     Subclasses supply the order `q`, `dtype`, `mul`, the in-place `fma`
-    (acc += b*c) and `fms` (acc -= b*c), `neg`, and `inv` over a 1-D
+    (acc += b*c) and `fms` (acc -= b*c), and `inv` over a 1-D
     batch of nonzero elements. Operands broadcast like numpy operands.
     """
 
@@ -377,9 +362,6 @@ class _PrimeKernel(_Kernel):
     def fms(self, acc: np.ndarray, b, c) -> None:
         acc -= b * c
         acc %= self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         # one reduction at the end while m products of residues fit in int64
@@ -441,9 +423,6 @@ class _BinaryKernel(_Kernel):
         acc ^= self.mul(b, c)
 
     fms = fma
-
-    def neg(self, a):
-        return a
 
     def inv(self, a: np.ndarray) -> np.ndarray:
         return self.exp[self.q - 1 - self.log[a]]

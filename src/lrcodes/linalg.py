@@ -134,10 +134,6 @@ class Matrix:
         height = len(canon[0]) if canon else 0
         return cls(field, [[c[i] for c in canon] for i in range(height)])
 
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def row(self, i: int) -> tuple[int, ...]:
         """Row by 1-based index."""
         if not 1 <= i <= self.rows:
@@ -155,9 +151,6 @@ class Matrix:
 
     def row_data(self) -> tuple[tuple[int, ...], ...]:
         return self._data
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(c) for c in self._columns])
 
     def __eq__(self, other: object) -> bool:
         return (

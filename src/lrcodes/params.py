@@ -182,11 +182,8 @@ def classify(p: CodeParams) -> Classification:
         return done(EXISTS, METHOD_A1_REMAINDER, TAG_OPT_EXT_2)
     if d.u >= 2 * (p.r - d.v) + 1:
         return done(NOT_EXISTS, tag=TAG_NON_EXST_1)
-    # Feasibility plus m>0, v>0 forces w >= u here; the frame existence
-    # conditions below assume it, so fail loudly if it ever breaks.
-    if d.w < d.u:
-        raise RuntimeError(
-            f"classifier invariant w >= u violated: w={d.w} u={d.u} for {p}")
+    # Here w >= u: w <= u-1 would give n < u(r+delta-1) < k(r+delta-1)/r
+    # as v > 0, and necessary_check would have returned.
     ell = p.group_size - d.m
     if d.w >= ell and min(p.r - d.v, d.w) >= d.u:
         return done(EXISTS, METHOD_A2_HUB, TAG_OPT_EXT_3)

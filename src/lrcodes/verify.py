@@ -27,7 +27,6 @@ from .construct import LrcCode
 from .cores import index_batches
 from .errors import (
     BudgetExceeded,
-    DimensionMismatch,
     PreconditionViolated,
     RankDeficient,
     StructureMismatch,
@@ -49,7 +48,6 @@ __all__ = [
     "min_distance",
     "certify_optimal",
     "check_structure_theorem",
-    "check_mds",
     "WEIGHT_METHOD",
     "RANK_METHOD",
     "PENCIL_ROUTE",
@@ -449,10 +447,3 @@ def check_structure_theorem(code: LrcCode) -> tuple[bool, StructureReport]:
     return ok, StructureReport(ok=ok, disjoint=disjoint, sizes_ok=sizes_ok,
                                punctured_mds=tuple(punctured),
                                messages=tuple(msgs))
-
-
-def check_mds(m: Matrix) -> bool:
-    """True iff every (rows)-sized column subset has full rank."""
-    if m.rows > m.cols:
-        raise DimensionMismatch(f"need rows <= cols, got {m.rows}x{m.cols}")
-    return _first_deficient(m, m.rows, m.rows)[0] is None

@@ -23,9 +23,11 @@ def batch_nullspace(kern, A):
     np.put_along_axis(pivmask, piv_col, True, axis=1)
     free = np.argsort(pivmask, axis=1, kind="stable")[:, :kk - m]
     vals = np.take_along_axis(A, free[:, None, :], axis=2)
+    neg = kern.zeros(vals.shape)
+    kern.fms(neg, vals, 1)
     x = kern.zeros((N, kk - m, kk))
     np.put_along_axis(x, np.broadcast_to(piv_col[:, None, :], (N, kk - m, m)),
-                      kern.neg(vals).transpose(0, 2, 1), axis=2)
+                      neg.transpose(0, 2, 1), axis=2)
     np.put_along_axis(x, free[:, :, None], 1, axis=2)
     return x, lead == m
 

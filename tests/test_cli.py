@@ -246,15 +246,21 @@ def _address_space_2gib():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _cli_process(args, timeout, **kwargs):
+    """`python -m lrcodes.cli args` in a fresh interpreter, where a
+    traceback would reach stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "lrcodes.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout,
+                          **kwargs)
+
+
 def test_explicit_field_rejected_before_a_billion_coordinates():
     # the field check comes before the partition: exit 1 with the typed
     # error's message, not an out-of-memory exit under a 2 GiB cap
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "lrcodes.cli", "construct", "1000000000", "2", "1",
-         "2", "--field", "7"], capture_output=True, text=True, env=env,
-        preexec_fn=_address_space_2gib, timeout=120)
+    proc = _cli_process(["construct", "1000000000", "2", "1", "2", "--field", "7"],
+                        timeout=120, preexec_fn=_address_space_2gib)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: need q >= 500000000")
@@ -287,9 +293,12 @@ def test_construct_unknown(capsys):
 
 
 def test_construct_bad_field_spec(capsys):
-    rc, _, err = run(capsys, ["construct", "6", "3", "2", "2", "--field", "4"])
-    assert rc == 1
-    assert err.startswith("error: ")
+    # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
+    # pseudoprime to every prime base up to 37
+    for field in ("4", "318665857834031151167461"):
+        rc, out, err = run(capsys, ["construct", "6", "3", "2", "2", "--field", field])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and "not prime" in err
 
 
 def test_verify_detects_tampered_distance_claim(tmp_path, capsys):
@@ -417,6 +426,32 @@ def test_verify_rejects_malformed_files(tmp_path, capsys):
     bad_json.write_text(_saved_text()[:-20])
     rc, _, err = run(capsys, ["verify", str(bad_json)])
     assert rc == 1 and err.startswith("error: ") and "not valid JSON" in err
+
+
+def test_verify_rejects_deeply_nested_json(tmp_path):
+    # json.loads raises RecursionError past about a thousand levels
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    data = json.loads(_saved_text())
+    data["code"]["trace"] = "NESTED"
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(data).replace(
+        '"NESTED"', "[" * 50_000 + "]" * 50_000))
+    for path in (nested, trace):
+        proc = _cli_process(["verify", str(path)], timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "not valid JSON" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_construct_refuses_a_high_degree_binary_modulus():
+    # the degree is refused before the modulus is read; trial division of
+    # this degree-60 polynomial once ran past 20 s
+    proc = _cli_process(["construct", "12", "5", "2", "3", "--field",
+                         "2,60,1152921504606846979"], timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: binary fields stop at degree 16")
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_rejects_bad_trace_and_provenance(tmp_path, capsys):

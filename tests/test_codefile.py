@@ -68,3 +68,16 @@ def test_round_trip_many_structures(tmp_path):
         back = load_code(path)
         assert back.code.to_json() == code.to_json()
         assert type(back.code.structure) is type(code.structure)
+
+
+def test_field_over_a_strong_pseudoprime_rejected(tmp_path):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes
+    # Miller-Rabin to every prime base up to 37, so only base 41 shows
+    # that this "field" is a ring with zero divisors
+    code = construct(CodeParams(6, 3, 2, 2), field_make(17), seed=0)
+    data = CodeFile(code=code, seed=0, tool_version="0", created_at="").to_json()
+    data["code"]["field"]["p"] = 318665857834031151167461
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CodeFileError, match="not prime"):
+        load_code(path)

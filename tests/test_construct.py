@@ -641,7 +641,7 @@ def _killer(rng, f, u, spare):
     while True:
         row = [rng.randrange(f.q) for _ in u]
         row[lead] = 0
-        row[lead] = f.neg(_dot(f, row, u))
+        row[lead] = f.sub(0, _dot(f, row, u))
         if spare is None or _dot(f, row, spare):
             return row
 

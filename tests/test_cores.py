@@ -39,10 +39,7 @@ def test_query_normalizes_ground():
     p = uniform_partition(6, 2, 2)
     q = CoreQuery(structure=p, r=2, k=3, delta=2, ground=(5, 1, 5, 2, 1))
     assert q.ground == (1, 2, 5)
-    q2 = q.with_ground([4, 4, 6])
-    assert q2.ground == (4, 6)
-    assert q.ground == (1, 2, 5)
-    assert q2.structure is p and q2.k == 3
+    assert CoreQuery(p, 2, 3, 2, ground=[4, 4, 6]).ground == (4, 6)
 
 
 def test_query_rejects_out_of_range_ground():
@@ -200,7 +197,7 @@ def test_lambda_cores_pinned_small():
     p = uniform_partition(6, 2, 2)
     q = CoreQuery(structure=p, r=2, k=3, delta=2, ground=(1, 2, 4, 5))
     assert list(lambda_cores(q, 3)) == [(1, 4), (1, 5), (2, 4), (2, 5), (4, 5)]
-    q = q.with_ground((1, 2, 3, 4, 5))
+    q = CoreQuery(structure=p, r=2, k=3, delta=2, ground=(1, 2, 3, 4, 5))
     assert list(lambda_cores(q, 6)) == [
         (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]
 

@@ -82,7 +82,7 @@ def test_paired_frame_layouts():
     assert f.hub_blocks == ((1, 2), (3, 4)) and f.tail_block == ()
 
     f = paired_frame(60, 4, 5)
-    assert f.t == 8 and f.alpha == 4 and f.tail_block == ()
+    assert f.t == 8 and len(f.hub_blocks) == 4 and f.tail_block == ()
     assert all(len(g) == 8 for g in f.groups)
     assert f.hubs == (8, 23, 38, 53)
 

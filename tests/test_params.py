@@ -178,8 +178,7 @@ def test_classify_reference_grid_rows():
 
 
 def test_classify_is_total_over_a_dense_sweep():
-    """No valid parameter tuple may raise; in particular the internal
-    w >= u guard must be unreachable."""
+    """No valid parameter tuple may raise, and every verdict occurs."""
     verdicts = set()
     for n in range(1, 36):
         for k in range(1, n + 1):
