@@ -100,11 +100,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if sep:
-        rng = range(int(lo), int(hi) + 1)
-    else:
-        v = int(text)
-        rng = range(v, v + 1)
+    rng = range(int(lo), int(hi if sep else lo) + 1)
     if len(rng) == 0:
         raise ValueError(f"empty range {text!r}")
     return rng

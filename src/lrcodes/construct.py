@@ -345,8 +345,9 @@ class _FunctionalCache:
                 i = np.searchsorted(starts, np.arange(lo, hi), side="right") - 1
                 src = np.arange(lo, hi) - starts[i]
                 x = xs[old + i]
-                A[lo:hi], full[lo:hi] = _annihilate(
-                    self.kern, A0[src].astype(self.kern.dtype), cols[x])
+                B = A0[src].astype(self.kern.dtype)
+                a = self.kern.matmul(B, cols[x][:, :, None])[:, :, 0]
+                A[lo:hi], full[lo:hi] = _annihilate(self.kern, B, a)
                 counts[lo:hi] = counts0[src] + self.model.counted[x]
         return comb(len(order), self.k - 1) - comb(old, self.k - 1)
 

@@ -71,8 +71,11 @@ _MAX_BINARY_DEGREE = 16
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for every n below
-    _MR_EXACT_BELOW = 3,317,044,064,679,887,385,961,981; field_make
-    refuses characteristics from there on."""
+    _MR_EXACT_BELOW = 3,317,044,064,679,887,385,961,981; from there on it
+    raises BoundTooLarge rather than answer, and field_make refuses."""
+    if n >= _MR_EXACT_BELOW:
+        raise BoundTooLarge(
+            f"{n} is too large to prove prime; it must be below {_MR_EXACT_BELOW}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -289,7 +292,8 @@ def field_at_least(bound: int, prefer: str = "prime") -> FieldSpec:
             if is_prime(q):
                 return FieldSpec(q, 1, 0)
             q += 1
-        raise BoundTooLarge(f"no prime in [{bound}, {_CEILING}]")
+        raise BoundTooLarge(f"bound {bound} passes the 2^31 cap" if bound > _CEILING
+                            else f"no prime in [{bound}, {_CEILING}]")
     if prefer == "binary":
         e = max(1, (bound - 1).bit_length())
         if e > _MAX_BINARY_DEGREE:

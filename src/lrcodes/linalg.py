@@ -9,7 +9,7 @@ Single matrices are reduced in scalar Python (`rank`, reduced bases);
 many small matrices at once go through `_batch_rref`, the one batched
 elimination, on the field's numpy kernel. The functionals that vanish
 on column sets are never eliminated: `_annihilate` extends a basis of
-those of T to those of T + c, one column at a time from the identity.
+those of T to those of T + c, and their values on the columns alike.
 """
 
 from __future__ import annotations
@@ -229,15 +229,14 @@ def _batch_rref(kern, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return piv_col, lead
 
 
-def _annihilate(kern, A: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bases (N x m x kk) of the functionals vanishing on column sets T,
-    and one column c (N x kk) each, to bases (N x (m-1) x kk) for T + c:
-    with a = A.c and p its first nonzero entry, the rows a_p A_i - a_i A_p
-    for i != p. T + c has full rank iff T has and a != 0, the mask
-    returned. Where a = 0 the rows are zero, so a deficient set keeps a
-    zero basis, and a = 0, in every later step."""
+def _annihilate(kern, A: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One annihilator step: rows A (N x m x l) and their coefficients a
+    (N x m) on a new column c, to the rows a_p A_i - a_i A_p, i != p, with
+    p a's first nonzero entry, and the mask a != 0. For functionals A that
+    vanish on T, a = A.c and the rows vanish on T + c, of full rank iff T
+    is and a != 0; for their values on the columns, a is those at c. Where
+    a = 0 the rows are zero, and stay so (a = 0) in every later step."""
     N, m, _ = A.shape
-    a = kern.matmul(A, c[:, :, None])[:, :, 0]
     nonzero = a != 0
     p = nonzero.argmax(axis=1)
     rows = np.arange(N)[:, None]

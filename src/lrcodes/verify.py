@@ -8,10 +8,10 @@ scan of the pencils of hyperplanes through (k-2)-subsets of the
 columns), and optimality is certified by an exhaustive full-rank
 check at the single subset size the distance bound makes decisive: by
 the same pencil scan, or by a sweep of the subsets themselves when
-that scans fewer. The pencils take no elimination: each comes from its
-(k-3)-prefix's functionals by one annihilator step, and each prefix's
-from the identity by k-3. Each report says which route ran and how much
-it scanned.
+that scans fewer. The pencils take no elimination: the subsets stream
+down one annihilator tower from the generator, each with the values on
+the columns of the functionals that vanish on it, by one step a subset.
+Each report says which route ran and how much it scanned.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ SUBSET_ROUTE = "subset-scan"
 DEFAULT_BUDGET = 10 ** 7
 
 # Field entries per batch in the subset and pencil scans (a subset's
-# matrix, or a pencil's prefix basis plus its projection of the n
-# columns); this bounds the working memory of one batch.
+# matrix, or at level j of the pencil tower a j-subset's k-j rows of
+# values on the n columns); this bounds the working memory of one batch.
 _BATCH_CELLS = 1 << 15
 
 
@@ -94,7 +94,8 @@ class DistanceReport:
     # weight method: a minimum-weight codeword; rank method: the largest
     # column set of deficient rank, as sorted 1-based indices
     witness: tuple[int, ...]
-    # work done: codewords enumerated (one per line), or pencils scanned
+    # work done: codewords enumerated (one per line), or C(n, k-2): the
+    # (k-2)-subsets the pencil scan covers, not the independent ones it labels
     scanned: int = field(default=0, compare=False)
 
 
@@ -107,8 +108,8 @@ class OptimalityReport:
     witness: Optional[tuple[int, ...]]
     locality: LocalityReport
     note: str
-    # PENCIL_ROUTE or SUBSET_ROUTE (None when locality failed first), and
-    # the pencils or subsets it scanned; subsets_total stays C(n, s)
+    # PENCIL_ROUTE (scanned: C(n, k-2) subsets, as in DistanceReport) or
+    # SUBSET_ROUTE (the subsets eliminated); None if locality failed first
     route: Optional[str] = field(default=None, compare=False)
     scanned: int = field(default=0, compare=False)
 
@@ -120,13 +121,6 @@ class StructureReport:
     sizes_ok: bool
     punctured_mds: tuple[bool, ...]
     messages: tuple[str, ...]
-
-
-def _subset_batches(pool: Sequence[int], size: int, cells: int) -> Iterator[np.ndarray]:
-    """The size-subsets of pool in lexicographic order, as N x size int64
-    arrays of about _BATCH_CELLS // cells subsets each."""
-    return index_batches(combinations(pool, size), size,
-                         max(1, _BATCH_CELLS // max(1, cells)), np.int64)
 
 
 def _first_deficient(m: Matrix, size: int, full_rank: int,
@@ -142,8 +136,8 @@ def _first_deficient(m: Matrix, size: int, full_rank: int,
     kern = field_kernel(m.field)
     # columns as kernel rows, indexed by coordinate (row 0 unused)
     columns = kern.array([(0,) * m.rows] + m.columns())
-    scanned = 0
-    for E in _subset_batches(pool, size, size * m.rows):
+    scanned, batch = 0, max(1, _BATCH_CELLS // max(1, size * m.rows))
+    for E in index_batches(combinations(pool, size), size, batch, np.int64):
         # eliminate across the shorter side: rank is the same either way
         R = columns[E] if size >= m.rows else columns[E].transpose(0, 2, 1).copy()
         _, ranks = _batch_rref(kern, R)
@@ -217,15 +211,15 @@ def _lex_first(sets: np.ndarray) -> tuple[int, ...]:
     return tuple((np.flatnonzero(sets[top]) + 1).tolist())
 
 
-def _pencil_hyperplanes(kern, psi: np.ndarray, columns: np.ndarray
+def _pencil_hyperplanes(kern, XY: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For pencils given by (psi1, psi2), each column's slope label (-1 at
-    infinity, -2 in span(T)), the span(T) mask, and the size of the
-    hyperplane each column names: its slope class plus span(T). A column
-    in span(T) names one only when every column is in span(T)."""
-    x, y = kern.matmul(psi, columns.T).transpose(1, 0, 2)
+    """For pencils given by the values (X, Y) of their two functionals on
+    the columns, each column's slope label (-1 at infinity, -2 in span(T)),
+    the span(T) mask, and the size of the hyperplane each column names: its
+    slope class plus span(T). A column in span(T) names one only if all do."""
+    x, y = XY.transpose(1, 0, 2)
     span = (x == 0) & (y == 0)
-    label = np.where(span, -2, -1).astype(x.dtype)
+    label = np.where(span, -2, -1).astype(x.dtype, copy=False)
     finite = x != 0
     label[finite] = kern.mul(y[finite], kern.inv(x[finite]))
     # class sizes from one sort per row (every row starts a run)
@@ -242,33 +236,39 @@ def _pencil_hyperplanes(kern, psi: np.ndarray, columns: np.ndarray
     return label, span, np.where(span, np.where(z == n, n, 0), z + shared)
 
 
-def _pencils(kern, columns: np.ndarray) -> Iterator[np.ndarray]:
-    """The pencils of the independent (k-2)-subsets T of the n x k columns,
-    in lexicographic order, as N x 2 x k batches of the two functionals
-    that vanish on T. A batch of (k-3)-prefixes P gets its functionals by
-    k-3 annihilator steps from the identity, and each P + x, x > max(P),
-    by one more."""
-    n, k = columns.shape
-    eye = kern.array(np.eye(k, dtype=np.int64))
-    if k == 2:  # the empty subset: every functional vanishes on it
-        yield eye[None]
-        return
-    rows = max(1, _BATCH_CELLS // ((k - 2) * k + 2 * n))
-    # a prefix's first step works on the k x k identity, with temporaries
-    # of about three times its size
-    for P in _subset_batches(range(n), k - 3, 4 * k * k):
-        A = np.repeat(eye[None], len(P), axis=0)
-        for t in range(k - 3):
-            A, _ = _annihilate(kern, A, columns[P[:, t]])
-        # prefix i owns the pencils ends[i-1] .. ends[i] - 1, whose last
-        # columns run up to n - 1
-        ends = np.cumsum(n - 1 - P.max(axis=1, initial=-1))
-        for lo in range(0, ends[-1], rows):
-            at = np.arange(lo, min(lo + rows, ends[-1]))
-            owner = np.searchsorted(ends, at, side="right")
-            psi, full = _annihilate(kern, A[owner], columns[at - ends[owner] + n])
-            if full.any():
-                yield psi[full]
+def _pencils(kern, G: np.ndarray) -> Iterator[np.ndarray]:
+    """The pencils of the independent (k-2)-subsets T of the k x n
+    generator's columns, in lexicographic order, as N x 2 x n batches of
+    the values (X, Y) on the columns of two functionals that vanish on T.
+    Down one annihilator tower from G: a j-subset P's k-j rows of values
+    B give P + x's, x > max(P), by one step with a = B[:, x]. A deficient
+    subset is dropped at its level, as its extensions are deficient too.
+    No batch is held while the next one at its level is derived."""
+    k, n = G.shape
+
+    def level(j: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        # the j-subsets with room for k-2-j more columns, and their last
+        if j == 0:
+            yield G[None], np.array([-1])
+            return
+        stop = n - (k - 2 - j)
+        rows = max(1, _BATCH_CELLS // max(1, (k - j) * n))
+        for B, last in level(j - 1):
+            # parent i owns children ends[i-1] .. ends[i] - 1, up to stop - 1
+            ends = np.cumsum(np.maximum(stop - 1 - last, 0))
+            for lo in range(0, ends[-1], rows):
+                at = np.arange(lo, min(lo + rows, ends[-1]))
+                owner = np.searchsorted(ends, at, side="right")
+                x = at - ends[owner] + stop
+                out, full = _annihilate(kern, B[owner], B[owner, :, x])
+                if not full.all():
+                    out, x = out[full], x[full]
+                if x.size:
+                    yield out, x
+                del out
+            del B
+
+    return map(lambda batch: batch[0], level(k - 2))
 
 
 def _pencil_scan(m: Matrix, size: Optional[int]
@@ -277,21 +277,20 @@ def _pencil_scan(m: Matrix, size: Optional[int]
     (k >= 2), and the first size-subset of rank below k, or None.
 
     Such sets lie on hyperplanes. Those through an independent
-    (k-2)-subset T form a pencil: with psi1, psi2 spanning the functionals
-    that vanish on T, a column with psi1.c = psi2.c = 0 is in span(T) and
-    on all of them, any other on the one named by its slope psi2.c/psi1.c.
-    Every hyperplane spanned by columns holds such a T. Of two hyperplanes
-    through one T, the one whose other columns start first has the first
-    set and the first size-prefix.
+    (k-2)-subset T form a pencil: with X = psi1.c and Y = psi2.c the
+    values on column c of two functionals that span those vanishing on T,
+    a column with X = Y = 0 is in span(T) and on all of them, any other
+    on the one named by its slope Y/X. Every hyperplane spanned by columns
+    holds such a T. Of two hyperplanes through one T, the one whose other
+    columns start first has the first set and the first size-prefix.
     """
     k, n = m.rows, m.cols
     kern = field_kernel(m.field)
-    columns = kern.array(m.columns()).reshape(n, k)
     # the answers so far; largest as (-size, set), so that the min wins
     largest: Optional[tuple[int, tuple[int, ...]]] = None
     first: Optional[tuple[int, ...]] = None
-    for psi in _pencils(kern, columns):
-        label, span, sizes = _pencil_hyperplanes(kern, psi, columns)
+    for XY in _pencils(kern, kern.array(m.row_data()).reshape(k, n)):
+        label, span, sizes = _pencil_hyperplanes(kern, XY)
 
         def on(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
             return (label[rows] == label[rows, cols][:, None]) | span[rows]
@@ -311,6 +310,7 @@ def _pencil_scan(m: Matrix, size: Optional[int]
             sets &= np.cumsum(sets, axis=1) <= size
             cand = _lex_first(sets)
             first = cand if first is None else min(first, cand)
+        del XY, label, span, sizes
     if largest is None:
         # no k-2 columns are independent: every column set has rank below k
         every = tuple(range(1, n + 1))

@@ -347,6 +347,26 @@ def test_verify_prints_the_locality_work(tmp_path, capsys):
     assert "  group 1 {1,2,3,4}: rank 3  FAIL (rank exceeds r)" in out
 
 
+def _readme_output(command):
+    """The lines the README shows under `$ command`, up to a blank line."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    at = lines.index(f"$ {command}") + 1
+    end = lines.index("", at)
+    return lines[at:end]
+
+
+def test_readme_construct_and_verify_transcripts(tmp_path, monkeypatch, capsys):
+    # the README's construct and verify session, run as written, prints
+    # exactly what the README shows
+    monkeypatch.chdir(tmp_path)
+    for command in ("lrc construct 12 5 2 3 --field 499 --seed 0 --out code.json",
+                    "lrc verify code.json"):
+        rc, out, err = run(capsys, command.split()[1:])
+        assert rc == 0 and err == ""
+        assert out.splitlines() == _readme_output(command), command
+
+
 def test_verify_budget_exhaustion_is_not_failure(tmp_path, capsys):
     out_file = tmp_path / "code.json"
     run(capsys, ["construct", "12", "5", "2", "3", "--field", "499",

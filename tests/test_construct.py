@@ -361,9 +361,9 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
         real = construct_mod._annihilate
         shapes, caches = [], []
 
-        def annihilate(kern, A, c):
+        def annihilate(kern, A, a):
             shapes.append(A.shape)
-            return real(kern, A, c)
+            return real(kern, A, a)
 
         def rref(kern, R):
             raise AssertionError("the cache eliminated a subset")

@@ -48,6 +48,21 @@ def test_is_prime_matches_sympy_large_samples():
     assert not is_prime(399165290221 * 798330580441)
 
 
+def test_is_prime_refuses_past_its_exact_range():
+    # psi_13 = 1287836182261 * 2575672364521 fools every witness base, so
+    # from psi_13 on is_prime refuses rather than answer; the largest
+    # prime below psi_13 is still proved
+    psi13 = 3317044064679887385961981
+    assert psi13 == 1287836182261 * 2575672364521
+    below = 3317044064679887385961813
+    assert sympy.isprime(below) and sympy.nextprime(below) > psi13
+    assert is_prime(below)
+    assert not is_prime(below + 2)
+    for n in (psi13, psi13 + 2, 2 ** 89 - 1):
+        with pytest.raises(BoundTooLarge, match="too large to prove prime"):
+            is_prime(n)
+
+
 def test_modulus_table_entries_are_irreducible():
     for e, mask in IRREDUCIBLE_POLY.items():
         assert mask.bit_length() - 1 == e
@@ -199,8 +214,10 @@ def test_field_at_least():
     assert field_at_least(1).q == 2
     assert field_at_least(5, prefer="binary").q == 8
     assert field_at_least(256, prefer="binary").q == 256
-    with pytest.raises(BoundTooLarge, match=r"no prime in \[2147483649, 2147483648\]"):
+    with pytest.raises(BoundTooLarge, match=r"bound 2147483649 passes the 2\^31 cap"):
         field_at_least(2 ** 31 + 1)
+    with pytest.raises(BoundTooLarge, match=r"no prime in \[2147483648, 2147483648\]"):
+        field_at_least(2 ** 31)
     with pytest.raises(BoundTooLarge):
         field_at_least(10 ** 7, prefer="binary")
     with pytest.raises(ValueError):

@@ -239,7 +239,7 @@ def test_annihilate_matches_gauss_jordan(f, kk):
     was_full = np.ones(N, dtype=bool)
     for t, step in enumerate(cols):
         c = kern.array(step)
-        A, full = _annihilate(kern, A, c)
+        A, full = _annihilate(kern, A, kern.matmul(A, c[:, :, None])[:, :, 0])
         assert A.shape == (N, kk - t - 1, kk) and A.dtype == kern.dtype
         T = kern.array([[cols[s][i] for s in range(t + 1)] for i in range(N)])
         want, want_full = batch_nullspace(kern, T)

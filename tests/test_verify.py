@@ -29,6 +29,7 @@ from lrcodes.verify import (
 import lrcodes.verify as verify_mod
 from deficient_oracle import oracle_first_deficient, oracle_rank_criterion
 from nullspace_oracle import batch_nullspace, row_spaces
+from pencil_oracle import oracle_pencils
 from weight_oracle import oracle_weight_enumeration
 
 F4 = field_make(2, 2)
@@ -303,33 +304,47 @@ def _low_rank_matrix(rng, f, k, n):
     return Matrix.from_columns(f, cols)
 
 
-def _two_pencils_per_batch(monkeypatch, k, n):
-    """Pencil batches of two: the n-k+3 pencils through the first
-    (k-3)-prefix then span at least two batches (for k >= 3 and n >= k)."""
-    monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 2 * ((k - 2) * k + 2 * n))
+def _two_pencils_per_batch(monkeypatch, n):
+    """Pencil batches of two: a pencil's batch row is its two rows of
+    values on the n columns, 2n cells. The n-k+3 pencils through the
+    first (k-3)-prefix then span at least two batches (for k >= 3 and
+    n >= k)."""
+    monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 2 * 2 * n)
 
 
 @pytest.mark.parametrize("f", RANK_FIELDS, ids=repr)
 def test_pencils_are_each_independent_subset_in_order(f, monkeypatch):
-    # the pencils, batch after batch, are those of the independent
-    # (k-2)-subsets in lexicographic order, each spanning its subset's
-    # own nullspace, with pencils one, two or all per batch
+    # the (X, Y) batches, concatenated, are bit for bit psi . c on every
+    # column for the functional tower's pencils psi of the independent
+    # (k-2)-subsets in lexicographic order, with pencils one, two or all
+    # per batch, on matrices of rank k and below; each psi spans its
+    # subset's own nullspace
     rng = random.Random(f.q % 1051)
     kern = field_kernel(f)
     for trial in range(24):
         k = 2 + trial % 4
-        m = _dependent_matrix(rng, f, k, rng.randrange(max(1, k - 2), 9))
-        n = m.cols
+        n = rng.randrange(max(1, k - 2), 9)
+        low = trial % 3 == 1
+        m = (_low_rank_matrix if low else _dependent_matrix)(rng, f, k, n)
         columns = kern.array(m.columns()).reshape(n, k)
+        psi = oracle_pencils(kern, columns)
         T = np.array(list(combinations(range(n), k - 2)), dtype=np.int64)
-        want, full = batch_nullspace(kern, columns[T.reshape(len(T), k - 2)])
-        for cells in (1, 2 * ((k - 2) * k + 2 * n), verify_mod._BATCH_CELLS):
-            monkeypatch.setattr(verify_mod, "_BATCH_CELLS", cells)
-            got = list(verify_mod._pencils(kern, columns))
+        nullspace, full = batch_nullspace(kern, columns[T.reshape(len(T), k - 2)])
+        assert (row_spaces(kern, psi).tolist()
+                == row_spaces(kern, nullspace[full]).tolist()), m.row_data()
+        want = kern.matmul(psi, columns.T)
+        G = kern.array(m.row_data()).reshape(k, n)
+        for most in (1, 2, None):
+            if most == 1:
+                monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
+            elif most == 2:
+                _two_pencils_per_batch(monkeypatch, n)
+            got = list(verify_mod._pencils(kern, G))
             monkeypatch.undo()
-            got = np.concatenate(got) if got else kern.zeros((0, 2, k))
-            assert (row_spaces(kern, got).tolist()
-                    == row_spaces(kern, want[full]).tolist()), (m.row_data(), cells)
+            assert all(len(B) <= (most or len(B)) for B in got)
+            got = np.concatenate(got) if got else kern.zeros((0, 2, n))
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (
+                m.row_data(), most)
 
 
 @pytest.mark.parametrize("f", RANK_FIELDS, ids=repr)
@@ -350,7 +365,7 @@ def test_rank_criterion_matches_descending_oracle(f, monkeypatch):
             m.row_data())
     for k in (2, 3, 4, 5):
         m = _full_rank_matrix(rng, f, k, k + 3)
-        _two_pencils_per_batch(monkeypatch, k, m.cols)
+        _two_pencils_per_batch(monkeypatch, m.cols)
         rep = verify_mod._rank_criterion(m, comb(m.cols, k - 2))
         monkeypatch.undo()
         assert (rep.d, tuple(rep.witness)) == oracle_rank_criterion(m), (
@@ -379,7 +394,7 @@ def test_pencil_certificate_matches_subset_oracle(f, monkeypatch):
     for k in (2, 3, 4, 5):
         for m in (_dependent_matrix(rng, f, k, k + 3),
                   _low_rank_matrix(rng, f, k, k + 3)):
-            _two_pencils_per_batch(monkeypatch, k, m.cols)
+            _two_pencils_per_batch(monkeypatch, m.cols)
             for size in range(m.cols + 2):
                 _, got = verify_mod._pencil_scan(m, size)
                 assert got == oracle_first_deficient(m, size, k), (
