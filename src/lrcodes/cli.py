@@ -43,8 +43,8 @@ from .params import (
     CodeParams,
     classify,
 )
-from .verify import (DEFAULT_BUDGET, certify_optimal, check_locality,
-                     check_structure_theorem, min_distance)
+from .verify import (DEFAULT_BUDGET, PENCIL_ROUTE, RANK_METHOD, certify_optimal,
+                     check_locality, check_structure_theorem, min_distance)
 
 __all__ = ["main"]
 
@@ -277,8 +277,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     try:
         dist = min_distance(code, budget=args.budget)
+        labelled = f", {dist.labelled} labelled" if dist.method == RANK_METHOD else ""
         print(f"distance: d = {dist.d} via {dist.method}, "
-              f"{dist.scanned} scanned")
+              f"{dist.scanned} scanned{labelled}")
         if dist.d != code.claimed_d:
             print(f"  FAIL: claimed d = {code.claimed_d}")
             failed = True
@@ -292,6 +293,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"{report.subsets_total} subsets of size {report.subset_size})")
         if report.route:  # None when locality failed before any scan
             line += f" via {report.route}, {report.scanned} scanned"
+            if report.route == PENCIL_ROUTE:
+                line += f", {report.labelled} labelled"
         print(line)
         if not ok and report.witness:
             print(f"  deficient columns: {report.witness}")

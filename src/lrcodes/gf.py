@@ -307,9 +307,9 @@ def field_at_least(bound: int, prefer: str = "prime") -> FieldSpec:
 class _Kernel:
     """Field arithmetic on numpy arrays of canonical representatives.
 
-    Subclasses supply the order `q`, `dtype`, `mul`, the in-place `fma`
-    (acc += b*c) and `fms` (acc -= b*c), and `inv` over a 1-D
-    batch of nonzero elements. Operands broadcast like numpy operands.
+    Subclasses supply the order `q`, `dtype`, `mul`, `cross` (u*s - v*t),
+    the in-place `fma` (acc += b*c) and `fms` (acc -= b*c), and `inv` over
+    a 1-D batch of nonzero elements. Operands broadcast like numpy operands.
     """
 
     q: int
@@ -355,9 +355,21 @@ class _PrimeKernel(_Kernel):
     def __init__(self, p: int) -> None:
         self.p = self.q = p
         self.dtype = np.int64 if p * (p - 1) < 2 ** 63 else object
+        # a multiple of p that keeps u*s - v*t non-negative where the sum
+        # fits in int64, as numpy's % is slower on negative operands
+        self.lift = p * (p - 1) if 2 * p * (p - 1) < 2 ** 63 else 0
 
     def mul(self, a, b):
         return a * b % self.p
+
+    def cross(self, u, s, v, t):
+        # one reduction, as each product of residues is below p(p-1);
+        # u * s must have the shape of the result
+        out = u * s
+        out += self.lift
+        out -= v * t
+        out %= self.p
+        return out
 
     def fma(self, acc: np.ndarray, b, c) -> None:
         acc += b * c
@@ -422,6 +434,9 @@ class _BinaryKernel(_Kernel):
 
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]
+
+    def cross(self, u, s, v, t):
+        return self.mul(u, s) ^ self.mul(v, t)
 
     def fma(self, acc: np.ndarray, b, c) -> None:
         acc ^= self.mul(b, c)

@@ -241,6 +241,6 @@ def _annihilate(kern, A: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndar
     p = nonzero.argmax(axis=1)
     rows = np.arange(N)[:, None]
     rest = np.arange(m - 1) + (np.arange(m - 1) >= p[:, None])
-    out = kern.mul(A[rows, rest], a[rows, p[:, None], None])
-    kern.fms(out, a[rows, rest, None], A[rows, p[:, None]])
+    out = kern.cross(A[rows, rest], a[rows, p[:, None], None],
+                     a[rows, rest, None], A[rows, p[:, None]])
     return out, nonzero.any(axis=1)

@@ -10,8 +10,10 @@ check at the single subset size the distance bound makes decisive: by
 the same pencil scan, or by a sweep of the subsets themselves when
 that scans fewer. The pencils take no elimination: the subsets stream
 down one annihilator tower from the generator, each with the values on
-the columns of the functionals that vanish on it, by one step a subset.
-Each report says which route ran and how much it scanned.
+the columns of the functionals that vanish on it, by one step a subset;
+a subtree is cut when no hyperplane with its canonical prefix in that
+subtree can change an answer.
+Each report says which route ran, what it covered and what it labelled.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -95,8 +97,9 @@ class DistanceReport:
     # column set of deficient rank, as sorted 1-based indices
     witness: tuple[int, ...]
     # work done: codewords enumerated (one per line), or C(n, k-2): the
-    # (k-2)-subsets the pencil scan covers, not the independent ones it labels
+    # (k-2)-subsets the pencil scan covers; and the pencils it labelled
     scanned: int = field(default=0, compare=False)
+    labelled: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,7 @@ class OptimalityReport:
     # SUBSET_ROUTE (the subsets eliminated); None if locality failed first
     route: Optional[str] = field(default=None, compare=False)
     scanned: int = field(default=0, compare=False)
+    labelled: int = field(default=0, compare=False)  # as in DistanceReport
 
 
 @dataclass(frozen=True)
@@ -236,15 +240,22 @@ def _pencil_hyperplanes(kern, XY: np.ndarray
     return label, span, np.where(span, np.where(z == n, n, 0), z + shared)
 
 
-def _pencils(kern, G: np.ndarray) -> Iterator[np.ndarray]:
+def _pencils(kern, G: np.ndarray, floor: Callable[[], int]) -> Iterator[np.ndarray]:
     """The pencils of the independent (k-2)-subsets T of the k x n
     generator's columns, in lexicographic order, as N x 2 x n batches of
     the values (X, Y) on the columns of two functionals that vanish on T.
     Down one annihilator tower from G: a j-subset P's k-j rows of values
     B give P + x's, x > max(P), by one step with a = B[:, x]. A deficient
     subset is dropped at its level, as its extensions are deficient too.
-    No batch is held while the next one at its level is derived."""
+    So is P + x with its subtree when it is no canonical prefix (the first
+    columns a lexicographic greedy pass keeps as independent) of a
+    hyperplane H of floor() columns or more, read once per batch of
+    parents: H's columns below x would be in span(P), where B is zero, so
+    H holds at most those and the n - x from x on. That bound falls as x
+    grows, so each parent keeps a run of children. No batch is held while
+    the next one at its level is derived."""
     k, n = G.shape
+    cols = np.arange(n)
 
     def level(j: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         # the j-subsets with room for k-2-j more columns, and their last
@@ -254,12 +265,18 @@ def _pencils(kern, G: np.ndarray) -> Iterator[np.ndarray]:
         stop = n - (k - 2 - j)
         rows = max(1, _BATCH_CELLS // max(1, (k - j) * n))
         for B, last in level(j - 1):
-            # parent i owns children ends[i-1] .. ends[i] - 1, up to stop - 1
-            ends = np.cumsum(np.maximum(stop - 1 - last, 0))
+            end = stop  # no bound is taken while nothing can be cut
+            if floor():
+                spanned = ~B.any(axis=1)
+                bound = np.cumsum(spanned, axis=1) - spanned + (n - cols)
+                end = np.minimum(stop, (bound >= floor()).sum(axis=1))
+            # parent i owns children ends[i] - count[i] .. ends[i] - 1
+            count = np.maximum(end - 1 - last, 0)
+            ends = np.cumsum(count)
             for lo in range(0, ends[-1], rows):
                 at = np.arange(lo, min(lo + rows, ends[-1]))
                 owner = np.searchsorted(ends, at, side="right")
-                x = at - ends[owner] + stop
+                x = at - ends[owner] + count[owner] + last[owner] + 1
                 out, full = _annihilate(kern, B[owner], B[owner, :, x])
                 if not full.all():
                     out, x = out[full], x[full]
@@ -272,9 +289,10 @@ def _pencils(kern, G: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _pencil_scan(m: Matrix, size: Optional[int]
-                 ) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
-    """The lexicographically first largest column set of rank below k
-    (k >= 2), and the first size-subset of rank below k, or None.
+                 ) -> tuple[Optional[tuple[int, ...]], int]:
+    """With no size, the lexicographically first largest column set of
+    rank below k (k >= 2); with one, the first size-subset of rank below
+    k, or None. And how many pencils were labelled.
 
     Such sets lie on hyperplanes. Those through an independent
     (k-2)-subset T form a pencil: with X = psi1.c and Y = psi2.c the
@@ -283,39 +301,49 @@ def _pencil_scan(m: Matrix, size: Optional[int]
     on the one named by its slope Y/X. Every hyperplane spanned by columns
     holds such a T. Of two hyperplanes through one T, the one whose other
     columns start first has the first set and the first size-prefix.
+    One of size columns or more, or as many as the largest so far, is
+    labelled at its canonical prefix (see _pencils). Nothing is cut before
+    the first pencil is labelled: none labelled means no k-2 columns are
+    independent.
     """
     k, n = m.rows, m.cols
     kern = field_kernel(m.field)
-    # the answers so far; largest as (-size, set), so that the min wins
+    # the answer so far; largest as (-size, set), so that the min wins
     largest: Optional[tuple[int, tuple[int, ...]]] = None
     first: Optional[tuple[int, ...]] = None
-    for XY in _pencils(kern, kern.array(m.row_data()).reshape(k, n)):
+    floor = labelled = 0
+    for XY in _pencils(kern, kern.array(m.row_data()).reshape(k, n),
+                       lambda: floor):
+        labelled += len(XY)
         label, span, sizes = _pencil_hyperplanes(kern, XY)
 
         def on(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
             return (label[rows] == label[rows, cols][:, None]) | span[rows]
 
-        best = sizes.argmax(axis=1)
-        top = sizes[np.arange(best.size), best]
-        most = int(top.max())
-        if largest is None or -most <= largest[0]:
-            rows = np.flatnonzero(top == most)
-            cand = (-most, _lex_first(on(rows, best[rows])))
-            largest = cand if largest is None else min(largest, cand)
-        # with no size given, no hyperplane holds the n+1 columns asked for
-        big = sizes >= (n + 1 if size is None else size)
-        rows = np.flatnonzero(big.any(axis=1))
-        if rows.size:
-            sets = on(rows, big[rows].argmax(axis=1))
-            sets &= np.cumsum(sets, axis=1) <= size
-            cand = _lex_first(sets)
-            first = cand if first is None else min(first, cand)
+        if size is None:
+            best = sizes.argmax(axis=1)
+            top = sizes[np.arange(best.size), best]
+            most = int(top.max())
+            if largest is None or -most <= largest[0]:
+                rows = np.flatnonzero(top == most)
+                cand = (-most, _lex_first(on(rows, best[rows])))
+                largest = cand if largest is None else min(largest, cand)
+            floor = -largest[0]
+        else:
+            big = sizes >= size
+            rows = np.flatnonzero(big.any(axis=1))
+            if rows.size:
+                sets = on(rows, big[rows].argmax(axis=1))
+                sets &= np.cumsum(sets, axis=1) <= size
+                cand = _lex_first(sets)
+                first = cand if first is None else min(first, cand)
+            floor = size
         del XY, label, span, sizes
-    if largest is None:
+    if not labelled:
         # no k-2 columns are independent: every column set has rank below k
         every = tuple(range(1, n + 1))
-        return every, (every[:size] if size is not None and size <= n else None)
-    return largest[1], first
+        return (every if size is None else every[:size] if size <= n else None), 0
+    return (first if largest is None else largest[1]), labelled
 
 
 def _within_budget(what: str, n: int, j: int, unit: str, budget: int) -> int:
@@ -334,12 +362,12 @@ def _rank_criterion(m: Matrix, budget: int) -> DistanceReport:
     if k == 1:  # the zero hyperplane is the only one
         total = _within_budget("rank criterion", n, 0, "hyperplane checks", budget)
         witness = tuple(j for j, c in enumerate(m.columns(), start=1) if not any(c))
+        labelled = 0
     else:
-        total = _within_budget("rank criterion", n, k - 2, "pencil eliminations",
-                               budget)
-        witness, _ = _pencil_scan(m, None)
+        total = _within_budget("rank criterion", n, k - 2, "(k-2)-subsets", budget)
+        witness, labelled = _pencil_scan(m, None)
     return DistanceReport(d=n - len(witness), method=RANK_METHOD,
-                          witness=witness, scanned=total)
+                          witness=witness, scanned=total, labelled=labelled)
 
 
 def min_distance(code: LrcCode, budget: int = DEFAULT_BUDGET) -> DistanceReport:
@@ -387,20 +415,19 @@ def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
     what = "optimality certification"
     if p.k >= 2 and comb(p.n, p.k - 2) <= total:
         route = PENCIL_ROUTE
-        scanned = _within_budget(what, p.n, p.k - 2, "pencil eliminations",
-                                 budget)
-        _, witness = _pencil_scan(code.generator, size)
+        scanned = _within_budget(what, p.n, p.k - 2, "(k-2)-subsets", budget)
+        witness, labelled = _pencil_scan(code.generator, size)
     else:
         route = SUBSET_ROUTE
         _within_budget(what, p.n, size, "subset checks", budget)
-        witness, scanned = _first_deficient(code.generator, size, p.k)
+        (witness, scanned), labelled = _first_deficient(code.generator, size, p.k), 0
     ok = witness is None
     report = OptimalityReport(ok=ok, bound_d=bound, subset_size=size,
                               subsets_total=total, witness=witness,
                               locality=locality,
                               note=note if ok else
                               f"column set {witness} has rank below {p.k}",
-                              route=route, scanned=scanned)
+                              route=route, scanned=scanned, labelled=labelled)
     return ok, report
 
 

@@ -8,11 +8,17 @@ down one tower from the generator; its (X, Y) batches must equal
 psi . c on every column, bit for bit and pencil for pencil. The step is
 written out here row by row, with its own choice of pivot, so that the
 comparison also pins the pivot `lrcodes.linalg._annihilate` takes.
+
+`oracle_cut` and `oracle_labelled` say which subtrees the scan cuts by
+the canonical-prefix bound: under a fixed floor, and how many pencils
+it labels one pencil per batch as the floor rises.
 """
 
 from itertools import combinations
 
 import numpy as np
+
+from lrcodes.linalg import rank
 
 
 def annihilate_step(kern, A, c):
@@ -52,3 +58,64 @@ def oracle_pencils(kern, columns):
     owner, x = (np.array(v, dtype=np.int64) for v in zip(*pairs))
     psi, full = annihilate_step(kern, A[owner], columns[x])
     return psi[full]
+
+
+def oracle_labelled(m, size=None):
+    """How many pencils `_pencil_scan(m, size)` labels at one pencil per
+    batch (k >= 2), by a depth-first walk of the independent subsets in
+    lexicographic order with scalar ranks. P + x is cut when P's columns
+    below x in span(P), plus the n - x columns from x on, fall below the
+    floor at the time P is reached. The floor is 0 until the first
+    pencil is labelled, then size, or with no size the most columns on
+    one hyperplane through a pencil labelled so far."""
+    k, n = m.rows, m.cols
+    floor = labelled = 0
+
+    def span(P):
+        """The columns (0-based) in the span of the independent P."""
+        return [c for c in range(n)
+                if c in P or rank(m, [i + 1 for i in P + [c]]) == len(P)]
+
+    def most(T):
+        inside = span(T)
+        if len(inside) == n:
+            return n
+        return max(len(span(T + [c])) for c in range(n) if c not in inside)
+
+    def visit(P):
+        nonlocal floor, labelled
+        if len(P) == k - 2:
+            labelled += 1
+            floor = size if size is not None else max(floor, most(P))
+            return
+        stop = n - (k - 3 - len(P))
+        at, inside = floor, span(P) if floor else []
+        for x in range(P[-1] + 1 if P else 0, stop):
+            if rank(m, [i + 1 for i in P + [x]]) <= len(P):
+                continue
+            if at and sum(c < x for c in inside) + n - x < at:
+                continue
+            visit(P + [x])
+
+    visit([])
+    return labelled
+
+
+def oracle_cut(m, floor):
+    """For each independent (k-2)-subset T of the columns, in
+    lexicographic order, whether the scan keeps it under a fixed floor:
+    whether every prefix P + x of T has at least floor columns below x in
+    span(P) plus the n - x from x on."""
+    k, n = m.rows, m.cols
+    kept = []
+    for T in combinations(range(n), k - 2):
+        if rank(m, [i + 1 for i in T]) < k - 2:
+            continue
+        ok = True
+        for j, x in enumerate(T):
+            P = list(T[:j])
+            inside = [c for c in range(x) if c in P
+                      or rank(m, [i + 1 for i in P + [c]]) == len(P)]
+            ok &= len(inside) + n - x >= floor
+        kept.append(ok)
+    return np.array(kept, dtype=bool)

@@ -168,9 +168,11 @@ def test_construct_writes_verifiable_file(tmp_path, capsys):
     assert "code: [n=12, k=5] over GF(499), r=2, delta=3, claimed d = 4" in out
     assert "locality: OK" in out
     assert "  group 1 {1,2,3,4}: rank 2" in out
-    assert "distance: d = 4 via rank-criterion, 220 scanned" in out
+    # the 208 independent 3-subsets are labelled: the scan's first batch
+    # holds every pencil, so none is cut
+    assert "distance: d = 4 via rank-criterion, 220 scanned, 208 labelled\n" in out
     assert ("optimality: OPTIMAL (bound d* = 4, 220 subsets of size 9) "
-            "via pencil-scan, 220 scanned") in out
+            "via pencil-scan, 220 scanned, 208 labelled\n") in out
     assert "structure theorem: not applicable (requires r | k and r < k)" in out
 
 

@@ -268,6 +268,10 @@ def test_kernel_matches_scalar_ops():
         assert acc.tolist() == [f.sub(x, f.mul(x, y)) for x, y in zip(a, b)]
         K.fma(acc, A, B)
         assert acc.tolist() == a
+        # cross(u, s, v, t) = u*s - v*t, with products of the largest residues
+        top = [f.q - 1 - rng.randrange(2) for _ in range(301)]
+        assert K.cross(A, K.array(top), K.array(top), B).tolist() == [
+            f.sub(f.mul(x, t), f.mul(t, y)) for x, y, t in zip(a, b, top)]
         M = K.array([a[:3], b[:3]] * 4)
         assert K.matmul(M, K.array(nz[:3]).reshape(3, 1)).tolist() == [
             [f.add(f.add(f.mul(r[0], nz[0]), f.mul(r[1], nz[1])), f.mul(r[2], nz[2]))]

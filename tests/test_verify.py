@@ -2,10 +2,12 @@ import random
 from dataclasses import replace
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lrcodes.codefile import load_code
 from lrcodes.construct import LrcCode, construct, mds_generator
 from lrcodes.covers import CoverSet, uniform_partition
 from lrcodes.errors import (
@@ -29,10 +31,11 @@ from lrcodes.verify import (
 import lrcodes.verify as verify_mod
 from deficient_oracle import oracle_first_deficient, oracle_rank_criterion
 from nullspace_oracle import batch_nullspace, row_spaces
-from pencil_oracle import oracle_pencils
+from pencil_oracle import oracle_cut, oracle_labelled, oracle_pencils
 from weight_oracle import oracle_weight_enumeration
 
 F4 = field_make(2, 2)
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
 def gf4_code(delta: int = 2) -> LrcCode:
@@ -280,7 +283,7 @@ def test_distance_budget_boundary():
     assert rep.scanned == comb(8, 1)
     with pytest.raises(BudgetExceeded) as exc:
         min_distance(code, budget=comb(8, 1) - 1)
-    assert "C(8,1) = 8 pencil eliminations" in str(exc.value)
+    assert "C(8,1) = 8 (k-2)-subsets" in str(exc.value)
 
 
 def _full_rank_matrix(rng, f, k, n):
@@ -339,7 +342,7 @@ def test_pencils_are_each_independent_subset_in_order(f, monkeypatch):
                 monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
             elif most == 2:
                 _two_pencils_per_batch(monkeypatch, n)
-            got = list(verify_mod._pencils(kern, G))
+            got = list(verify_mod._pencils(kern, G, lambda: 0))
             monkeypatch.undo()
             assert all(len(B) <= (most or len(B)) for B in got)
             got = np.concatenate(got) if got else kern.zeros((0, 2, n))
@@ -387,7 +390,7 @@ def test_pencil_certificate_matches_subset_oracle(f, monkeypatch):
         if trial % 3 == 0:
             monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
         for size in range(n + 2):
-            _, got = verify_mod._pencil_scan(m, size)
+            got, _ = verify_mod._pencil_scan(m, size)
             assert got == oracle_first_deficient(m, size, k), (
                 m.row_data(), size)
         monkeypatch.undo()
@@ -396,10 +399,159 @@ def test_pencil_certificate_matches_subset_oracle(f, monkeypatch):
                   _low_rank_matrix(rng, f, k, k + 3)):
             _two_pencils_per_batch(monkeypatch, m.cols)
             for size in range(m.cols + 2):
-                _, got = verify_mod._pencil_scan(m, size)
+                got, _ = verify_mod._pencil_scan(m, size)
                 assert got == oracle_first_deficient(m, size, k), (
                     m.row_data(), size)
             monkeypatch.undo()
+
+
+def _sparse_matrix(rng, f, k, n):
+    """n columns, each a combination of one or two of a few sparse
+    vectors: many columns lie in the span of a few others, so hyperplanes
+    hold many columns and subsets span columns besides their own."""
+    base = [[rng.randrange(f.q) if rng.random() < 0.4 else 0 for _ in range(k)]
+            for _ in range(rng.randrange(1, k + 2))]
+    cols = []
+    for _ in range(n):
+        v = [0] * k
+        for b in rng.sample(base, min(len(base), rng.randrange(1, 3))):
+            c = rng.randrange(1, f.q)
+            v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
+        cols.append(v)
+    return Matrix.from_columns(f, cols)
+
+
+@pytest.mark.parametrize("f", [field_make(2), field_make(3), field_make(2, 2)],
+                         ids=repr)
+def test_pencil_scan_cuts_keep_both_answers(f, monkeypatch):
+    # on sparse columns the canonical-prefix bound cuts subtrees at every
+    # level; the cut scans still give the oracles' largest deficient set
+    # and first deficient size-subset, with pencils one, two or a full
+    # batch at a time, and label no more than the independent subsets:
+    # one at a time, exactly those of the oracle's cut walk
+    rng = random.Random(f.q * 37)
+    cut = [0, 0]  # scans that labelled fewer pencils: distance, certificate
+    for trial in range(50):
+        k = 2 + trial % 5
+        n = rng.randrange(k, 10)
+        m = _sparse_matrix(rng, f, k, n)
+        every = tuple(range(1, n + 1))
+        largest = oracle_rank_criterion(m)[1] if rank(m) == k else every
+        first = [oracle_first_deficient(m, size, k) for size in range(n + 2)]
+        independent = sum(rank(m, T) == k - 2
+                          for T in combinations(range(1, n + 1), k - 2))
+        for most in (1, 2, None):
+            if most == 1:
+                monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
+            elif most == 2:
+                _two_pencils_per_batch(monkeypatch, n)
+            got, labelled = verify_mod._pencil_scan(m, None)
+            assert got == largest, (m.row_data(), most)
+            assert labelled <= independent
+            assert most != 1 or labelled == oracle_labelled(m), m.row_data()
+            cut[0] += labelled < independent
+            for size in range(n + 2):
+                got, labelled = verify_mod._pencil_scan(m, size)
+                assert got == first[size], (m.row_data(), most, size)
+                assert labelled <= independent
+                assert most != 1 or labelled == oracle_labelled(m, size), (
+                    m.row_data(), size)
+                cut[1] += labelled < independent
+            monkeypatch.undo()
+    assert min(cut) > 0, cut
+
+
+@pytest.mark.parametrize("f", [field_make(2), field_make(3), field_make(2, 2)],
+                         ids=repr)
+def test_pencils_under_a_fixed_floor_are_the_uncut_ones(f, monkeypatch):
+    # under a fixed floor the scan yields, bit for bit and in order, the
+    # uncut scan's pencils of the subsets the oracle keeps, with pencils
+    # one, two or a full batch at a time
+    rng = random.Random(f.q * 41)
+    kern = field_kernel(f)
+    for trial in range(30):
+        k = 3 + trial % 4
+        n = rng.randrange(k, 10)
+        m = _sparse_matrix(rng, f, k, n)
+        G = kern.array(m.row_data()).reshape(k, n)
+        every = list(verify_mod._pencils(kern, G, lambda: 0))
+        every = np.concatenate(every) if every else kern.zeros((0, 2, n))
+        for floor in range(1, n + 2):
+            want = every[oracle_cut(m, floor)]
+            for most in (1, 2, None):
+                if most == 1:
+                    monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
+                elif most == 2:
+                    _two_pencils_per_batch(monkeypatch, n)
+                got = list(verify_mod._pencils(kern, G, lambda: floor))
+                monkeypatch.undo()
+                got = np.concatenate(got) if got else kern.zeros((0, 2, n))
+                assert got.tolist() == want.tolist(), (m.row_data(), floor, most)
+
+
+def test_pencil_scan_of_no_independent_subset_labels_none():
+    # rank k-3: no k-2 columns are independent, so every column set is
+    # deficient; with nothing labelled, nothing was cut either
+    rng = random.Random(5)
+    f = field_make(3)
+    for k in (3, 4, 5, 6):
+        basis = [[rng.randrange(3) for _ in range(k)] for _ in range(k - 3)]
+        cols = []
+        for _ in range(k + 3):
+            v = [0] * k
+            for b in basis:
+                c = rng.randrange(3)
+                v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
+            cols.append(v)
+        m = Matrix.from_columns(f, cols)
+        every = tuple(range(1, m.cols + 1))
+        assert verify_mod._pencil_scan(m, None) == (every, 0)
+        for size in range(m.cols + 2):
+            want = every[:size] if size <= m.cols else None
+            assert verify_mod._pencil_scan(m, size) == (want, 0)
+
+
+def test_certificate_scan_cuts_all_but_the_first_prefix(monkeypatch):
+    # no hyperplane of an MDS generator holds n columns. The n-k+3 pencils
+    # of the first (k-3)-prefix are laid out before any is labelled; after
+    # that every subtree is cut, and the scan still answers None rather
+    # than report the every-set of a degenerate one
+    m = mds_generator(9, 5, field_make(11))
+    kern = field_kernel(m.field)
+    G = kern.array(m.row_data()).reshape(5, 9)
+    assert list(verify_mod._pencils(kern, G, lambda: 10)) == []
+    monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
+    for size in (9, 10):
+        assert verify_mod._pencil_scan(m, size) == (None, 9 - 5 + 3)
+    # the distance scan cuts too, and finds the first k-1 columns
+    largest, labelled = verify_mod._pencil_scan(m, None)
+    assert largest == (1, 2, 3, 4) and labelled < comb(9, 3)
+
+
+def test_pencil_scan_keeps_a_hyperplane_that_meets_its_bound(monkeypatch):
+    # (3, 4, 5, 6) is the only deficient 4-set. Its canonical prefix (3, 4)
+    # is reached from (3), which spans no earlier column, so the bound
+    # allows 1 + (6 - 3) = 4 columns, exactly the size sought: that subtree
+    # must not be cut
+    m = Matrix.from_columns(field_make(5), [(2, 4, 0, 2), (0, 3, 0, 4),
+                                            (1, 1, 2, 0), (0, 4, 4, 0),
+                                            (4, 3, 0, 0), (4, 4, 2, 0)])
+    assert oracle_first_deficient(m, 4, 4) == (3, 4, 5, 6)
+    monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
+    assert verify_mod._pencil_scan(m, 4) == ((3, 4, 5, 6), oracle_labelled(m, 4))
+
+
+def test_pencil_scan_labels_fewer_on_the_fixtures():
+    # the stored (20,8,4,2) code: d = 12 and OPTIMAL, each scan covering
+    # C(20,6) = 38,760 subsets but labelling fewer of their pencils; the
+    # counts are pinned, as the floor rises while the scan runs, so a
+    # change to the cut or to the batch layout shows here
+    code = load_code(FIXTURES / "verify-20-8-4-2.json").code
+    rep = min_distance(code)
+    assert (rep.d, rep.witness, rep.scanned) == (12, tuple(range(1, 9)), 38760)
+    ok, cert = certify_optimal(code)
+    assert ok and (cert.route, cert.scanned) == (verify_mod.PENCIL_ROUTE, 38760)
+    assert (rep.labelled, cert.labelled) == (19692, 13888)
 
 
 def test_distance_methods_agree_on_random_codes():
@@ -504,7 +656,7 @@ def test_certify_optimal_routes_by_counted_work():
         # the budget gate counts the route taken, and names its binomial
         with pytest.raises(BudgetExceeded) as exc:
             certify_optimal(code, budget=scanned - 1)
-        unit = "subset checks" if route == verify_mod.SUBSET_ROUTE else "pencil eliminations"
+        unit = "subset checks" if route == verify_mod.SUBSET_ROUTE else "(k-2)-subsets"
         assert f"= {scanned} {unit}" in str(exc.value)
         # a zero last row keeps locality but leaves rank k-1 overall
         rows = [list(r) for r in code.generator.row_data()]
@@ -534,7 +686,7 @@ def test_certify_optimal_budget():
     assert certify_optimal(code, budget=6)[0]
     with pytest.raises(BudgetExceeded) as exc:
         certify_optimal(code, budget=5)  # needs C(6,1) = 6 pencils
-    assert "C(6,1) = 6 pencil eliminations" in str(exc.value)
+    assert "C(6,1) = 6 (k-2)-subsets" in str(exc.value)
 
 
 # ---------------------------------------------------------------------
