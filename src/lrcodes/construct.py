@@ -153,7 +153,7 @@ class LrcCode:
             field=FieldSpec.from_json(data["field"]),
             generator=Matrix.from_json(data["generator"]),
             structure=structure_from_json(data["structure"]),
-            params=CodeParams(*(index(pp[key]) for key in ("n", "k", "r", "delta"))),
+            params=CodeParams(*(pp[key] for key in ("n", "k", "r", "delta"))),
             claimed_d=index(data["claimed_d"]),
             trace=tuple((index(lam), tuple(map(index, col)))
                         for lam, col in data["trace"]),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import index
 from typing import Optional
 
 from .errors import BoundNonPositive
@@ -69,7 +70,10 @@ TAG_COND_8 = "condition-8"
 TAG_COND_9 = "condition-9"
 
 
-@dataclass(frozen=True)
+# CodeParams and Classification are built once per classified tuple: their
+# own __init__ writes the fields into __dict__, as the generated one's
+# object.__setattr__ per frozen field costs more than classify itself.
+@dataclass(frozen=True, init=False)
 class CodeParams:
     """Length n, dimension k, locality r, tolerance delta >= 2."""
 
@@ -78,12 +82,14 @@ class CodeParams:
     r: int
     delta: int
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.r <= self.k <= self.n):
-            raise ValueError(
-                f"need 1 <= r <= k <= n, got n={self.n} k={self.k} r={self.r}")
-        if self.delta < 2:
-            raise ValueError(f"delta must be >= 2, got {self.delta}")
+    def __init__(self, n: int, k: int, r: int, delta: int) -> None:
+        n, k, r, delta = index(n), index(k), index(r), index(delta)
+        if not (1 <= r <= k <= n):
+            raise ValueError(f"need 1 <= r <= k <= n, got n={n} k={k} r={r}")
+        if delta < 2:
+            raise ValueError(f"delta must be >= 2, got {delta}")
+        d = self.__dict__
+        d["n"], d["k"], d["r"], d["delta"] = n, k, r, delta
 
     @property
     def group_size(self) -> int:
@@ -105,7 +111,7 @@ class ParamDecomposition:
     v: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Classification:
     """Outcome of classify(); verdict is one of the four module constants.
 
@@ -120,6 +126,12 @@ class Classification:
     bound_d: int
     params: CodeParams
 
+    def __init__(self, verdict: str, method: Optional[str], tag: Optional[str],
+                 bound_d: int, params: CodeParams) -> None:
+        d = self.__dict__
+        d["verdict"], d["method"], d["tag"] = verdict, method, tag
+        d["bound_d"], d["params"] = bound_d, params
+
     @property
     def field_bound(self) -> int:
         """C(n, k-1), computed when read: near k = n/2 it has about
@@ -133,12 +145,8 @@ def decompose(p: CodeParams) -> ParamDecomposition:
     return ParamDecomposition(w=w, m=m, u=u, v=v)
 
 
-def _raw_bound(p: CodeParams) -> int:
-    return p.n - p.k + 1 - (p.mu - 1) * (p.delta - 1)
-
-
 def distance_bound(p: CodeParams) -> int:
-    d = _raw_bound(p)
+    d = p.n - p.k + 1 - (p.mu - 1) * (p.delta - 1)
     if d < 1:
         raise BoundNonPositive(
             f"distance bound {d} < 1 for n={p.n} k={p.k} r={p.r} delta={p.delta}")
@@ -163,30 +171,29 @@ def classify(p: CodeParams) -> Classification:
     length below k+delta-1 cannot give every symbol (k,delta) locality,
     so those tuples are NotExists rather than ExistsMDS.
     """
-    d = decompose(p)
-    bound = _raw_bound(p)
-
-    def done(verdict: str, method: Optional[str] = None,
-             tag: Optional[str] = None) -> Classification:
-        return Classification(verdict, method, tag, bound, p)
-
-    if not necessary_check(p):
-        return done(NOT_EXISTS, tag=TAG_LOW_BOUND)
-    if p.r == p.k:
-        return done(EXISTS_MDS)
-    if d.m == 0:
-        return done(EXISTS, METHOD_A1_UNIFORM, TAG_OPT_EXT_1)
-    if d.v == 0:
-        return done(NOT_EXISTS, tag=TAG_NON_EXST)
-    if d.m >= d.v + p.delta - 1:
-        return done(EXISTS, METHOD_A1_REMAINDER, TAG_OPT_EXT_2)
-    if d.u >= 2 * (p.r - d.v) + 1:
-        return done(NOT_EXISTS, tag=TAG_NON_EXST_1)
+    n, k, r, delta = p.n, p.k, p.r, p.delta
+    size = r + delta - 1
+    bound = n - k + 1 - (-(-k // r) - 1) * (delta - 1)
+    if n * r < k * size:  # necessary_check
+        return Classification(NOT_EXISTS, None, TAG_LOW_BOUND, bound, p)
+    if r == k:
+        return Classification(EXISTS_MDS, None, None, bound, p)
+    w, m = divmod(n, size)
+    if m == 0:
+        return Classification(EXISTS, METHOD_A1_UNIFORM, TAG_OPT_EXT_1, bound, p)
+    u, v = divmod(k, r)
+    if v == 0:
+        return Classification(NOT_EXISTS, None, TAG_NON_EXST, bound, p)
+    if m >= v + delta - 1:
+        return Classification(EXISTS, METHOD_A1_REMAINDER, TAG_OPT_EXT_2, bound, p)
+    if u >= 2 * (r - v) + 1:
+        return Classification(NOT_EXISTS, None, TAG_NON_EXST_1, bound, p)
     # Here w >= u: w <= u-1 would give n < u(r+delta-1) < k(r+delta-1)/r
     # as v > 0, and necessary_check would have returned.
-    ell = p.group_size - d.m
-    if d.w >= ell and min(p.r - d.v, d.w) >= d.u:
-        return done(EXISTS, METHOD_A2_HUB, TAG_OPT_EXT_3)
-    if d.w + 1 >= 2 * ell and min(2 * (p.r - d.v), d.w) >= d.u:
-        return done(EXISTS, METHOD_A2_PAIRED, TAG_OPT_EXT_4)
-    return done(UNKNOWN, tag=TAG_COND_8 if d.w < ell else TAG_COND_9)
+    ell = size - m
+    if w >= ell and min(r - v, w) >= u:
+        return Classification(EXISTS, METHOD_A2_HUB, TAG_OPT_EXT_3, bound, p)
+    if w + 1 >= 2 * ell and min(2 * (r - v), w) >= u:
+        return Classification(EXISTS, METHOD_A2_PAIRED, TAG_OPT_EXT_4, bound, p)
+    return Classification(UNKNOWN, None, TAG_COND_8 if w < ell else TAG_COND_9,
+                          bound, p)

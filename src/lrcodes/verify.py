@@ -37,7 +37,8 @@ from .gf import field_kernel
 # extend_basis is not called here: it is imported so that the benchmark's
 # tracer (perfbench/tracer.py), which wraps functions under the module
 # names their callers use, finds it.
-from .linalg import Matrix, _annihilate, _batch_rref, extend_basis, rank
+from .linalg import (Matrix, _annihilate, _as_indices, _batch_rref,
+                     extend_basis, rank)
 from .params import distance_bound
 
 __all__ = [
@@ -127,6 +128,15 @@ class StructureReport:
     messages: tuple[str, ...]
 
 
+def _ranks(kern, columns: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The rank of each row's column set (rows of indices into columns),
+    by one batched elimination across the shorter side."""
+    R = columns[E]
+    if E.shape[1] < columns.shape[1]:
+        R = R.transpose(0, 2, 1).copy()
+    return _batch_rref(kern, R)[1]
+
+
 def _first_deficient(m: Matrix, size: int, full_rank: int,
                      cols: Optional[Sequence[int]] = None
                      ) -> tuple[Optional[tuple[int, ...]], int]:
@@ -142,14 +152,59 @@ def _first_deficient(m: Matrix, size: int, full_rank: int,
     columns = kern.array([(0,) * m.rows] + m.columns())
     scanned, batch = 0, max(1, _BATCH_CELLS // max(1, size * m.rows))
     for E in index_batches(combinations(pool, size), size, batch, np.int64):
-        # eliminate across the shorter side: rank is the same either way
-        R = columns[E] if size >= m.rows else columns[E].transpose(0, 2, 1).copy()
-        _, ranks = _batch_rref(kern, R)
+        ranks = _ranks(kern, columns, E)
         scanned += len(E)
         bad = np.flatnonzero(ranks < full_rank)
         if bad.size:
             return tuple(E[bad[0]].tolist()), scanned
     return None, scanned
+
+
+def _group_scan(m: Matrix, groups: Sequence[tuple[int, ...]],
+                size_of: Callable[[tuple[int, ...], int], Optional[int]]
+                ) -> tuple[list[int], list[Optional[tuple[int, ...]]], int]:
+    """Each group's rank t; for each group g that size_of(g, t) gives a
+    size, the lexicographically first subset of g of that size and rank
+    below t, or None; and the subsets _first_deficient would eliminate on
+    each group alone. One elimination ranks all the groups; the subsets
+    of all of them, tagged with their group, share bounded batches, and a
+    group's stop at the batch that holds its witness. Index 0, the zero
+    column, pads each set to one width without changing its rank."""
+    idx = [_as_indices(g, m) for g in groups]
+    kern = field_kernel(m.field)
+    columns = kern.array([(0,) * m.rows] + m.columns())
+    pad = max(map(len, idx), default=0)
+    E = np.array([g + (0,) * (pad - len(g)) for g in idx], dtype=np.int64)
+    ranks = _ranks(kern, columns, E.reshape(len(idx), pad))
+    sizes = [size_of(g, t) for g, t in zip(idx, ranks.tolist())]
+    pad = max((s for s in sizes if s is not None), default=0)
+    witness: list[Optional[tuple[int, ...]]] = [None] * len(idx)
+
+    def subsets() -> Iterator[tuple[int, ...]]:
+        for j, size in enumerate(sizes):
+            if size is not None:
+                tail = (0,) * (pad - size) + (j,)
+                for c in combinations(idx[j], size):
+                    if witness[j] is not None:
+                        break
+                    yield c + tail
+
+    rows = max(1, _BATCH_CELLS // max(1, pad * m.rows))
+    for E in index_batches(subsets(), pad + 1, rows, np.int64):
+        for i in np.flatnonzero(_ranks(kern, columns, E[:, :-1]) < ranks[E[:, -1]]):
+            j = int(E[i, -1])
+            if witness[j] is None:
+                witness[j] = tuple(E[i, :sizes[j]].tolist())
+    scanned = 0
+    for g, size, w in zip(idx, sizes, witness):
+        if size is not None:
+            total = comb(len(g), size)
+            if w is not None:  # to the end of w's batch in a scan of g alone
+                batch = max(1, _BATCH_CELLS // max(1, size * m.rows))
+                at = next(i for i, c in enumerate(combinations(g, size)) if c == w)
+                total = min(total, (at // batch + 1) * batch)
+            scanned += total
+    return ranks.tolist(), witness, scanned
 
 
 def check_locality(code: LrcCode) -> LocalityReport:
@@ -160,30 +215,24 @@ def check_locality(code: LrcCode) -> LocalityReport:
     delta-1 erasures inside the group leave it fully recoverable.
     """
     code.validate()
-    m = code.generator
-    r, delta = code.params.r, code.params.delta
-    n = code.params.n
-    covered = scanned = 0
-    entries = []
-    for i, (g, msk) in enumerate(
-            zip(code.structure.groups, code.structure.masks), start=1):
+    r, delta, n = code.params.r, code.params.delta, code.params.n
+    groups, covered = code.structure.groups, 0
+    for i, (g, msk) in enumerate(zip(groups, code.structure.masks), start=1):
         if not delta <= len(g) <= r + delta - 1:
             raise StructureMismatch(
                 f"group {i} has {len(g)} members, outside "
                 f"[delta, r+delta-1] = [{delta}, {r + delta - 1}]")
         covered |= msk
-        grank = rank(m, g)
-        ok = grank <= r
-        witness = None
-        if ok:
-            witness, work = _first_deficient(m, len(g) - delta + 1, grank, cols=g)
-            scanned += work
-            ok = witness is None
-        entries.append(GroupLocality(index=i, group=g, rank=grank, ok=ok,
-                                     witness=witness))
+    ranks, witnesses, scanned = _group_scan(
+        code.generator, groups,
+        lambda g, grank: len(g) - delta + 1 if grank <= r else None)
+    entries = tuple(
+        GroupLocality(index=i, group=g, rank=grank, ok=grank <= r and w is None,
+                      witness=w)
+        for i, (g, grank, w) in enumerate(zip(groups, ranks, witnesses), start=1))
     all_covered = covered == (1 << n) - 1
     overall = all_covered and all(e.ok for e in entries)
-    return LocalityReport(per_group=tuple(entries), covered=all_covered,
+    return LocalityReport(per_group=entries, covered=all_covered,
                           overall=overall, scanned=scanned)
 
 
@@ -459,17 +508,16 @@ def check_structure_theorem(code: LrcCode) -> tuple[bool, StructureReport]:
             disjoint = False
             msgs.append(f"group {i} overlaps an earlier group")
         seen |= msk
+    ranks, witnesses, _ = _group_scan(
+        code.generator, code.structure.groups,
+        lambda g, grank: p.r if grank == p.r else None)
     punctured = []
-    for i, g in enumerate(code.structure.groups, start=1):
-        grank = rank(code.generator, g)
+    for i, (grank, w) in enumerate(zip(ranks, witnesses), start=1):
         if grank != p.r:
-            punctured.append(False)
             msgs.append(f"group {i} spans rank {grank} != r = {p.r}")
-            continue
-        w, _ = _first_deficient(code.generator, p.r, p.r, cols=g)
-        punctured.append(w is None)
-        if w is not None:
+        elif w is not None:
             msgs.append(f"group {i}: columns {w} are dependent")
+        punctured.append(grank == p.r and w is None)
     ok = disjoint and sizes_ok and all(punctured)
     return ok, StructureReport(ok=ok, disjoint=disjoint, sizes_ok=sizes_ok,
                                punctured_mds=tuple(punctured),

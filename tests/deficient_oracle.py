@@ -9,9 +9,16 @@ completion does too, so that subtree is skipped.
 `oracle_rank_criterion` answers the question of `_rank_criterion` by
 its definition: it tries every subset size from n-1 down until one has
 a subset of rank below k.
+
+`oracle_check_locality` and `oracle_structure_theorem` check one group
+at a time, by a scalar rank and a `_first_deficient` scan of that group
+alone, where `check_locality` and `check_structure_theorem` share one
+batched scan of all the groups.
 """
 
-from lrcodes.linalg import extend_basis
+from lrcodes.linalg import extend_basis, rank
+from lrcodes.verify import (GroupLocality, LocalityReport, StructureReport,
+                            _first_deficient)
 
 
 def oracle_first_deficient(m, size, full_rank, cols=None):
@@ -48,3 +55,54 @@ def oracle_rank_criterion(m):
         if w is not None:
             return n - s, w
     raise AssertionError("every (k-1)-subset has rank below k")
+
+
+def oracle_check_locality(code):
+    r, delta, n = code.params.r, code.params.delta, code.params.n
+    m = code.generator
+    covered = scanned = 0
+    entries = []
+    for i, (g, msk) in enumerate(zip(code.structure.groups, code.structure.masks),
+                                 start=1):
+        covered |= msk
+        grank = rank(m, g)
+        ok, witness = grank <= r, None
+        if ok:
+            witness, work = _first_deficient(m, len(g) - delta + 1, grank, cols=g)
+            scanned += work
+            ok = witness is None
+        entries.append(GroupLocality(index=i, group=g, rank=grank, ok=ok,
+                                     witness=witness))
+    all_covered = covered == (1 << n) - 1
+    return LocalityReport(per_group=tuple(entries), covered=all_covered,
+                          overall=all_covered and all(e.ok for e in entries),
+                          scanned=scanned)
+
+
+def oracle_structure_theorem(code):
+    p = code.params
+    size = p.r + p.delta - 1
+    msgs, seen, disjoint, sizes_ok = [], 0, True, True
+    for i, (g, msk) in enumerate(zip(code.structure.groups, code.structure.masks),
+                                 start=1):
+        if len(g) != size:
+            sizes_ok = False
+            msgs.append(f"group {i} has size {len(g)} != {size}")
+        if seen & msk:
+            disjoint = False
+            msgs.append(f"group {i} overlaps an earlier group")
+        seen |= msk
+    punctured = []
+    for i, g in enumerate(code.structure.groups, start=1):
+        grank = rank(code.generator, g)
+        if grank != p.r:
+            punctured.append(False)
+            msgs.append(f"group {i} spans rank {grank} != r = {p.r}")
+            continue
+        w, _ = _first_deficient(code.generator, p.r, p.r, cols=g)
+        punctured.append(w is None)
+        if w is not None:
+            msgs.append(f"group {i}: columns {w} are dependent")
+    ok = disjoint and sizes_ok and all(punctured)
+    return ok, StructureReport(ok=ok, disjoint=disjoint, sizes_ok=sizes_ok,
+                               punctured_mds=tuple(punctured), messages=tuple(msgs))

@@ -1,9 +1,15 @@
+import pickle
 import random
+from dataclasses import FrozenInstanceError, asdict, replace
 from math import comb
 
+import numpy as np
 import pytest
 
 import lrcodes.params as params_mod
+from classify_oracle import oracle_classify
+from lrcodes.codefile import load_code, save_code
+from lrcodes.construct import construct
 from lrcodes.errors import BoundNonPositive
 from lrcodes.params import (
     EXISTS,
@@ -21,6 +27,7 @@ from lrcodes.params import (
     TAG_OPT_EXT_2,
     TAG_OPT_EXT_4,
     UNKNOWN,
+    Classification,
     CodeParams,
     classify,
     decompose,
@@ -41,6 +48,58 @@ def test_codeparams_validation():
         CodeParams(6, 3, 2, 1)
     p = CodeParams(12, 5, 2, 3)
     assert p.group_size == 4 and p.mu == 3
+    with pytest.raises(ValueError, match=r"^need 1 <= r <= k <= n, got n=5 k=6 r=2$"):
+        CodeParams(5, 6, 2, 2)
+    with pytest.raises(ValueError, match=r"^delta must be >= 2, got 1$"):
+        CodeParams(6, 3, 2, 1)
+
+
+def test_codeparams_takes_integers_only(tmp_path):
+    # numpy integers become Python ints, so a code built from them saves
+    # as JSON and loads back equal
+    p = CodeParams(np.int64(12), np.int32(5), np.uint8(2), np.int64(3))
+    assert p == CodeParams(12, 5, 2, 3)
+    assert all(type(x) is int for x in (p.n, p.k, p.r, p.delta))
+    code = construct(p, seed=0)
+    save_code(code, tmp_path / "code.json", seed=0)
+    back = load_code(tmp_path / "code.json").code
+    assert back.params == p and back.generator == code.generator
+    # a float or a string is refused where it is given, not deep in
+    # construct or save_code
+    for bad in [(12.0, 5, 2, 3), (12, 5.0, 2, 3), (12, 5, np.float64(2), 3),
+                (12, 5, 2, 3.5), ("12", 5, 2, 3), (12, 5, 2, "3")]:
+        with pytest.raises(TypeError):
+            CodeParams(*bad)
+
+
+def test_records_keep_the_dataclass_protocol():
+    p = CodeParams(12, 5, 2, 3)
+    c = classify(p)
+    assert p == CodeParams(12, 5, 2, 3) != CodeParams(12, 5, 2, 2)
+    assert hash(p) == hash(CodeParams(12, 5, 2, 3))
+    assert c == classify(CodeParams(12, 5, 2, 3)) and hash(c) == hash(classify(p))
+    assert repr(p) == "CodeParams(n=12, k=5, r=2, delta=3)"
+    assert repr(c) == ("Classification(verdict='Exists', method='Algorithm1-uniform', "
+                       "tag='thm-opt-ext-1', bound_d=4, params=" + repr(p) + ")")
+    assert asdict(p) == {"n": 12, "k": 5, "r": 2, "delta": 3}
+    assert asdict(c) == {"verdict": EXISTS, "method": METHOD_A1_UNIFORM,
+                         "tag": "thm-opt-ext-1", "bound_d": 4, "params": asdict(p)}
+    for record in (p, c):
+        assert pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(FrozenInstanceError):
+            record.n = 1 if record is p else None
+    with pytest.raises(FrozenInstanceError):
+        c.verdict = NOT_EXISTS
+    # replace goes through __init__, so it still validates
+    assert replace(p, k=6) == CodeParams(12, 6, 2, 3)
+    with pytest.raises(ValueError, match="need 1 <= r <= k <= n"):
+        replace(p, k=13)
+    with pytest.raises(ValueError, match="delta must be >= 2"):
+        replace(p, delta=1)
+    with pytest.raises(TypeError):
+        replace(p, n=12.0)
+    assert replace(c, verdict=UNKNOWN) == Classification(
+        UNKNOWN, METHOD_A1_UNIFORM, "thm-opt-ext-1", 4, p)
 
 
 def test_decompose_identities():
@@ -79,6 +138,23 @@ def test_necessary_check_and_field_bound():
 # ---------------------------------------------------------------------
 # classifier: pinned verdicts
 # ---------------------------------------------------------------------
+
+def test_classify_matches_the_decomposition_oracle():
+    # every tuple with n <= 40 and delta up to n-k+3, vacuous bounds
+    # (bound_d below 1) included
+    count = vacuous = 0
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            for r in range(1, k + 1):
+                for delta in range(2, n - k + 4):
+                    p = CodeParams(n, k, r, delta)
+                    c = classify(p)
+                    assert (c.verdict, c.method, c.tag, c.bound_d, c.params) == \
+                        oracle_classify(p), p
+                    count += 1
+                    vacuous += c.bound_d < 1
+    assert count == 134_890 and vacuous > 0
+
 
 def test_classify_known_cases():
     c = classify(CodeParams(12, 5, 2, 3))

@@ -12,13 +12,14 @@ from lrcodes.construct import LrcCode, construct, mds_generator
 from lrcodes.covers import CoverSet, uniform_partition
 from lrcodes.errors import (
     BudgetExceeded,
+    IndexOutOfRange,
     PreconditionViolated,
     RankDeficient,
     StructureMismatch,
 )
-from lrcodes.gf import field_kernel, field_make
+from lrcodes.gf import field_at_least, field_kernel, field_make
 from lrcodes.linalg import Matrix, rank
-from lrcodes.params import CodeParams, distance_bound
+from lrcodes.params import CodeParams, distance_bound, field_bound
 from lrcodes.verify import (
     RANK_METHOD,
     WEIGHT_METHOD,
@@ -29,7 +30,8 @@ from lrcodes.verify import (
 )
 
 import lrcodes.verify as verify_mod
-from deficient_oracle import oracle_first_deficient, oracle_rank_criterion
+from deficient_oracle import (oracle_check_locality, oracle_first_deficient,
+                              oracle_rank_criterion, oracle_structure_theorem)
 from nullspace_oracle import batch_nullspace, row_spaces
 from pencil_oracle import oracle_cut, oracle_labelled, oracle_pencils
 from weight_oracle import oracle_weight_enumeration
@@ -155,6 +157,134 @@ def test_locality_rejects_group_below_delta():
                     params=code.params, claimed_d=3)
     with pytest.raises(StructureMismatch):
         check_locality(small)
+
+
+# ---------------------------------------------------------------------
+# the shared per-group scan against a scan of each group alone
+# ---------------------------------------------------------------------
+
+# uniform, remainder (a short last group), hub frame, paired frame, and
+# r | k partitions for the structure theorem
+GROUP_SCAN_PARAMS = [(12, 5, 2, 3), (11, 5, 2, 2), (7, 4, 3, 2), (10, 3, 2, 2),
+                     (10, 5, 3, 2), (13, 3, 2, 3), (10, 5, 2, 2), (12, 4, 2, 3),
+                     (12, 6, 3, 2)]
+
+
+def _with_columns(code, cols, structure=None):
+    return LrcCode(field=code.field, generator=Matrix.from_columns(code.field, cols),
+                   structure=structure or code.structure, params=code.params,
+                   claimed_d=code.claimed_d)
+
+
+def _assert_scan_matches_oracle(code):
+    rep = check_locality(code)
+    want = oracle_check_locality(code)
+    assert rep == want and rep.scanned == want.scanned, (code.structure.groups,
+                                                         code.generator.row_data())
+    p = code.params
+    if p.k % p.r == 0 and p.r < p.k:
+        assert check_structure_theorem(code) == oracle_structure_theorem(code)
+    return rep
+
+
+def _broken_variants(rng, code):
+    """The code itself, then copies with one group broken (a column made
+    parallel to another of its group, or zero) or pushed above rank r (a
+    column replaced by a random one), and one with a group all zero."""
+    f, cols = code.field, code.generator.columns()
+    yield code
+    for g in code.structure.groups:
+        a, b = rng.sample(g, 2)
+        parallel = list(cols)
+        parallel[b - 1] = tuple(f.mul(rng.randrange(1, f.q), x) for x in cols[a - 1])
+        yield _with_columns(code, parallel)
+        zero = list(cols)
+        zero[a - 1] = (0,) * len(cols[0])
+        yield _with_columns(code, zero)
+        wild = list(cols)
+        wild[a - 1] = tuple(rng.randrange(f.q) for _ in cols[0])
+        yield _with_columns(code, wild)
+    # a group of rank 0: its subsets are all scanned, none below rank 0
+    gone = list(cols)
+    for x in code.structure.groups[-1]:
+        gone[x - 1] = (0,) * len(cols[0])
+    yield _with_columns(code, gone)
+
+
+@pytest.mark.parametrize("kind", ["prime", "binary", "object"])
+@pytest.mark.parametrize("t", GROUP_SCAN_PARAMS, ids=str)
+def test_group_scan_matches_per_group_oracle(t, kind, monkeypatch):
+    # the default prime field, a binary one, and a prime too large for
+    # int64 products, whose kernel works on object arrays
+    p = CodeParams(*t)
+    field = {"prime": None, "object": field_make(2 ** 61 - 1),
+             "binary": field_at_least(max(field_bound(p), p.n), "binary")}[kind]
+    code = construct(p, field=field, seed=0)
+    rng = random.Random(sum(t))
+    failed = 0
+    for trial, variant in enumerate(_broken_variants(rng, code)):
+        if trial % 2:
+            # a batch of one subset: the scan runs in many batches, and a
+            # witness's batch is the witness alone
+            monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
+        failed += not _assert_scan_matches_oracle(variant).overall
+        monkeypatch.undo()
+    assert failed > 0
+
+
+def test_group_scan_broken_group_beside_a_group_above_r(monkeypatch):
+    # group 1 gets a parallel pair, group 2 a column outside its span
+    code = construct(CodeParams(12, 4, 2, 3), field_make(997), seed=0)
+    cols = code.generator.columns()
+    cols[2] = tuple(code.field.mul(5, x) for x in cols[0])
+    cols[5] = cols[9]
+    broken = _with_columns(code, cols)
+    for cells in (1 << 15, 1):
+        monkeypatch.setattr(verify_mod, "_BATCH_CELLS", cells)
+        rep = _assert_scan_matches_oracle(broken)
+        assert [(e.rank, e.ok, e.witness) for e in rep.per_group] == [
+            (2, False, (1, 3)), (3, False, None), (2, True, None)]
+        assert rep.scanned == comb(4, 2) + (2 if cells == 1 else comb(4, 2))
+        _, srep = check_structure_theorem(broken)
+        assert srep.punctured_mds == (False, False, True)
+        assert srep.messages == ("group 1: columns (1, 3) are dependent",
+                                 "group 2 spans rank 3 != r = 2")
+
+
+def test_group_scan_of_uneven_and_overlapping_groups(monkeypatch):
+    # groups of sizes 1 to 4, some overlapping: subsets of different
+    # sizes share each batch, padded with the zero column
+    code = construct(CodeParams(12, 4, 2, 3), field_make(997), seed=0)
+    cols = code.generator.columns()
+    cols[7] = cols[4]
+    cover = CoverSet(12, [(1, 2), (2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (12,)])
+    uneven = _with_columns(code, cols, cover)
+    for cells in (1 << 15, 7, 1):
+        monkeypatch.setattr(verify_mod, "_BATCH_CELLS", cells)
+        ok, srep = check_structure_theorem(uneven)
+        assert (ok, srep) == oracle_structure_theorem(uneven)
+        assert srep.punctured_mds == (True, True, False, True, False)
+    # under locality, with groups of sizes 3 and 2 (subsets of sizes 2
+    # and 1) and a zero column 11: at 12 cells a scan of group (11, 12)
+    # alone takes 3 subsets a batch, one of width 2 only 1
+    cols[10] = (0,) * len(cols[0])
+    loc = LrcCode(field=code.field, generator=Matrix.from_columns(code.field, cols),
+                  structure=CoverSet(12, [(1, 2, 3), (3, 4, 5), (6, 7, 8),
+                                          (9, 10, 11), (11, 12)]),
+                  params=CodeParams(12, 4, 2, 2), claimed_d=1)
+    for cells in (1 << 15, 12, 7, 1):
+        monkeypatch.setattr(verify_mod, "_BATCH_CELLS", cells)
+        rep = _assert_scan_matches_oracle(loc)
+        assert rep.per_group[-1].witness == (11,) and not rep.overall
+
+
+def test_group_scan_rejects_a_repeated_member():
+    code = gf4_code()
+    twice = LrcCode(field=code.field, generator=code.generator,
+                    structure=CoverSet(6, [(1, 1, 2), (3, 4, 5, 6)]),
+                    params=CodeParams(6, 3, 3, 2), claimed_d=1)
+    with pytest.raises(IndexOutOfRange):
+        check_locality(twice)
 
 
 # ---------------------------------------------------------------------
