@@ -8,11 +8,11 @@ scan of the pencils of hyperplanes through (k-2)-subsets of the
 columns), and optimality is certified by an exhaustive full-rank
 check at the single subset size the distance bound makes decisive: by
 the same pencil scan, or by a sweep of the subsets themselves when
-that scans fewer. The pencils take no elimination: the subsets stream
-down one annihilator tower from the generator, each with the values on
-the columns of the functionals that vanish on it, by one step a subset;
-a subtree is cut when no hyperplane with its canonical prefix in that
-subtree can change an answer.
+that scans fewer. One elimination gives the generator's RREF, whose
+last rows are the first pencil; the subsets stream down one annihilator
+tower from it, each with the values on the columns of the functionals
+that vanish on it, by one step a subset; a subtree is cut when no
+hyperplane with its canonical prefix in that subtree can change an answer.
 Each report says which route ran, what it covered and what it labelled.
 """
 
@@ -34,9 +34,9 @@ from .errors import (
     StructureMismatch,
 )
 from .gf import field_kernel
-# extend_basis is not called here: it is imported so that the benchmark's
-# tracer (perfbench/tracer.py), which wraps functions under the module
-# names their callers use, finds it.
+# rank and extend_basis are not called here: they are imported so that the
+# benchmark's tracer (perfbench/tracer.py), which wraps functions under the
+# module names their callers use, finds them.
 from .linalg import (Matrix, _annihilate, _as_indices, _batch_rref,
                      extend_basis, rank)
 from .params import distance_bound
@@ -269,7 +269,7 @@ def _pencil_hyperplanes(kern, XY: np.ndarray
     """For pencils given by the values (X, Y) of their two functionals on
     the columns, each column's slope label (-1 at infinity, -2 in span(T)),
     the span(T) mask, and the size of the hyperplane each column names: its
-    slope class plus span(T). A column in span(T) names one only if all do."""
+    slope class plus span(T). A column in span(T) names none (at rank k)."""
     x, y = XY.transpose(1, 0, 2)
     span = (x == 0) & (y == 0)
     label = np.where(span, -2, -1).astype(x.dtype, copy=False)
@@ -284,9 +284,8 @@ def _pencil_hyperplanes(kern, XY: np.ndarray
     shared = np.empty(label.shape, dtype=np.int64)
     np.put_along_axis(shared, order, np.repeat(runs, runs).reshape(label.shape),
                       axis=1)
-    n = span.shape[1]
     z = span.sum(axis=1, keepdims=True)
-    return label, span, np.where(span, np.where(z == n, n, 0), z + shared)
+    return label, span, np.where(span, 0, z + shared)
 
 
 def _pencils(kern, G: np.ndarray, floor: Callable[[], int]) -> Iterator[np.ndarray]:
@@ -314,11 +313,9 @@ def _pencils(kern, G: np.ndarray, floor: Callable[[], int]) -> Iterator[np.ndarr
         stop = n - (k - 2 - j)
         rows = max(1, _BATCH_CELLS // max(1, (k - j) * n))
         for B, last in level(j - 1):
-            end = stop  # no bound is taken while nothing can be cut
-            if floor():
-                spanned = ~B.any(axis=1)
-                bound = np.cumsum(spanned, axis=1) - spanned + (n - cols)
-                end = np.minimum(stop, (bound >= floor()).sum(axis=1))
+            spanned = ~B.any(axis=1)
+            reach = np.cumsum(spanned, axis=1) - spanned + (n - cols) >= floor()
+            end = np.minimum(stop, reach.sum(axis=1))
             # parent i owns children ends[i] - count[i] .. ends[i] - 1
             count = np.maximum(end - 1 - last, 0)
             ends = np.cumsum(count)
@@ -337,11 +334,18 @@ def _pencils(kern, G: np.ndarray, floor: Callable[[], int]) -> Iterator[np.ndarr
     return map(lambda batch: batch[0], level(k - 2))
 
 
-def _pencil_scan(m: Matrix, size: Optional[int]
+def _echelon(m: Matrix) -> np.ndarray:
+    """m's RREF, as a batch of one; its last row is zero iff rank < k."""
+    R = field_kernel(m.field).array(m.row_data()).reshape(1, m.rows, m.cols)
+    _batch_rref(field_kernel(m.field), R)
+    return R
+
+
+def _pencil_scan(m: Matrix, size: Optional[int], R: np.ndarray
                  ) -> tuple[Optional[tuple[int, ...]], int]:
     """With no size, the lexicographically first largest column set of
     rank below k (k >= 2); with one, the first size-subset of rank below
-    k, or None. And how many pencils were labelled.
+    k, or None. And how many pencils were labelled (none below rank k).
 
     Such sets lie on hyperplanes. Those through an independent
     (k-2)-subset T form a pencil: with X = psi1.c and Y = psi2.c the
@@ -350,19 +354,21 @@ def _pencil_scan(m: Matrix, size: Optional[int]
     on the one named by its slope Y/X. Every hyperplane spanned by columns
     holds such a T. Of two hyperplanes through one T, the one whose other
     columns start first has the first set and the first size-prefix.
-    One of size columns or more, or as many as the largest so far, is
-    labelled at its canonical prefix (see _pencils). Nothing is cut before
-    the first pencil is labelled: none labelled means no k-2 columns are
-    independent.
+    One of size columns or more, or more than the largest so far (a greedy
+    prefix is Gale-minimal), is labelled at its canonical prefix (see
+    _pencils). m's RREF R, the tower's root, ends in the pencil of its first
+    k-2 pivots T0, the first subset, which no floor up to n cuts: the
+    distance's floor starts one above T0's largest hyperplane.
     """
     k, n = m.rows, m.cols
     kern = field_kernel(m.field)
+    if not R[0, -1].any():  # rank below k: every column set is deficient
+        return (tuple(range(1, n + 1))[:size] if (size or 0) <= n else None), 0
     # the answer so far; largest as (-size, set), so that the min wins
-    largest: Optional[tuple[int, tuple[int, ...]]] = None
-    first: Optional[tuple[int, ...]] = None
-    floor = labelled = 0
-    for XY in _pencils(kern, kern.array(m.row_data()).reshape(k, n),
-                       lambda: floor):
+    largest, first, labelled = (1, ()), None, 0  # nothing yet: size -1
+    floor = size if size is not None else 1 + int(
+        _pencil_hyperplanes(kern, R[:, k - 2:])[2].max())
+    for XY in _pencils(kern, R[0], lambda: floor):
         labelled += len(XY)
         label, span, sizes = _pencil_hyperplanes(kern, XY)
 
@@ -373,11 +379,10 @@ def _pencil_scan(m: Matrix, size: Optional[int]
             best = sizes.argmax(axis=1)
             top = sizes[np.arange(best.size), best]
             most = int(top.max())
-            if largest is None or -most <= largest[0]:
+            if -most <= largest[0]:
                 rows = np.flatnonzero(top == most)
-                cand = (-most, _lex_first(on(rows, best[rows])))
-                largest = cand if largest is None else min(largest, cand)
-            floor = -largest[0]
+                largest = min(largest, (-most, _lex_first(on(rows, best[rows]))))
+            floor = 1 - largest[0]
         else:
             big = sizes >= size
             rows = np.flatnonzero(big.any(axis=1))
@@ -386,13 +391,8 @@ def _pencil_scan(m: Matrix, size: Optional[int]
                 sets &= np.cumsum(sets, axis=1) <= size
                 cand = _lex_first(sets)
                 first = cand if first is None else min(first, cand)
-            floor = size
         del XY, label, span, sizes
-    if not labelled:
-        # no k-2 columns are independent: every column set has rank below k
-        every = tuple(range(1, n + 1))
-        return (every if size is None else every[:size] if size <= n else None), 0
-    return (first if largest is None else largest[1]), labelled
+    return (largest[1] if size is None else first), labelled
 
 
 def _within_budget(what: str, n: int, j: int, unit: str, budget: int) -> int:
@@ -404,7 +404,7 @@ def _within_budget(what: str, n: int, j: int, unit: str, budget: int) -> int:
     return total
 
 
-def _rank_criterion(m: Matrix, budget: int) -> DistanceReport:
+def _rank_criterion(m: Matrix, budget: int, R: np.ndarray) -> DistanceReport:
     """d = n minus the most columns on one hyperplane; the witness is the
     lexicographically first largest column set of rank below k."""
     k, n = m.rows, m.cols
@@ -414,7 +414,7 @@ def _rank_criterion(m: Matrix, budget: int) -> DistanceReport:
         labelled = 0
     else:
         total = _within_budget("rank criterion", n, k - 2, "(k-2)-subsets", budget)
-        witness, labelled = _pencil_scan(m, None)
+        witness, labelled = _pencil_scan(m, None, R)
     return DistanceReport(d=n - len(witness), method=RANK_METHOD,
                           witness=witness, scanned=total, labelled=labelled)
 
@@ -428,12 +428,14 @@ def min_distance(code: LrcCode, budget: int = DEFAULT_BUDGET) -> DistanceReport:
     """
     code.validate()
     m = code.generator
-    k = m.rows
-    if rank(m) != k:
-        raise RankDeficient(f"generator rank {rank(m)} < k = {k}")
-    if code.field.q ** k <= budget:
-        return _weight_enumeration(m)
-    return _rank_criterion(m, budget)
+    if code.field.q ** m.rows <= budget:
+        report = _weight_enumeration(m)
+        if report.d:  # else a nonzero message has weight 0: rank below k
+            return report
+    R = _echelon(m)
+    if not R[0, -1].any():
+        raise RankDeficient(f"generator rank {R[0].any(axis=1).sum()} < k = {m.rows}")
+    return _rank_criterion(m, budget, R)
 
 
 def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
@@ -456,16 +458,14 @@ def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
     note = (f"every {size}-column set of full rank {p.k} gives d >= {bound}; "
             f"(r,delta) locality gives d <= {bound}; together d = {bound}")
     if not locality.overall:
-        report = OptimalityReport(ok=False, bound_d=bound, subset_size=size,
-                                  subsets_total=total, witness=None,
-                                  locality=locality,
-                                  note="locality check failed")
-        return False, report
+        return False, OptimalityReport(ok=False, bound_d=bound, subset_size=size,
+                                       subsets_total=total, witness=None,
+                                       locality=locality, note="locality check failed")
     what = "optimality certification"
     if p.k >= 2 and comb(p.n, p.k - 2) <= total:
         route = PENCIL_ROUTE
         scanned = _within_budget(what, p.n, p.k - 2, "(k-2)-subsets", budget)
-        witness, labelled = _pencil_scan(code.generator, size)
+        witness, labelled = _pencil_scan(code.generator, size, _echelon(code.generator))
     else:
         route = SUBSET_ROUTE
         _within_budget(what, p.n, size, "subset checks", budget)
@@ -482,8 +482,8 @@ def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
 
 def check_structure_theorem(code: LrcCode) -> tuple[bool, StructureReport]:
     """Shape every optimal code with r | k and r < k must have: disjoint
-    groups of size exactly r+delta-1 whose punctured codes are
-    [r+delta-1, r, delta] MDS codes (every r columns of a group
+    groups of size exactly r+delta-1 that cover [1..n], whose punctured
+    codes are [r+delta-1, r, delta] MDS codes (every r columns of a group
     independent).
 
     The caller is responsible for having certified optimality first;
@@ -495,10 +495,7 @@ def check_structure_theorem(code: LrcCode) -> tuple[bool, StructureReport]:
         raise PreconditionViolated(
             f"structure theorem needs r | k with r < k, got r={p.r} k={p.k}")
     size = p.r + p.delta - 1
-    msgs = []
-    seen = 0
-    disjoint = True
-    sizes_ok = True
+    msgs, seen, disjoint, sizes_ok = [], 0, True, True
     for i, (g, msk) in enumerate(
             zip(code.structure.groups, code.structure.masks), start=1):
         if len(g) != size:
@@ -508,6 +505,9 @@ def check_structure_theorem(code: LrcCode) -> tuple[bool, StructureReport]:
             disjoint = False
             msgs.append(f"group {i} overlaps an earlier group")
         seen |= msk
+    missing = tuple(j for j in range(1, p.n + 1) if not seen >> (j - 1) & 1)
+    if missing:
+        msgs.append(f"coordinates {missing} are in no group")
     ranks, witnesses, _ = _group_scan(
         code.generator, code.structure.groups,
         lambda g, grank: p.r if grank == p.r else None)
@@ -518,7 +518,7 @@ def check_structure_theorem(code: LrcCode) -> tuple[bool, StructureReport]:
         elif w is not None:
             msgs.append(f"group {i}: columns {w} are dependent")
         punctured.append(grank == p.r and w is None)
-    ok = disjoint and sizes_ok and all(punctured)
+    ok = disjoint and not missing and sizes_ok and all(punctured)
     return ok, StructureReport(ok=ok, disjoint=disjoint, sizes_ok=sizes_ok,
                                punctured_mds=tuple(punctured),
                                messages=tuple(msgs))

@@ -92,6 +92,9 @@ def oracle_structure_theorem(code):
             disjoint = False
             msgs.append(f"group {i} overlaps an earlier group")
         seen |= msk
+    missing = sorted(set(range(1, p.n + 1)).difference(*code.structure.groups))
+    if missing:
+        msgs.append(f"coordinates {tuple(missing)} are in no group")
     punctured = []
     for i, g in enumerate(code.structure.groups, start=1):
         grank = rank(code.generator, g)
@@ -103,6 +106,6 @@ def oracle_structure_theorem(code):
         punctured.append(w is None)
         if w is not None:
             msgs.append(f"group {i}: columns {w} are dependent")
-    ok = disjoint and sizes_ok and all(punctured)
+    ok = disjoint and not missing and sizes_ok and all(punctured)
     return ok, StructureReport(ok=ok, disjoint=disjoint, sizes_ok=sizes_ok,
                                punctured_mds=tuple(punctured), messages=tuple(msgs))

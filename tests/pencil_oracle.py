@@ -11,7 +11,7 @@ comparison also pins the pivot `lrcodes.linalg._annihilate` takes.
 
 `oracle_cut` and `oracle_labelled` say which subtrees the scan cuts by
 the canonical-prefix bound: under a fixed floor, and how many pencils
-it labels one pencil per batch as the floor rises.
+it labels one pencil per batch as the floor rises from its seed.
 """
 
 from itertools import combinations
@@ -61,15 +61,18 @@ def oracle_pencils(kern, columns):
 
 
 def oracle_labelled(m, size=None):
-    """How many pencils `_pencil_scan(m, size)` labels at one pencil per
+    """How many pencils `_pencil_scan(m, size, R)` labels at one pencil per
     batch (k >= 2), by a depth-first walk of the independent subsets in
-    lexicographic order with scalar ranks. P + x is cut when P's columns
-    below x in span(P), plus the n - x columns from x on, fall below the
-    floor at the time P is reached. The floor is 0 until the first
-    pencil is labelled, then size, or with no size the most columns on
-    one hyperplane through a pencil labelled so far."""
+    lexicographic order with scalar ranks; none below rank k. P + x is cut
+    when P's columns below x in span(P), plus the n - x columns from x on,
+    fall below the floor at the time P is reached. The floor is size
+    throughout; with no size it starts one above the most columns on one
+    hyperplane through T0, the first independent (k-2)-subset, and is one
+    above the most through any pencil labelled so far."""
     k, n = m.rows, m.cols
-    floor = labelled = 0
+    if rank(m) < k:
+        return 0
+    labelled = 0
 
     def span(P):
         """The columns (0-based) in the span of the independent P."""
@@ -78,22 +81,26 @@ def oracle_labelled(m, size=None):
 
     def most(T):
         inside = span(T)
-        if len(inside) == n:
-            return n
         return max(len(span(T + [c])) for c in range(n) if c not in inside)
+
+    T0 = []
+    for c in range(n):
+        if len(T0) < k - 2 and rank(m, [i + 1 for i in T0 + [c]]) > len(T0):
+            T0.append(c)
+    floor = size if size is not None else most(T0) + 1
 
     def visit(P):
         nonlocal floor, labelled
         if len(P) == k - 2:
             labelled += 1
-            floor = size if size is not None else max(floor, most(P))
+            floor = size if size is not None else max(floor, most(P) + 1)
             return
         stop = n - (k - 3 - len(P))
-        at, inside = floor, span(P) if floor else []
+        inside = span(P)
         for x in range(P[-1] + 1 if P else 0, stop):
             if rank(m, [i + 1 for i in P + [x]]) <= len(P):
                 continue
-            if at and sum(c < x for c in inside) + n - x < at:
+            if sum(c < x for c in inside) + n - x < floor:
                 continue
             visit(P + [x])
 

@@ -168,11 +168,11 @@ def test_construct_writes_verifiable_file(tmp_path, capsys):
     assert "code: [n=12, k=5] over GF(499), r=2, delta=3, claimed d = 4" in out
     assert "locality: OK" in out
     assert "  group 1 {1,2,3,4}: rank 2" in out
-    # the 208 independent 3-subsets are labelled: the scan's first batch
-    # holds every pencil, so none is cut
-    assert "distance: d = 4 via rank-criterion, 220 scanned, 208 labelled\n" in out
+    # 28 of the 208 independent 3-subsets are labelled: the floor is set
+    # before the tower expands its first batch
+    assert "distance: d = 4 via rank-criterion, 220 scanned, 28 labelled\n" in out
     assert ("optimality: OPTIMAL (bound d* = 4, 220 subsets of size 9) "
-            "via pencil-scan, 220 scanned, 208 labelled\n") in out
+            "via pencil-scan, 220 scanned, 28 labelled\n") in out
     assert "structure theorem: not applicable (requires r | k and r < k)" in out
 
 
@@ -411,6 +411,25 @@ def _set_k4(data):
 
 def _set_gf503(data):
     data["code"]["field"]["p"] = 503
+
+
+def test_verify_fails_the_structure_theorem_on_uncovered_coordinates(
+        tmp_path, capsys):
+    # a saved (12,4,2,3) partition code with its groups cut to two of
+    # three, or to none: the structure theorem fails beside locality
+    data = json.loads(_saved_text(params=(12, 4, 2, 3)))
+    for cut, missing in ((2, "(9, 10, 11, 12)"),
+                         (0, str(tuple(range(1, 13))))):
+        edited = json.loads(json.dumps(data))
+        groups = edited["code"]["structure"]["groups"]
+        edited["code"]["structure"]["groups"] = groups[:cut]
+        path = tmp_path / f"cut{cut}.json"
+        path.write_text(json.dumps(edited))
+        rc, out, err = run(capsys, ["verify", str(path)])
+        assert rc == 1 and err == ""
+        assert "\nlocality: FAIL" in out
+        assert out.endswith(f"structure theorem: FAIL\n"
+                            f"  coordinates {missing} are in no group\n")
 
 
 def test_verify_rejects_header_disagreeing_with_matrix(tmp_path, capsys):

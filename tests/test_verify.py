@@ -393,9 +393,12 @@ def test_distance_identity_weight_one():
 
 
 def test_distance_rank_deficient_generator():
+    # by weights (a message of weight 0) and by the rank criterion (the
+    # RREF), before any budget is checked
     m = Matrix.from_rows(field_make(3), [(1, 1, 0), (2, 2, 0)])
-    with pytest.raises(RankDeficient):
-        min_distance(dummy_code(m))
+    for budget in (9, 1, 0):
+        with pytest.raises(RankDeficient, match="generator rank 1 < k = 2"):
+            min_distance(dummy_code(m), budget=budget)
 
 
 def test_distance_budget_exceeded():
@@ -435,6 +438,11 @@ def _low_rank_matrix(rng, f, k, n):
             v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
         cols.append(v)
     return Matrix.from_columns(f, cols)
+
+
+def _scan(m, size):
+    """The pencil scan of m, from m's RREF."""
+    return verify_mod._pencil_scan(m, size, verify_mod._echelon(m))
 
 
 def _two_pencils_per_batch(monkeypatch, n):
@@ -491,7 +499,7 @@ def test_rank_criterion_matches_descending_oracle(f, monkeypatch):
         if trial % 3 == 0:
             # pencils one at a time, so ties meet across batches
             monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
-        rep = verify_mod._rank_criterion(m, work)
+        rep = verify_mod._rank_criterion(m, work, verify_mod._echelon(m))
         monkeypatch.undo()
         assert rep.method == RANK_METHOD and rep.scanned == work
         assert (rep.d, tuple(rep.witness)) == oracle_rank_criterion(m), (
@@ -499,7 +507,8 @@ def test_rank_criterion_matches_descending_oracle(f, monkeypatch):
     for k in (2, 3, 4, 5):
         m = _full_rank_matrix(rng, f, k, k + 3)
         _two_pencils_per_batch(monkeypatch, m.cols)
-        rep = verify_mod._rank_criterion(m, comb(m.cols, k - 2))
+        rep = verify_mod._rank_criterion(m, comb(m.cols, k - 2),
+                                         verify_mod._echelon(m))
         monkeypatch.undo()
         assert (rep.d, tuple(rep.witness)) == oracle_rank_criterion(m), (
             m.row_data())
@@ -520,7 +529,7 @@ def test_pencil_certificate_matches_subset_oracle(f, monkeypatch):
         if trial % 3 == 0:
             monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
         for size in range(n + 2):
-            got, _ = verify_mod._pencil_scan(m, size)
+            got, _ = _scan(m, size)
             assert got == oracle_first_deficient(m, size, k), (
                 m.row_data(), size)
         monkeypatch.undo()
@@ -529,7 +538,7 @@ def test_pencil_certificate_matches_subset_oracle(f, monkeypatch):
                   _low_rank_matrix(rng, f, k, k + 3)):
             _two_pencils_per_batch(monkeypatch, m.cols)
             for size in range(m.cols + 2):
-                got, _ = verify_mod._pencil_scan(m, size)
+                got, _ = _scan(m, size)
                 assert got == oracle_first_deficient(m, size, k), (
                     m.row_data(), size)
             monkeypatch.undo()
@@ -575,13 +584,13 @@ def test_pencil_scan_cuts_keep_both_answers(f, monkeypatch):
                 monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
             elif most == 2:
                 _two_pencils_per_batch(monkeypatch, n)
-            got, labelled = verify_mod._pencil_scan(m, None)
+            got, labelled = _scan(m, None)
             assert got == largest, (m.row_data(), most)
             assert labelled <= independent
             assert most != 1 or labelled == oracle_labelled(m), m.row_data()
             cut[0] += labelled < independent
             for size in range(n + 2):
-                got, labelled = verify_mod._pencil_scan(m, size)
+                got, labelled = _scan(m, size)
                 assert got == first[size], (m.row_data(), most, size)
                 assert labelled <= independent
                 assert most != 1 or labelled == oracle_labelled(m, size), (
@@ -635,26 +644,28 @@ def test_pencil_scan_of_no_independent_subset_labels_none():
             cols.append(v)
         m = Matrix.from_columns(f, cols)
         every = tuple(range(1, m.cols + 1))
-        assert verify_mod._pencil_scan(m, None) == (every, 0)
+        assert _scan(m, None) == (every, 0)
         for size in range(m.cols + 2):
             want = every[:size] if size <= m.cols else None
-            assert verify_mod._pencil_scan(m, size) == (want, 0)
+            assert _scan(m, size) == (want, 0)
 
 
 def test_certificate_scan_cuts_all_but_the_first_prefix(monkeypatch):
-    # no hyperplane of an MDS generator holds n columns. The n-k+3 pencils
-    # of the first (k-3)-prefix are laid out before any is labelled; after
-    # that every subtree is cut, and the scan still answers None rather
+    # no hyperplane of an MDS generator holds n columns. The floor is set
+    # before the tower expands anything: at floor n only the prefixes of
+    # T0 = (1, 2, 3), whose earlier columns all lie in their span, reach
+    # the bound, and above n none do. The scan still answers None rather
     # than report the every-set of a degenerate one
     m = mds_generator(9, 5, field_make(11))
     kern = field_kernel(m.field)
     G = kern.array(m.row_data()).reshape(5, 9)
     assert list(verify_mod._pencils(kern, G, lambda: 10)) == []
     monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
-    for size in (9, 10):
-        assert verify_mod._pencil_scan(m, size) == (None, 9 - 5 + 3)
+    for size, labelled in ((9, 1), (10, 0)):
+        assert oracle_labelled(m, size) == labelled
+        assert _scan(m, size) == (None, labelled)
     # the distance scan cuts too, and finds the first k-1 columns
-    largest, labelled = verify_mod._pencil_scan(m, None)
+    largest, labelled = _scan(m, None)
     assert largest == (1, 2, 3, 4) and labelled < comb(9, 3)
 
 
@@ -668,7 +679,7 @@ def test_pencil_scan_keeps_a_hyperplane_that_meets_its_bound(monkeypatch):
                                             (4, 3, 0, 0), (4, 4, 2, 0)])
     assert oracle_first_deficient(m, 4, 4) == (3, 4, 5, 6)
     monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
-    assert verify_mod._pencil_scan(m, 4) == ((3, 4, 5, 6), oracle_labelled(m, 4))
+    assert _scan(m, 4) == ((3, 4, 5, 6), oracle_labelled(m, 4))
 
 
 def test_pencil_scan_labels_fewer_on_the_fixtures():
@@ -681,7 +692,53 @@ def test_pencil_scan_labels_fewer_on_the_fixtures():
     assert (rep.d, rep.witness, rep.scanned) == (12, tuple(range(1, 9)), 38760)
     ok, cert = certify_optimal(code)
     assert ok and (cert.route, cert.scanned) == (verify_mod.PENCIL_ROUTE, 38760)
-    assert (rep.labelled, cert.labelled) == (19692, 13888)
+    assert (rep.labelled, cert.labelled) == (12520, 12520)
+
+
+@pytest.mark.parametrize("name, labelled", [("verify-20-8-4-2.json", 12520),
+                                            ("verify-18-8-3-2.json", 3421),
+                                            ("verify-18-7-4-2.json", 3015)])
+def test_distance_and_certificate_scans_label_alike_on_optimal_fixtures(
+        name, labelled):
+    # on an optimal code the largest hyperplane has s - 1 columns, and the
+    # seed pencil already holds one: both scans run at floor s throughout
+    code = load_code(FIXTURES / name).code
+    ok, cert = certify_optimal(code)
+    assert ok and cert.route == verify_mod.PENCIL_ROUTE
+    rep = min_distance(code)
+    assert rep.method == RANK_METHOD
+    assert code.params.n - rep.d + 1 == cert.subset_size
+    assert rep.labelled == cert.labelled == labelled
+
+
+@pytest.mark.parametrize("f", [field_make(2), field_make(3), field_make(2, 2)],
+                         ids=repr)
+def test_seed_pencil_has_the_classes_of_the_towers_first(f):
+    # the generator's RREF's last two rows vanish on its first k-2 pivots,
+    # the tower's first subset: they name the same hyperplanes (the same
+    # slope classes and span(T)) as the tower's first pencil, by other
+    # functionals
+    rng = random.Random(f.q * 43)
+    kern = field_kernel(f)
+    seen = 0
+    for trial in range(40):
+        k = 2 + trial % 5
+        n = rng.randrange(k, 10)
+        m = (_sparse_matrix if trial % 2 else _full_rank_matrix)(rng, f, k, n)
+        R = verify_mod._echelon(m)
+        assert R[0].any(axis=1).sum() == rank(m)
+        if rank(m) < k:
+            continue
+        seen += 1
+        G = kern.array(m.row_data()).reshape(k, n)
+        first = next(verify_mod._pencils(kern, G, lambda: 0))[:1]
+        classes = []
+        for XY in (R[:, k - 2:], first):
+            label, span, sizes = verify_mod._pencil_hyperplanes(kern, XY)
+            classes.append((span.tolist(), sizes.tolist(),
+                            (label[0][:, None] == label[0][None, :]).tolist()))
+        assert classes[0] == classes[1], m.row_data()
+    assert seen >= 20
 
 
 def test_distance_methods_agree_on_random_codes():
@@ -852,6 +909,20 @@ def test_structure_theorem_rejects_overlap_and_sizes():
     assert not rep.disjoint and not rep.sizes_ok
     assert any("overlaps" in s for s in rep.messages)
     assert any("size 3" in s for s in rep.messages)
+
+
+def test_structure_theorem_rejects_groups_that_miss_coordinates():
+    # the theorem describes a partition of all n coordinates: two of the
+    # three groups, or none, fail and name what they leave out
+    code = construct(CodeParams(12, 4, 2, 3), field_make(997), seed=0)
+    for groups, missing in ((code.structure.groups[:2], (9, 10, 11, 12)),
+                            ((), tuple(range(1, 13)))):
+        cut = replace(code, structure=CoverSet(12, groups))
+        ok, rep = check_structure_theorem(cut)
+        assert not ok and not rep.ok
+        assert rep.disjoint and rep.sizes_ok and all(rep.punctured_mds)
+        assert rep.messages == (f"coordinates {missing} are in no group",)
+        assert (ok, rep) == oracle_structure_theorem(cut)
 
 
 def test_structure_theorem_rejects_dependent_group_columns():
