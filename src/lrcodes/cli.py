@@ -2,7 +2,9 @@
 
 Subcommands: classify, table, construct, verify, demo. Exit codes are
 scriptable: 0 success / code exists, 1 usage or runtime failure,
-2 parameters proven impossible, 3 existence unknown.
+2 parameters proven impossible, 3 existence unknown. verify exits 1
+when a check fails and 0 when every check that ran passed, though a
+check out of budget did not run.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from .params import (
     CodeParams,
     classify,
 )
-from .verify import (DEFAULT_BUDGET, PENCIL_ROUTE, RANK_METHOD, certify_optimal,
-                     check_locality, check_structure_theorem, min_distance)
+from .verify import (DEFAULT_BUDGET, DISTANCE_ROUTE, PENCIL_ROUTE, RANK_METHOD,
+                     certify_optimal, check_locality, check_structure_theorem,
+                     min_distance)
 
 __all__ = ["main"]
 
@@ -291,7 +294,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         verdict = "OPTIMAL" if ok else "NOT OPTIMAL"
         line = (f"optimality: {verdict} (bound d* = {report.bound_d}, "
                 f"{report.subsets_total} subsets of size {report.subset_size})")
-        if report.route:  # None when locality failed before any scan
+        if report.route == DISTANCE_ROUTE:  # read off the distance above
+            line += f" via {report.route}, d = {report.known_d}"
+        elif report.route:  # None when locality failed before any scan
             line += f" via {report.route}, {report.scanned} scanned"
             if report.route == PENCIL_ROUTE:
                 line += f", {report.labelled} labelled"

@@ -13,6 +13,9 @@ last rows are the first pencil; the subsets stream down one annihilator
 tower from it, each with the values on the columns of the functionals
 that vanish on it, by one step a subset; a subtree is cut when no
 hyperplane with its canonical prefix in that subtree can change an answer.
+A certificate reads the locality and the distance already proven for
+the same generator, and scans only when that distance is below the
+bound, for the first deficient subset its report names.
 Each report says which route ran, what it covered and what it labelled.
 """
 
@@ -55,12 +58,14 @@ __all__ = [
     "RANK_METHOD",
     "PENCIL_ROUTE",
     "SUBSET_ROUTE",
+    "DISTANCE_ROUTE",
 ]
 
 WEIGHT_METHOD = "weight-enumeration"
 RANK_METHOD = "rank-criterion"
 PENCIL_ROUTE = "pencil-scan"
 SUBSET_ROUTE = "subset-scan"
+DISTANCE_ROUTE = "known-distance"
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -68,6 +73,21 @@ DEFAULT_BUDGET = 10 ** 7
 # matrix, or at level j of the pencil tower a j-subset's k-j rows of
 # values on the n columns); this bounds the working memory of one batch.
 _BATCH_CELLS = 1 << 15
+
+# Facts proven about a generator, oldest first: the exact d min_distance
+# returned, under ("d", m), and check_locality's report, under
+# ("locality", m, groups, r, delta). Keys hold the generator Matrix, whose
+# equality covers its field and every entry, never the LrcCode, which is
+# mutable. Only certify_optimal reads them.
+_KNOWN: dict[tuple, object] = {}
+_KNOWN_ENTRIES = 8
+
+
+def _remember(key: tuple, fact: object) -> None:
+    _KNOWN.pop(key, None)
+    _KNOWN[key] = fact
+    if len(_KNOWN) > _KNOWN_ENTRIES:
+        del _KNOWN[next(iter(_KNOWN))]
 
 
 @dataclass(frozen=True)
@@ -112,11 +132,14 @@ class OptimalityReport:
     witness: Optional[tuple[int, ...]]
     locality: LocalityReport
     note: str
-    # PENCIL_ROUTE (scanned: C(n, k-2) subsets, as in DistanceReport) or
-    # SUBSET_ROUTE (the subsets eliminated); None if locality failed first
+    # PENCIL_ROUTE (scanned: C(n, k-2) subsets, as in DistanceReport),
+    # SUBSET_ROUTE (the subsets eliminated) or DISTANCE_ROUTE (none: the
+    # verdict is read off known_d, the d min_distance found); None if
+    # locality failed first
     route: Optional[str] = field(default=None, compare=False)
     scanned: int = field(default=0, compare=False)
     labelled: int = field(default=0, compare=False)  # as in DistanceReport
+    known_d: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -232,8 +255,10 @@ def check_locality(code: LrcCode) -> LocalityReport:
         for i, (g, grank, w) in enumerate(zip(groups, ranks, witnesses), start=1))
     all_covered = covered == (1 << n) - 1
     overall = all_covered and all(e.ok for e in entries)
-    return LocalityReport(per_group=entries, covered=all_covered,
-                          overall=overall, scanned=scanned)
+    report = LocalityReport(per_group=entries, covered=all_covered,
+                            overall=overall, scanned=scanned)
+    _remember(("locality", code.generator, groups, r, delta), report)
+    return report
 
 
 def _weight_enumeration(m: Matrix) -> DistanceReport:
@@ -425,17 +450,18 @@ def min_distance(code: LrcCode, budget: int = DEFAULT_BUDGET) -> DistanceReport:
     Weight enumeration when q^k is small enough; otherwise one scan of
     the C(n, k-2) pencils of hyperplanes through independent column
     subsets for the largest column set of rank below k (its size is n-d).
+    Either way d is remembered for the generator, for certify_optimal.
     """
     code.validate()
     m = code.generator
-    if code.field.q ** m.rows <= budget:
-        report = _weight_enumeration(m)
-        if report.d:  # else a nonzero message has weight 0: rank below k
-            return report
-    R = _echelon(m)
-    if not R[0, -1].any():
-        raise RankDeficient(f"generator rank {R[0].any(axis=1).sum()} < k = {m.rows}")
-    return _rank_criterion(m, budget, R)
+    report = _weight_enumeration(m) if code.field.q ** m.rows <= budget else None
+    if report is None or not report.d:  # d = 0: a message of weight 0, rank < k
+        R = _echelon(m)
+        if not R[0, -1].any():
+            raise RankDeficient(f"generator rank {R[0].any(axis=1).sum()} < k = {m.rows}")
+        report = _rank_criterion(m, budget, R)
+    _remember(("d", m), report.d)
+    return report
 
 
 def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
@@ -447,14 +473,22 @@ def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
     single size forces d above bound-1, while locality caps d at the
     bound, so the two together pin d to the bound with no distance
     computation. The rank check scans whichever is fewer: the C(n, k-2)
-    pencils of hyperplanes, or the C(n, s) subsets themselves.
+    pencils of hyperplanes, or the C(n, s) subsets themselves; that
+    route's budget gate runs either way.
+
+    A locality report or a d that check_locality or min_distance proved
+    for the same generator is read, not recomputed. Full rank at size s
+    means no hyperplane holds s columns, that is n - d < s, so a known
+    d >= bound passes with no scan (DISTANCE_ROUTE); a smaller one scans
+    as above, for the first deficient s-set.
     """
     code.validate()
-    p = code.params
+    p, m = code.params, code.generator
     bound = distance_bound(p)
     size = p.k + (p.mu - 1) * (p.delta - 1)
     total = comb(p.n, size)
-    locality = check_locality(code)
+    locality = (_KNOWN.get(("locality", m, code.structure.groups, p.r, p.delta))
+                or check_locality(code))
     note = (f"every {size}-column set of full rank {p.k} gives d >= {bound}; "
             f"(r,delta) locality gives d <= {bound}; together d = {bound}")
     if not locality.overall:
@@ -462,21 +496,28 @@ def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
                                        subsets_total=total, witness=None,
                                        locality=locality, note="locality check failed")
     what = "optimality certification"
-    if p.k >= 2 and comb(p.n, p.k - 2) <= total:
-        route = PENCIL_ROUTE
+    pencils = p.k >= 2 and comb(p.n, p.k - 2) <= total
+    if pencils:
         scanned = _within_budget(what, p.n, p.k - 2, "(k-2)-subsets", budget)
-        witness, labelled = _pencil_scan(code.generator, size, _echelon(code.generator))
     else:
-        route = SUBSET_ROUTE
         _within_budget(what, p.n, size, "subset checks", budget)
-        (witness, scanned), labelled = _first_deficient(code.generator, size, p.k), 0
+    known_d = _KNOWN.get(("d", m))
+    if known_d is not None and known_d >= bound:
+        route, witness, scanned, labelled = DISTANCE_ROUTE, None, 0, 0
+    elif pencils:
+        route, known_d = PENCIL_ROUTE, None
+        witness, labelled = _pencil_scan(m, size, _echelon(m))
+    else:
+        route, known_d = SUBSET_ROUTE, None
+        (witness, scanned), labelled = _first_deficient(m, size, p.k), 0
     ok = witness is None
     report = OptimalityReport(ok=ok, bound_d=bound, subset_size=size,
                               subsets_total=total, witness=witness,
                               locality=locality,
                               note=note if ok else
                               f"column set {witness} has rank below {p.k}",
-                              route=route, scanned=scanned, labelled=labelled)
+                              route=route, scanned=scanned, labelled=labelled,
+                              known_d=known_d)
     return ok, report
 
 

@@ -27,6 +27,7 @@ from lrcodes.params import (
     field_bound,
 )
 from lrcodes.verify import (
+    DISTANCE_ROUTE,
     PENCIL_ROUTE,
     RANK_METHOD,
     WEIGHT_METHOD,
@@ -259,8 +260,9 @@ def test_criterion_10_loop_invariant_suite():
 
 def test_criterion_11_large_instance_within_budget():
     # the exact distance scans the C(37,5) = 435,897 pencils and must find
-    # d = 27; the certificate takes the same pencil scan, far fewer than
-    # the C(37,11) = 854,992,152 subsets it covers, and must certify
+    # d = 27; the certificate, with no distance known, takes the same
+    # pencil scan, far fewer than the C(37,11) = 854,992,152 subsets it
+    # covers, and must certify; once d = 27 is known it reads it instead
     with criterion(11):
         p = CodeParams(37, 7, 3, 3)
         assert field_bound(p) == 2324784
@@ -283,12 +285,17 @@ def test_criterion_11_large_instance_within_budget():
 
         assert check_locality(code).overall
 
+        ok, report = certify_optimal(code)
+        assert ok and report.witness is None
+        assert report.subsets_total == comb(37, 11) == 854992152
+        assert (report.route, report.scanned) == (PENCIL_ROUTE, comb(37, 5))
+
         rep = min_distance(code)
         assert rep.method == RANK_METHOD and rep.scanned == comb(37, 5)
         assert rep.d == 27 and len(rep.witness) == 37 - 27
         assert rank(code.generator, rep.witness) < 7
 
-        ok, report = certify_optimal(code)
-        assert ok and report.witness is None
-        assert report.subsets_total == comb(37, 11) == 854992152
-        assert (report.route, report.scanned) == (PENCIL_ROUTE, comb(37, 5))
+        ok, warm = certify_optimal(code)
+        assert ok and warm == report
+        assert (warm.route, warm.scanned, warm.labelled, warm.known_d) == (
+            DISTANCE_ROUTE, 0, 0, 27)

@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -688,11 +688,16 @@ def test_pencil_scan_labels_fewer_on_the_fixtures():
     # counts are pinned, as the floor rises while the scan runs, so a
     # change to the cut or to the batch layout shows here
     code = load_code(FIXTURES / "verify-20-8-4-2.json").code
+    ok, cert = certify_optimal(code)  # nothing remembered: its own scan
+    assert ok and (cert.route, cert.scanned) == (verify_mod.PENCIL_ROUTE, 38760)
     rep = min_distance(code)
     assert (rep.d, rep.witness, rep.scanned) == (12, tuple(range(1, 9)), 38760)
-    ok, cert = certify_optimal(code)
-    assert ok and (cert.route, cert.scanned) == (verify_mod.PENCIL_ROUTE, 38760)
     assert (rep.labelled, cert.labelled) == (12520, 12520)
+    # once d = 12 is known, the certificate reads it: 12 >= the bound 12
+    ok, warm = certify_optimal(code)
+    assert ok and warm == cert
+    assert (warm.route, warm.scanned, warm.labelled, warm.known_d) == (
+        verify_mod.DISTANCE_ROUTE, 0, 0, 12)
 
 
 @pytest.mark.parametrize("name, labelled", [("verify-20-8-4-2.json", 12520),
@@ -810,6 +815,7 @@ def test_certify_optimal_detects_rank_gap():
     assert rep.route == verify_mod.PENCIL_ROUTE
     assert rep.witness == (1, 2, 3, 4)
     assert "rank below 3" in rep.note
+    _cold_and_warm(code)
 
 
 def test_certify_optimal_rank_far_below_k():
@@ -828,6 +834,7 @@ def test_certify_optimal_rank_far_below_k():
     assert (rep.route, rep.scanned, rep.subsets_total) == (
         verify_mod.PENCIL_ROUTE, 220, 792)
     assert rep.witness == (1, 2, 3, 4, 5, 6, 7)
+    _cold_and_warm(code)
 
 
 def test_certify_optimal_routes_by_counted_work():
@@ -854,6 +861,7 @@ def test_certify_optimal_routes_by_counted_work():
         ok, rep = certify_optimal(broken)
         assert rep.locality.overall and not ok and rep.route == route
         assert rep.witness == tuple(range(1, rep.subset_size + 1))
+        _cold_and_warm(broken)
 
 
 def test_certify_optimal_fails_on_locality():
@@ -866,6 +874,7 @@ def test_certify_optimal_fails_on_locality():
     assert not ok
     assert rep.note == "locality check failed"
     assert rep.witness is None
+    _cold_and_warm(code)
 
 
 def test_certify_optimal_budget():
@@ -874,6 +883,122 @@ def test_certify_optimal_budget():
     with pytest.raises(BudgetExceeded) as exc:
         certify_optimal(code, budget=5)  # needs C(6,1) = 6 pencils
     assert "C(6,1) = 6 (k-2)-subsets" in str(exc.value)
+
+
+def _cold_and_warm(code, budget=verify_mod.DEFAULT_BUDGET):
+    """certify_optimal(code) with nothing remembered, and again after
+    check_locality and min_distance(code, budget); the two reports must
+    agree on every compared field (ok, bound_d, subset_size,
+    subsets_total, witness, locality and note). The second reads its
+    verdict off d when locality holds and d >= the bound, and otherwise
+    scans as the first did."""
+    verify_mod._KNOWN.clear()
+    cold = certify_optimal(code)[1]
+    verify_mod._KNOWN.clear()
+    check_locality(code)
+    try:
+        d = min_distance(code, budget=budget).d
+    except RankDeficient:
+        d = None
+    warm = certify_optimal(code)[1]
+    assert warm == cold and warm.locality.scanned == cold.locality.scanned
+    if cold.ok and d is not None:
+        assert d >= cold.bound_d
+        assert (warm.route, warm.scanned, warm.labelled, warm.known_d) == (
+            verify_mod.DISTANCE_ROUTE, 0, 0, d)
+    else:
+        assert (warm.route, warm.scanned, warm.labelled, warm.known_d) == (
+            cold.route, cold.scanned, cold.labelled, None)
+    return cold, warm, d
+
+
+# GROUP_SCAN_PARAMS (partitions and frames), then (8,6,3,2) on the subset
+# route, (9,4,2,2) on the pencil route, two k = 1 codes and an r = k code
+# of two groups
+CERTIFY_PARAMS = GROUP_SCAN_PARAMS + [(8, 6, 3, 2), (9, 4, 2, 2), (6, 1, 1, 3),
+                                      (6, 1, 1, 2), (8, 3, 3, 2)]
+
+
+def test_certificate_reads_known_facts_as_it_would_scan():
+    # the oracle codes and their broken variants, after the weight engine
+    # (a budget of q^k, where q^k is small) and the rank engine (q^k - 1)
+    seen = {"route": set(), "engine": set(), "not optimal, d known": 0,
+            "not optimal, rank below k": 0, "locality failed": 0}
+    for t in CERTIFY_PARAMS:
+        p = CodeParams(*t)
+        code = construct(p, seed=0)
+        q = code.field.q
+        budgets = [q ** p.k - 1] + ([q ** p.k] if q ** p.k <= 2 * 10 ** 6 else [])
+        rng = random.Random(sum(t))
+        for variant, budget in product(_broken_variants(rng, code), budgets):
+            cold, warm, d = _cold_and_warm(variant, budget)
+            seen["route"] |= {cold.route, warm.route}
+            seen["engine"].add(WEIGHT_METHOD if budget == q ** p.k else RANK_METHOD)
+            if not cold.locality.overall:
+                seen["locality failed"] += 1
+            elif not cold.ok:
+                seen["not optimal, rank below k" if d is None
+                     else "not optimal, d known"] += 1
+                assert cold.witness == oracle_first_deficient(
+                    variant.generator, cold.subset_size, p.k)
+    assert seen.pop("route") == {None, verify_mod.PENCIL_ROUTE,
+                                 verify_mod.SUBSET_ROUTE, verify_mod.DISTANCE_ROUTE}
+    assert seen.pop("engine") == {WEIGHT_METHOD, RANK_METHOD}
+    assert min(seen.values()) > 0, seen
+
+
+def test_certificate_keys_what_it_remembers_by_content():
+    # (8,3,3,2): two groups of 4 with r = k, so locality asks that every 3
+    # columns of a group be independent, the certificate that every 3
+    # columns be; a one-entry edit that puts a column in the plane of two
+    # columns of the other group keeps locality and breaks the certificate
+    code = construct(CodeParams(8, 3, 3, 2), seed=0)
+    assert min_distance(code).d == 6
+    ok, rep = certify_optimal(code)
+    assert ok and rep.route == verify_mod.DISTANCE_ROUTE
+    # other groups, or another delta, on the same object are other facts:
+    # one group leaves 5..8 uncovered, and at delta = 3 two columns of a
+    # group cannot reach its rank 3
+    structure, params = code.structure, code.params
+    code.structure = CoverSet(8, structure.groups[:1])
+    assert certify_optimal(code)[1].note == "locality check failed"
+    code.structure, code.params = structure, CodeParams(8, 3, 3, 3)
+    assert certify_optimal(code)[1].note == "locality check failed"
+    code.params = params
+    f, rows = code.field, code.generator.row_data()
+    for i, j, v in product(range(3), range(8), range(f.q)):
+        edited = [list(row) for row in rows]
+        edited[i][j] = v
+        m = Matrix.from_rows(f, edited)
+        bad = oracle_first_deficient(m, 3, 3)
+        if (bad is not None and rank(m) == 3
+                and oracle_check_locality(replace(code, generator=m)).overall):
+            break
+    else:
+        raise AssertionError("no one-entry edit keeps locality and breaks optimality")
+    code.generator = m  # the same LrcCode object, holding the edited matrix
+    ok, rep = certify_optimal(code)
+    assert not ok and rep.locality.overall and rep.witness == bad
+    assert rep.route == verify_mod.PENCIL_ROUTE and rep.known_d is None
+
+
+def test_certificate_budget_gate_comes_before_a_known_distance():
+    # a remembered d never turns "out of budget" into a verdict: the gate
+    # counts the route's own scan, C(n,s) subsets or C(n,k-2) pencils
+    for params, work, need in [
+            (CodeParams(8, 6, 3, 2), 8, "C(8,7) = 8 subset checks"),
+            (CodeParams(9, 4, 2, 2), 36, "C(9,2) = 36 (k-2)-subsets")]:
+        code = construct(params, seed=0)
+        with pytest.raises(BudgetExceeded) as cold:
+            certify_optimal(code, budget=work - 1)
+        check_locality(code)
+        min_distance(code)
+        with pytest.raises(BudgetExceeded) as warm:
+            certify_optimal(code, budget=work - 1)
+        assert str(warm.value) == str(cold.value) == (
+            f"optimality certification needs {need}, budget is {work - 1}")
+        ok, rep = certify_optimal(code, budget=work)
+        assert ok and rep.route == verify_mod.DISTANCE_ROUTE
 
 
 # ---------------------------------------------------------------------
