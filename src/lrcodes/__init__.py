@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedExtension,
 )
 from .gf import FieldSpec, field_at_least, field_make, is_prime
-from .linalg import Matrix, in_span, rank
+from .linalg import Matrix, rank
 from .params import (
     EXISTS,
     EXISTS_MDS,
@@ -41,9 +41,7 @@ from .params import (
     UNKNOWN,
     Classification,
     CodeParams,
-    ParamDecomposition,
     classify,
-    decompose,
     distance_bound,
     field_bound,
     necessary_check,
@@ -116,13 +114,10 @@ __all__ = [
     # linear algebra
     "Matrix",
     "rank",
-    "in_span",
     # parameters
     "CodeParams",
-    "ParamDecomposition",
     "Classification",
     "classify",
-    "decompose",
     "distance_bound",
     "field_bound",
     "necessary_check",

@@ -26,7 +26,7 @@ from .errors import (
     UnknownCase,
 )
 from .gf import FieldSpec, field_make
-from .linalg import in_span, rank
+from .linalg import rank
 from .params import (
     EXISTS,
     EXISTS_MDS,
@@ -333,7 +333,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
           "rebuilt from r = 2 group mates:")
     g1 = code.structure.groups[0]
     survivors = (g1[1], g1[2])
-    assert in_span(m.column(g1[0]), survivors, m)
+    assert rank(m, survivors) == rank(m, (g1[0],) + survivors)
     print(f"  symbol {g1[0]} of group {_group_text(g1)} is a combination "
           f"of symbols {{{survivors[0]},{survivors[1]}}}")
     loc = check_locality(code)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
 from math import comb
 from operator import index
 from typing import Optional
@@ -49,8 +48,8 @@ from .covers import validate as validate_structure
 # lambda_cores and reduce_vector are not called here: they are imported
 # so that the benchmark's tracer (perfbench/tracer.py), which wraps
 # functions under the module names their callers use, finds them.
-from .cores import (_BATCH, CoreQuery, _BlockModel, _block_model, core_mask,
-                    index_batches, lambda_cores, omega0)
+from .cores import (_BATCH, CoreQuery, _BlockModel, _block_model, lambda_cores,
+                    omega0)
 from .errors import (
     CodeFileError,
     DimensionMismatch,
@@ -63,8 +62,7 @@ from .errors import (
     UnknownCase,
 )
 from .gf import FieldSpec, field_at_least, field_kernel
-from .linalg import (Basis, Matrix, _annihilate, _batch_rref, reduce_vector,
-                     reduced_basis)
+from .linalg import Basis, Matrix, _annihilate, reduce_vector, reduced_basis
 from .params import (
     EXISTS,
     EXISTS_MDS,
@@ -95,10 +93,9 @@ RANDOM_ATTEMPTS = 64
 # sweep completely (only reachable after 64 failed draws at huge q).
 _SCAN_LIMIT = 1 << 20
 
-# Rows per annihilator step as the functional cache grows, and subsets per
-# elimination in the invariant recheck: fewer than the _BATCH rows a core
-# mask takes, as the gathered bases and their temporaries are several
-# times a slice's own size.
+# Rows per annihilator step as the functional cache grows: fewer than the
+# _BATCH rows a core mask takes, as the gathered bases and their
+# temporaries are several times a slice's own size.
 _SOLVE_ROWS = _BATCH // 8
 
 
@@ -425,26 +422,8 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     return tuple(kern.matmul(kern.array([coeffs]), basis)[0].tolist())
 
 
-def _assert_invariant(state: ExtensionState) -> None:
-    """Full recheck: every core inside Omega has independent columns,
-    checked _SOLVE_ROWS subsets at a time."""
-    q = state.core_query()
-    cols = _column_array(state)
-    kern = field_kernel(state.field)
-    for size in range(1, min(state.params.k, len(q.ground)) + 1):
-        for E in index_batches(combinations(q.ground, size), size,
-                               _SOLVE_ROWS, np.int64):
-            E = E[core_mask(q, E)]
-            _, ranks = _batch_rref(kern, cols[E])
-            bad = np.flatnonzero(ranks < size)
-            if bad.size:
-                raise RuntimeError(
-                    f"loop invariant violated: core {tuple(E[bad[0]].tolist())} "
-                    f"has rank {ranks[bad[0]]}")
-
-
 def run_extension(structure: Structure, params: CodeParams, field: FieldSpec,
-                  seed: int = 0, check_invariants: bool = False) -> LrcCode:
+                  seed: int = 0) -> LrcCode:
     """Extension construction over a partition or a frame.
 
     Places the MDS base on Omega_0, then assigns every remaining
@@ -467,16 +446,12 @@ def run_extension(structure: Structure, params: CodeParams, field: FieldSpec,
     for j, x in enumerate(om.indices, start=1):
         state.columns[x] = base.column(j)
     state.omega = list(om.indices)
-    if check_invariants:
-        _assert_invariant(state)
     for gi, g in enumerate(structure.groups, start=1):
         for lam in g:
             if lam in state.columns:
                 continue
             col = pick_extension_vector(state, lam, gi)
             state.assign(lam, col)
-            if check_invariants:
-                _assert_invariant(state)
     gen = Matrix.from_columns(
         field, [state.columns[j] for j in range(1, params.n + 1)])
     return LrcCode(field=field, generator=gen, structure=structure,
@@ -505,7 +480,7 @@ def _base_length(params: CodeParams) -> int:
 
 
 def construct(params: CodeParams, field: Optional[FieldSpec] = None,
-              seed: int = 0, check_invariants: bool = False) -> LrcCode:
+              seed: int = 0) -> LrcCode:
     """Classify, build the matching structure, and run its algorithm.
 
     The default field is the smallest prime at least max(C(n, k-1), n),
@@ -535,7 +510,7 @@ def construct(params: CodeParams, field: Optional[FieldSpec] = None,
             f"need q >= {base} for the {base}-column MDS base, field has q={field.q}")
     method = METHOD_A1_UNIFORM if verdict.verdict == EXISTS_MDS else verdict.method
     structure = _build_structure(params, method)
-    return run_extension(structure, params, field, seed, check_invariants)
+    return run_extension(structure, params, field, seed)
 
 
 def _mds_windows(params: CodeParams, field: FieldSpec) -> LrcCode:

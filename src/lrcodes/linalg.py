@@ -25,7 +25,6 @@ from .gf import FieldSpec
 __all__ = [
     "Matrix",
     "rank",
-    "in_span",
     "reduced_basis",
     "reduce_vector",
     "extend_basis",
@@ -40,11 +39,8 @@ Vector = Sequence[int]
 Basis = list
 
 
-def _canon_vector(field: FieldSpec, v: Vector, length: Optional[int] = None) -> list[int]:
-    out = [field.canon(index(x)) for x in v]
-    if length is not None and len(out) != length:
-        raise DimensionMismatch(f"expected length {length}, got {len(out)}")
-    return out
+def _canon_vector(field: FieldSpec, v: Vector) -> list[int]:
+    return [field.canon(index(x)) for x in v]
 
 
 def reduce_vector(field: FieldSpec, basis: Basis, vec: Sequence[int]) -> list[int]:
@@ -189,13 +185,6 @@ def rank(m: Matrix, cols: Optional[Iterable[int]] = None) -> int:
     for j in idx:
         extend_basis(m.field, basis, m.column(j))
     return len(basis)
-
-
-def in_span(v: Vector, basis_cols: Iterable[int], m: Matrix) -> bool:
-    """True iff v lies in the span of the selected columns."""
-    vec = _canon_vector(m.field, v, m.rows)
-    basis = reduced_basis(m.field, (m.column(j) for j in _as_indices(basis_cols, m)))
-    return not any(reduce_vector(m.field, basis, vec))
 
 
 def _batch_rref(kern, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,9 +22,7 @@ from .errors import BoundNonPositive
 
 __all__ = [
     "CodeParams",
-    "ParamDecomposition",
     "Classification",
-    "decompose",
     "distance_bound",
     "necessary_check",
     "classify",
@@ -101,16 +99,6 @@ class CodeParams:
         return -(-self.k // self.r)
 
 
-@dataclass(frozen=True)
-class ParamDecomposition:
-    """n = w*(r+delta-1) + m with 0 <= m < r+delta-1; k = u*r + v with 0 <= v < r."""
-
-    w: int
-    m: int
-    u: int
-    v: int
-
-
 @dataclass(frozen=True, init=False)
 class Classification:
     """Outcome of classify(); verdict is one of the four module constants.
@@ -137,12 +125,6 @@ class Classification:
         """C(n, k-1), computed when read: near k = n/2 it has about
         0.3 n digits and takes seconds for n in the millions."""
         return field_bound(self.params)
-
-
-def decompose(p: CodeParams) -> ParamDecomposition:
-    w, m = divmod(p.n, p.group_size)
-    u, v = divmod(p.k, p.r)
-    return ParamDecomposition(w=w, m=m, u=u, v=v)
 
 
 def distance_bound(p: CodeParams) -> int:

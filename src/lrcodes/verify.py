@@ -13,6 +13,9 @@ last rows are the first pencil; the subsets stream down one annihilator
 tower from it, each with the values on the columns of the functionals
 that vanish on it, by one step a subset; a subtree is cut when no
 hyperplane with its canonical prefix in that subtree can change an answer.
+The subset sweep, locality and the structure theorem's punctured MDS
+codes ask one question: which subset of a given size in a column set
+is first to fall below a given rank. One batched scan answers all three.
 A certificate reads the locality and the distance already proven for
 the same generator, and scans only when that distance is below the
 bound, for the first deficient subset its report names.
@@ -160,74 +163,46 @@ def _ranks(kern, columns: np.ndarray, E: np.ndarray) -> np.ndarray:
     return _batch_rref(kern, R)[1]
 
 
-def _first_deficient(m: Matrix, size: int, full_rank: int,
-                     cols: Optional[Sequence[int]] = None
-                     ) -> tuple[Optional[tuple[int, ...]], int]:
-    """Lexicographically first size-subset of the columns whose rank is
-    below full_rank, or None; and how many subsets were eliminated.
-
-    The subsets are ranked in lexicographic order, a batch at a time, by
-    one batched elimination over the field kernel.
-    """
-    pool = list(cols) if cols is not None else list(range(1, m.cols + 1))
-    kern = field_kernel(m.field)
-    # columns as kernel rows, indexed by coordinate (row 0 unused)
-    columns = kern.array([(0,) * m.rows] + m.columns())
-    scanned, batch = 0, max(1, _BATCH_CELLS // max(1, size * m.rows))
-    for E in index_batches(combinations(pool, size), size, batch, np.int64):
-        ranks = _ranks(kern, columns, E)
-        scanned += len(E)
-        bad = np.flatnonzero(ranks < full_rank)
-        if bad.size:
-            return tuple(E[bad[0]].tolist()), scanned
-    return None, scanned
-
-
 def _group_scan(m: Matrix, groups: Sequence[tuple[int, ...]],
-                size_of: Callable[[tuple[int, ...], int], Optional[int]]
+                size_of: Callable[[tuple[int, ...], int],
+                                  Optional[tuple[int, int]]]
                 ) -> tuple[list[int], list[Optional[tuple[int, ...]]], int]:
     """Each group's rank t; for each group g that size_of(g, t) gives a
-    size, the lexicographically first subset of g of that size and rank
-    below t, or None; and the subsets _first_deficient would eliminate on
-    each group alone. One elimination ranks all the groups; the subsets
-    of all of them, tagged with their group, share bounded batches, and a
-    group's stop at the batch that holds its witness. Index 0, the zero
-    column, pads each set to one width without changing its rank."""
+    (size, target) pair, the lexicographically first size-subset of g of
+    rank below target, or None; and how many subsets were eliminated.
+    One elimination ranks all the groups; the subsets of all of them,
+    tagged with their group, share bounded batches, and a group's stop at
+    the batch that holds its witness. Index 0, the zero column, pads each
+    set to one width without changing its rank."""
     idx = [_as_indices(g, m) for g in groups]
     kern = field_kernel(m.field)
     columns = kern.array([(0,) * m.rows] + m.columns())
     pad = max(map(len, idx), default=0)
     E = np.array([g + (0,) * (pad - len(g)) for g in idx], dtype=np.int64)
-    ranks = _ranks(kern, columns, E.reshape(len(idx), pad))
-    sizes = [size_of(g, t) for g, t in zip(idx, ranks.tolist())]
-    pad = max((s for s in sizes if s is not None), default=0)
+    ranks = _ranks(kern, columns, E.reshape(len(idx), pad)).tolist()
+    asks = [size_of(g, t) for g, t in zip(idx, ranks)]
+    pad = max((a[0] for a in asks if a is not None), default=0)
+    target = np.array([a[1] if a is not None else 0 for a in asks], dtype=np.int64)
     witness: list[Optional[tuple[int, ...]]] = [None] * len(idx)
 
     def subsets() -> Iterator[tuple[int, ...]]:
-        for j, size in enumerate(sizes):
-            if size is not None:
-                tail = (0,) * (pad - size) + (j,)
-                for c in combinations(idx[j], size):
+        for j, ask in enumerate(asks):
+            if ask is not None:
+                tail = (0,) * (pad - ask[0]) + (j,)
+                for c in combinations(idx[j], ask[0]):
                     if witness[j] is not None:
                         break
                     yield c + tail
 
     rows = max(1, _BATCH_CELLS // max(1, pad * m.rows))
+    scanned = 0
     for E in index_batches(subsets(), pad + 1, rows, np.int64):
-        for i in np.flatnonzero(_ranks(kern, columns, E[:, :-1]) < ranks[E[:, -1]]):
+        scanned += len(E)
+        for i in np.flatnonzero(_ranks(kern, columns, E[:, :-1]) < target[E[:, -1]]):
             j = int(E[i, -1])
             if witness[j] is None:
-                witness[j] = tuple(E[i, :sizes[j]].tolist())
-    scanned = 0
-    for g, size, w in zip(idx, sizes, witness):
-        if size is not None:
-            total = comb(len(g), size)
-            if w is not None:  # to the end of w's batch in a scan of g alone
-                batch = max(1, _BATCH_CELLS // max(1, size * m.rows))
-                at = next(i for i, c in enumerate(combinations(g, size)) if c == w)
-                total = min(total, (at // batch + 1) * batch)
-            scanned += total
-    return ranks.tolist(), witness, scanned
+                witness[j] = tuple(E[i, :asks[j][0]].tolist())
+    return ranks, witness, scanned
 
 
 def check_locality(code: LrcCode) -> LocalityReport:
@@ -248,7 +223,7 @@ def check_locality(code: LrcCode) -> LocalityReport:
         covered |= msk
     ranks, witnesses, scanned = _group_scan(
         code.generator, groups,
-        lambda g, grank: len(g) - delta + 1 if grank <= r else None)
+        lambda g, grank: (len(g) - delta + 1, grank) if grank <= r else None)
     entries = tuple(
         GroupLocality(index=i, group=g, rank=grank, ok=grank <= r and w is None,
                       witness=w)
@@ -508,8 +483,9 @@ def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
         route, known_d = PENCIL_ROUTE, None
         witness, labelled = _pencil_scan(m, size, _echelon(m))
     else:
-        route, known_d = SUBSET_ROUTE, None
-        (witness, scanned), labelled = _first_deficient(m, size, p.k), 0
+        route, known_d, labelled = SUBSET_ROUTE, None, 0
+        _, (witness,), scanned = _group_scan(m, [tuple(range(1, p.n + 1))],
+                                             lambda g, grank: (size, p.k))
     ok = witness is None
     report = OptimalityReport(ok=ok, bound_d=bound, subset_size=size,
                               subsets_total=total, witness=witness,
@@ -551,7 +527,7 @@ def check_structure_theorem(code: LrcCode) -> tuple[bool, StructureReport]:
         msgs.append(f"coordinates {missing} are in no group")
     ranks, witnesses, _ = _group_scan(
         code.generator, code.structure.groups,
-        lambda g, grank: p.r if grank == p.r else None)
+        lambda g, grank: (p.r, p.r) if grank == p.r else None)
     punctured = []
     for i, (grank, w) in enumerate(zip(ranks, witnesses), start=1):
         if grank != p.r:

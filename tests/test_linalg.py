@@ -13,7 +13,6 @@ from lrcodes.linalg import (
     _annihilate,
     _as_indices,
     extend_basis,
-    in_span,
     rank,
     reduce_vector,
     reduced_basis,
@@ -185,21 +184,6 @@ def test_as_indices_sorts_and_checks_columns():
         rank(m, [2, 2])
     with pytest.raises(IndexOutOfRange):
         m.columns([4, 5])
-
-
-# ---------------------------------------------------------------------
-# span membership
-# ---------------------------------------------------------------------
-
-def test_in_span_agrees_with_rank_growth():
-    rng = random.Random(47)
-    f = field_make(7)
-    for _ in range(80):
-        m = _random_matrix(rng, f, 4, 6)
-        cols = sorted(rng.sample(range(1, 7), rng.randrange(1, 6)))
-        v = [rng.randrange(7) for _ in range(4)]
-        grown = Matrix.from_columns(f, [m.column(j) for j in cols] + [v])
-        assert in_span(v, cols, m) == (rank(grown) == rank(m, cols))
 
 
 # ---------------------------------------------------------------------

@@ -30,7 +30,6 @@ from lrcodes.params import (
     Classification,
     CodeParams,
     classify,
-    decompose,
     distance_bound,
     field_bound,
     necessary_check,
@@ -100,19 +99,6 @@ def test_records_keep_the_dataclass_protocol():
         replace(p, n=12.0)
     assert replace(c, verdict=UNKNOWN) == Classification(
         UNKNOWN, METHOD_A1_UNIFORM, "thm-opt-ext-1", 4, p)
-
-
-def test_decompose_identities():
-    rng = random.Random(9)
-    for _ in range(300):
-        n = rng.randrange(2, 80)
-        k = rng.randrange(1, n + 1)
-        r = rng.randrange(1, k + 1)
-        delta = rng.randrange(2, 8)
-        p = CodeParams(n, k, r, delta)
-        d = decompose(p)
-        assert d.w * p.group_size + d.m == n and 0 <= d.m < p.group_size
-        assert d.u * r + d.v == k and 0 <= d.v < r
 
 
 def test_distance_bound_values():

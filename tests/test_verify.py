@@ -179,8 +179,11 @@ def _with_columns(code, cols, structure=None):
 def _assert_scan_matches_oracle(code):
     rep = check_locality(code)
     want = oracle_check_locality(code)
-    assert rep == want and rep.scanned == want.scanned, (code.structure.groups,
-                                                         code.generator.row_data())
+    # every recovery subset is eliminated where locality holds; a failing
+    # group's stop at the batch that holds its witness
+    assert rep == want and (rep.scanned == want.scanned if rep.overall
+                            else rep.scanned <= want.scanned), (
+        code.structure.groups, code.generator.row_data())
     p = code.params
     if p.k % p.r == 0 and p.r < p.k:
         assert check_structure_theorem(code) == oracle_structure_theorem(code)
@@ -313,31 +316,30 @@ def _dependent_matrix(rng, f, rows, cols):
 
 @pytest.mark.parametrize("f", SCAN_FIELDS, ids=repr)
 def test_first_deficient_matches_scalar_oracle(f, monkeypatch):
+    # one group through the shared scan, as the certificate's subset
+    # route asks it: any size from 1 to the group's, any target rank
     rng = random.Random(f.q % 1009)
     for trial in range(100):
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 10)
         m = _dependent_matrix(rng, f, rows, cols)
-        pool = None
+        pool = tuple(range(1, cols + 1))
         if trial % 2:
-            pool = sorted(rng.sample(range(1, cols + 1), rng.randrange(0, cols + 1)))
-        size = rng.randrange(0, (cols if pool is None else len(pool)) + 2)
+            pool = tuple(sorted(rng.sample(pool, rng.randrange(1, cols + 1))))
+        size = rng.randrange(1, len(pool) + 1)
         full = rng.randrange(1, rows + 1)
         if trial % 3 == 0:
             # batches of one subset, so the scan crosses many boundaries
             monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
-        got, scanned = verify_mod._first_deficient(m, size, full, cols=pool)
+        ranks, (got,), scanned = verify_mod._group_scan(
+            m, [pool], lambda g, t: (size, full))
         monkeypatch.undo()
+        assert ranks == [rank(m, pool)]
         assert got == oracle_first_deficient(m, size, full, cols=pool), (
             m.row_data(), size, full, pool)
         if got is None:
-            assert scanned == comb(cols if pool is None else len(pool), size)
-
-
-def test_first_deficient_beyond_pool_size():
-    m = mds_generator(5, 3, field_make(7))
-    assert verify_mod._first_deficient(m, 6, 3) == (None, 0)
-    assert verify_mod._first_deficient(m, 3, 3, cols=(1, 2)) == (None, 0)
-    assert verify_mod._first_deficient(m, 0, 1) == ((), 1)
+            assert scanned == comb(len(pool), size)
+        elif trial % 3 == 0:
+            assert scanned == list(combinations(pool, size)).index(got) + 1
 
 
 # ---------------------------------------------------------------------
