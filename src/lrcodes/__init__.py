@@ -4,162 +4,88 @@ The package decides for which parameters (n, k, r, delta) an optimal
 code with all-symbol (r, delta) locality exists, builds one
 deterministically when a construction is known, and independently
 re-checks locality and minimum distance of any generator matrix.
+
+Public names load with their submodule on first access (PEP 562), so
+``import lrcodes`` and classification never import numpy; the first
+use of a field, ``construct``, ``verify`` or ``codefile`` does.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    BoundNonPositive,
-    BoundTooLarge,
-    BudgetExceeded,
-    CodeFileError,
-    CompositeCharacteristic,
-    CoverIncomplete,
-    DimensionMismatch,
-    DivisionByZero,
-    FieldMismatch,
-    FieldTooSmall,
-    IndexOutOfRange,
-    LrcError,
-    NoValidVector,
-    NotConstructible,
-    NotDivisible,
-    PreconditionViolated,
-    RankDeficient,
-    ReduciblePolynomial,
-    StructureMismatch,
-    TooFewGroups,
-    UnknownCase,
-    UnsupportedExtension,
-)
-from .gf import FieldSpec, field_at_least, field_make, is_prime
-from .linalg import Matrix, rank
-from .params import (
-    EXISTS,
-    EXISTS_MDS,
-    NOT_EXISTS,
-    UNKNOWN,
-    Classification,
-    CodeParams,
-    classify,
-    distance_bound,
-    field_bound,
-    necessary_check,
-)
-from .covers import (
-    CoverSet,
-    Frame,
-    coverage_check,
-    deficiency_witness,
-    hub_frame,
-    paired_frame,
-    remainder_partition,
-    uniform_partition,
-    validate,
-)
-from .cores import CoreQuery, Omega0, is_core, lambda_cores, omega0
-from .construct import (
-    ExtensionState,
-    LrcCode,
-    StepStats,
-    construct,
-    mds_generator,
-    pick_extension_vector,
-    run_extension,
-)
-from .verify import (
-    DistanceReport,
-    LocalityReport,
-    OptimalityReport,
-    StructureReport,
-    certify_optimal,
-    check_locality,
-    check_structure_theorem,
-    min_distance,
-)
-from .codefile import CodeFile, load_code, save_code
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "LrcError",
-    "CompositeCharacteristic",
-    "ReduciblePolynomial",
-    "UnsupportedExtension",
-    "DivisionByZero",
-    "FieldMismatch",
-    "BoundTooLarge",
-    "IndexOutOfRange",
-    "DimensionMismatch",
-    "BudgetExceeded",
-    "BoundNonPositive",
-    "NotDivisible",
-    "PreconditionViolated",
-    "TooFewGroups",
-    "CoverIncomplete",
-    "FieldTooSmall",
-    "NoValidVector",
-    "NotConstructible",
-    "UnknownCase",
-    "StructureMismatch",
-    "RankDeficient",
-    "CodeFileError",
-    # fields
-    "FieldSpec",
-    "field_make",
-    "field_at_least",
-    "is_prime",
-    # linear algebra
-    "Matrix",
-    "rank",
-    # parameters
-    "CodeParams",
-    "Classification",
-    "classify",
-    "distance_bound",
-    "field_bound",
-    "necessary_check",
-    "EXISTS",
-    "EXISTS_MDS",
-    "NOT_EXISTS",
-    "UNKNOWN",
-    # covers and frames
-    "CoverSet",
-    "Frame",
-    "uniform_partition",
-    "remainder_partition",
-    "hub_frame",
-    "paired_frame",
-    "validate",
-    "coverage_check",
-    "deficiency_witness",
-    # cores
-    "CoreQuery",
-    "Omega0",
-    "is_core",
-    "omega0",
-    "lambda_cores",
-    # construction
-    "LrcCode",
-    "StepStats",
-    "ExtensionState",
-    "mds_generator",
-    "pick_extension_vector",
-    "run_extension",
-    "construct",
-    # verification
-    "LocalityReport",
-    "DistanceReport",
-    "OptimalityReport",
-    "StructureReport",
-    "check_locality",
-    "min_distance",
-    "certify_optimal",
-    "check_structure_theorem",
-    # persistence
-    "CodeFile",
-    "save_code",
-    "load_code",
-]
+# submodule -> the public names it provides
+_EXPORTS = {
+    "errors": (
+        "LrcError", "CompositeCharacteristic", "ReduciblePolynomial",
+        "UnsupportedExtension", "DivisionByZero", "FieldMismatch",
+        "BoundTooLarge", "IndexOutOfRange", "DimensionMismatch",
+        "BudgetExceeded", "BoundNonPositive", "NotDivisible",
+        "PreconditionViolated", "TooFewGroups", "CoverIncomplete",
+        "FieldTooSmall", "NoValidVector", "NotConstructible", "UnknownCase",
+        "StructureMismatch", "RankDeficient", "CodeFileError",
+    ),
+    "gf": ("FieldSpec", "field_make", "field_at_least", "is_prime"),
+    "linalg": ("Matrix", "rank"),
+    "params": (
+        "CodeParams", "Classification", "classify", "distance_bound",
+        "field_bound", "necessary_check",
+        "EXISTS", "EXISTS_MDS", "NOT_EXISTS", "UNKNOWN",
+    ),
+    "covers": (
+        "CoverSet", "Frame", "uniform_partition", "remainder_partition",
+        "hub_frame", "paired_frame", "validate", "coverage_check",
+        "deficiency_witness",
+    ),
+    "cores": ("CoreQuery", "Omega0", "is_core", "omega0", "lambda_cores"),
+    "construct": (
+        "LrcCode", "StepStats", "ExtensionState", "mds_generator",
+        "pick_extension_vector", "run_extension", "construct",
+    ),
+    "verify": (
+        "LocalityReport", "DistanceReport", "OptimalityReport",
+        "StructureReport", "check_locality", "min_distance",
+        "certify_optimal", "check_structure_theorem",
+    ),
+    "codefile": ("CodeFile", "save_code", "load_code"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule not imported yet
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})
+
+
+class _Package(ModuleType):
+    """The package module. ``construct`` names both a function and its
+    submodule; importing the submodule assigns the module to the package
+    attribute, which would shadow the function. This property keeps the
+    package attribute the function in every import order."""
+
+    @property
+    def construct(self):
+        from .construct import construct
+        return construct
+
+    @construct.setter
+    def construct(self, _module: ModuleType) -> None:
+        pass  # the submodule stays reachable in sys.modules
+
+
+sys.modules[__name__].__class__ = _Package

@@ -14,10 +14,8 @@ import json
 import sys
 from dataclasses import asdict
 from math import lgamma, log
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .codefile import load_code, save_code
-from .construct import construct
 from .covers import Frame
 from .errors import (
     BudgetExceeded,
@@ -25,8 +23,6 @@ from .errors import (
     NotConstructible,
     UnknownCase,
 )
-from .gf import FieldSpec, field_make
-from .linalg import rank
 from .params import (
     EXISTS,
     EXISTS_MDS,
@@ -45,9 +41,11 @@ from .params import (
     CodeParams,
     classify,
 )
-from .verify import (DEFAULT_BUDGET, DISTANCE_ROUTE, PENCIL_ROUTE, RANK_METHOD,
-                     certify_optimal, check_locality, check_structure_theorem,
-                     min_distance)
+
+# construct, verify, demo and --field import the numpy-backed modules
+# when they run, so classify and table never load numpy
+if TYPE_CHECKING:
+    from .gf import FieldSpec
 
 __all__ = ["main"]
 
@@ -110,6 +108,7 @@ def _parse_range(text: str) -> range:
 
 
 def _parse_field(text: str) -> FieldSpec:
+    from .gf import field_make
     parts = [int(p) for p in text.split(",")]
     if not 1 <= len(parts) <= 3:
         raise ValueError(f"expected P[,E[,POLY]], got {text!r}")
@@ -150,7 +149,7 @@ def _build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="re-check a stored code file")
     p_ver.add_argument("file")
-    p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_ver.add_argument("--budget", type=int, default=None)  # verify.DEFAULT_BUDGET
     p_ver.set_defaults(func=cmd_verify)
 
     p_dem = sub.add_parser("demo", help="narrated [12,5] storage-code walkthrough")
@@ -231,6 +230,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from .codefile import save_code
+    from .construct import construct
     params = CodeParams(args.n, args.k, args.r, args.delta)
     field = _parse_field(args.field) if args.field else None
     try:
@@ -258,6 +259,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .codefile import load_code
+    from .verify import (DEFAULT_BUDGET, DISTANCE_ROUTE, PENCIL_ROUTE, RANK_METHOD,
+                         certify_optimal, check_locality, check_structure_theorem,
+                         min_distance)
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     cf = load_code(args.file)
     code = cf.code
     params = code.params
@@ -279,7 +285,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed |= not loc.overall
 
     try:
-        dist = min_distance(code, budget=args.budget)
+        dist = min_distance(code, budget=budget)
         labelled = f", {dist.labelled} labelled" if dist.method == RANK_METHOD else ""
         print(f"distance: d = {dist.d} via {dist.method}, "
               f"{dist.scanned} scanned{labelled}")
@@ -290,7 +296,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"distance: out of budget ({exc})")
 
     try:
-        ok, report = certify_optimal(code, budget=args.budget)
+        ok, report = certify_optimal(code, budget=budget)
         verdict = "OPTIMAL" if ok else "NOT OPTIMAL"
         line = (f"optimality: {verdict} (bound d* = {report.bound_d}, "
                 f"{report.subsets_total} subsets of size {report.subset_size})")
@@ -320,6 +326,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from .construct import construct
+    from .linalg import rank
+    from .verify import check_locality
     params = CodeParams(12, 5, 2, 3)
     code = construct(params, seed=0)
     field = code.field

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -14,7 +15,6 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcodes import cli
 from lrcodes.cli import main
 from lrcodes.codefile import CodeFile
 from lrcodes.construct import construct
@@ -238,7 +238,9 @@ def test_out_of_memory_is_an_error_not_a_traceback(monkeypatch, capsys):
     def exhausted(*_args, **_kwargs):
         raise MemoryError("Unable to allocate 7.45 GiB")
 
-    monkeypatch.setattr(cli, "construct", exhausted)
+    # cmd_construct looks `construct` up on its submodule at call time
+    monkeypatch.setattr(importlib.import_module("lrcodes.construct"),
+                        "construct", exhausted)
     rc, _, err = run(capsys, ["construct", "12", "5", "2", "3"])
     assert rc == 1
     assert err == "error: out of memory (Unable to allocate 7.45 GiB)\n"
