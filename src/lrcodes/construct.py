@@ -17,9 +17,12 @@ steps: a subset's functional depends only on its own columns, which
 never change once assigned. Nothing is eliminated: the functionals
 vanishing on T + x come from those vanishing on T and the column of x
 by one annihilator step (`linalg._annihilate`), so the cache is a tower
-of the j-subsets for j = 0 .. k-1, each derived once from its prefix.
-Rows keep their subsets' group counts too (T + x: T's plus x's), so a step
-picks the cores paired with lam by one cap test on those counts plus lam's.
+of the j-subsets for j = 0 .. k-2, each derived once from its prefix. A
+(k-1)-subset T + x on top of it keeps only the two values at x of the
+functionals of its pencil T; a step projects the pencils once onto the
+group span and combines those with the two values. Rows keep or derive
+their subsets' group counts too (T + x: T's plus x's), so a step picks the
+cores paired with lam by one cap test on those counts plus lam's.
 """
 
 from __future__ import annotations
@@ -93,10 +96,10 @@ RANDOM_ATTEMPTS = 64
 # sweep completely (only reachable after 64 failed draws at huge q).
 _SCAN_LIMIT = 1 << 20
 
-# Rows per annihilator step as the functional cache grows: fewer than the
-# _BATCH rows a core mask takes, as the gathered bases and their
-# temporaries are several times a slice's own size.
-_SOLVE_ROWS = _BATCH // 8
+# Cells per slice as the functional cache grows and Psi is assembled: a
+# slice's rows times the entries each reads, so that its widened gathers
+# and their temporaries stay a few MiB whatever the code's dimension.
+_SOLVE_CELLS = _BATCH
 
 
 @dataclass(frozen=True)
@@ -289,23 +292,51 @@ def _column_array(state: ExtensionState) -> np.ndarray:
     return cols
 
 
+def _gather(X: np.ndarray, segs: list) -> np.ndarray:
+    """The rows s .. e-1 of X for each segment (s, e, x), in order."""
+    if len(segs) == 1:
+        (s, e, _), = segs
+        return X[s:e]
+    return np.concatenate([X[s:e] for s, e, _ in segs])
+
+
+def _spread(V: np.ndarray, segs: list) -> np.ndarray:
+    """Row x of V once for each row of each segment (s, e, x); one row
+    for one segment, which broadcasts."""
+    if len(segs) == 1:
+        return V[segs[0][2]]
+    return np.repeat(V[[x for _, _, x in segs]], [e - s for s, e, _ in segs], axis=0)
+
+
 class _FunctionalCache:
-    """A tower of levels j = 0 .. k-1 of count, basis and flag arrays: a
-    row of level j is a j-subset T of the covered coordinates, held as its
-    group counts, a basis of the k-j functionals that vanish on span(T),
-    and whether T has full rank. Level 0 is the empty subset, zero counts
-    and the identity; covering x derives T + x at level j from T at level
-    j-1 by one `_annihilate` step and adds counted[x] to T's counts. Rows
-    stay in cover order, so the first C(i, j) rows of level j are the
-    j-subsets of the first i covered coordinates. Each level is allocated
-    once with C(n-1, j) rows, what a build fills, as the last coordinate it
-    assigns is never covered.
+    """The functionals that vanish on the spans of subsets of the covered
+    coordinates, kept across steps.
+
+    Levels j = 0 .. k-2 are count, basis and flag arrays: a row of level j
+    is a j-subset T of the covered coordinates, held as its group counts,
+    a basis of the k-j functionals that vanish on span(T), and whether T
+    has full rank. Level 0 is the empty subset, zero counts and the
+    identity; covering x derives T + x at level j from T at level j-1 by
+    one `_annihilate` step and adds counted[x] to T's counts. Rows stay in
+    cover order, so the first C(i, j) rows of level j are the j-subsets of
+    the first i covered coordinates. Each of these levels is allocated
+    once with C(n-1, j) rows, what a build fills, as the last coordinate
+    it assigns is never covered.
+
+    The top level, the (k-1)-subsets S0 = T + x, is held against the
+    pencils T of level k-2. Covered coordinate i owns top rows C(i, k-1)
+    .. C(i+1, k-1) - 1, whose parents are pencils 0 .. C(i, k-2) - 1 in
+    the same order, so a top row stores only its two coefficients
+    a = A_T c_x (`top`, C(n-1, k-1) x 2). The annihilator step would make
+    a_0 A_T1 - a_1 A_T0 its functional, up to sign; its counts are T's
+    plus counted[x], and it has full rank iff a != 0. For k = 1 there are
+    no pencils: the top level is level 0, the empty subset.
 
     A cached row is never recomputed, so a covered coordinate must keep
-    its column. int64 functionals are stored in the narrowest dtype that
-    holds q-1 and widened back to the kernel's dtype when read. Rows of
-    deficient subsets stay, zero and flagged: only a deficient subset
-    paired with lam as a core breaks the loop invariant.
+    its column. int64 functionals and coefficients are stored in the
+    narrowest dtype that holds q-1 and widened to the kernel's dtype when
+    read. Rows of deficient subsets stay, zero and flagged: only a
+    deficient subset paired with lam as a core breaks the loop invariant.
     """
 
     def __init__(self, field: FieldSpec, n: int, k: int, model: _BlockModel) -> None:
@@ -317,47 +348,72 @@ class _FunctionalCache:
         self.covered: list[int] = []
         self.levels = [(np.zeros((comb(n - 1, j), counted.shape[1]), counted.dtype),
                         np.empty((comb(n - 1, j), k - j, k), phi_dtype),
-                        np.empty(comb(n - 1, j), dtype=bool)) for j in range(k)]
+                        np.empty(comb(n - 1, j), dtype=bool))
+                       for j in range(max(1, k - 1))]
         self.levels[0][1][0] = np.eye(k, dtype=phi_dtype)
         self.levels[0][2][0] = True
+        self.top = np.empty((comb(n - 1, k - 1) if k > 1 else 0, 2), phi_dtype)
 
     def grow(self, state: ExtensionState) -> int:
         """Cover the coordinates of Omega not covered yet, in increasing
-        order, level by level in slices of _SOLVE_ROWS rows; returns how
-        many (k-1)-subsets that added."""
+        order, level by level in slices of about _SOLVE_CELLS cells; returns
+        how many (k-1)-subsets that added."""
         old = len(self.covered)
         order = self.covered = self.covered + sorted(
             set(state.omega).difference(self.covered))
         if len(order) >= self.n:
             raise PreconditionViolated(
                 f"the cache holds subsets of at most {self.n - 1} coordinates")
-        cols = _column_array(state)
-        xs = np.array(order)
+        cols, kern = _column_array(state), self.kern
         for j in range(1, self.k):
-            (counts0, A0, _), (counts, A, full) = self.levels[j - 1], self.levels[j]
-            # covered coordinate i owns rows C(i, j) .. C(i+1, j) - 1
-            starts = np.array([comb(i, j) for i in range(old, len(order) + 1)])
-            for lo in range(starts[0], starts[-1], _SOLVE_ROWS):
-                hi = min(lo + _SOLVE_ROWS, starts[-1])
-                i = np.searchsorted(starts, np.arange(lo, hi), side="right") - 1
-                src = np.arange(lo, hi) - starts[i]
-                x = xs[old + i]
-                B = A0[src].astype(self.kern.dtype)
-                a = self.kern.matmul(B, cols[x][:, :, None])[:, :, 0]
-                A[lo:hi], full[lo:hi] = _annihilate(self.kern, B, a)
-                counts[lo:hi] = counts0[src] + self.model.counted[x]
+            counts0, A0, _ = self.levels[j - 1]
+            for lo, hi, segs in self.slices(j, _SOLVE_CELLS // A0[0].size, old):
+                # a = A_T c_x for each parent T and new coordinate x
+                B = _gather(A0, segs).astype(kern.dtype)
+                a = kern.matmul(B, _spread(cols, segs)[..., None])[..., 0]
+                if j == self.k - 1:  # the top level keeps a alone
+                    self.top[lo:hi] = a
+                    continue
+                counts, A, full = self.levels[j]
+                A[lo:hi], full[lo:hi] = _annihilate(kern, B, a)
+                counts[lo:hi] = _gather(counts0, segs) + _spread(self.model.counted, segs)
         return comb(len(order), self.k - 1) - comb(old, self.k - 1)
 
+    def slices(self, j: int, rows: int, start: int = 0):
+        """The live rows of level j (the top level for j = k-1) of covered
+        coordinates `start` on, as (lo, hi, segments): rows lo .. hi-1 are,
+        in order, the subsets T + x for the rows T = s .. e-1 of level j-1
+        of each segment (s, e, x). Covered coordinate i owns rows C(i, j) ..
+        C(i+1, j) - 1, whose parents are rows 0 .. C(i, j-1) - 1. A run of
+        whole blocks of at most `rows` rows in all is one slice, a segment
+        per block; a larger block is cut into slices of `rows`."""
+        rows, xs = max(1, rows), self.covered
+        i, lo = start, comb(start, j)
+        while i < len(xs):
+            end, total = i, 0
+            while end < len(xs) and total + comb(end, j - 1) <= rows:
+                total += comb(end, j - 1)
+                end += 1
+            if end > i:
+                yield lo, lo + total, [(0, comb(t, j - 1), xs[t]) for t in range(i, end)]
+                i, lo = end, lo + total
+                continue
+            size = comb(i, j - 1)
+            for s in range(0, size, rows):
+                yield lo + s, lo + min(s + rows, size), [(s, min(s + rows, size), xs[i])]
+            i, lo = i + 1, lo + size
+
     def paired(self, lam: int) -> np.ndarray:
-        """Which live top-level rows S0 make S0 + lam a core, _BATCH at a time."""
-        (counts, _, full), model = self.levels[-1], self.model
-        live = comb(len(self.covered), self.k - 1)
-        ok = np.empty(live, dtype=bool)
-        for lo in range(0, live, _BATCH):
-            hi = min(lo + _BATCH, live)
-            ok[lo:hi] = model.mask(counts[lo:hi] + model.counted[lam])
-        if not full[:live][ok].all():
-            raise RuntimeError("loop invariant violated: rank-deficient core basis")
+        """Which live top-level rows S0 make S0 + lam a core."""
+        model = self.model
+        if self.k == 1:
+            return model.mask(self.levels[0][0][:1] + model.counted[lam])
+        counts = self.levels[-1][0]
+        # counted[x] + counted[lam] for every coordinate x
+        shifted = model.counted + model.counted[lam]
+        ok = np.empty(comb(len(self.covered), self.k - 1), dtype=bool)
+        for lo, hi, segs in self.slices(self.k - 1, _BATCH):
+            ok[lo:hi] = model.mask(_gather(counts, segs) + _spread(shifted, segs))
         return ok
 
 
@@ -370,21 +426,35 @@ def _core_functionals(state: ExtensionState, lam: int,
     A candidate with coefficient vector c avoids span(S0) iff the matching
     row of the returned Psi has nonzero dot product with c. Rows follow
     the cache's order, each up to a nonzero scalar; only the lines the
-    rows span matter.
+    rows span matter. The live pencils are projected once onto the basis,
+    P = A_T basis^T, and a core T + x with coefficients a gets the row
+    a_0 P_1 - a_1 P_0: projection is linear, so that is its functional's
+    projection, up to sign.
     """
     kern = field_kernel(state.field)
     cache = state.functionals
     added = cache.grow(state)
     ok = cache.paired(lam)
-    phi = cache.levels[-1][1][:len(ok), 0]
-    # filled in place, _BATCH rows at a time: concatenating projected slices
-    # would hold Psi twice, which set the peak memory of a large build
-    psi = kern.zeros((int(ok.sum()), len(basis)))
+    if cache.k == 1:  # the empty subset's functional is the identity
+        return basis.T[ok], added, len(ok)
+    b = len(basis)
+    A = cache.levels[-1][1][:comb(len(cache.covered), cache.k - 2)]
+    P = np.empty((len(A), 2, b), A.dtype)
+    step = max(1, _SOLVE_CELLS // (2 * cache.k))
+    for lo in range(0, len(A), step):
+        P[lo:lo + step] = kern.matmul(A[lo:lo + step].astype(kern.dtype), basis.T)
+    # Psi is filled in place, slice by slice, and held once
+    psi = kern.zeros((np.count_nonzero(ok), b))
     at = 0
-    for lo in range(0, len(ok), _BATCH):
-        rows = phi[lo:lo + _BATCH][ok[lo:lo + _BATCH]].astype(kern.dtype)
-        psi[at:at + len(rows)] = kern.matmul(rows, basis.T)
-        at += len(rows)
+    for lo, hi, segs in cache.slices(cache.k - 1, _SOLVE_CELLS // (2 * b)):
+        cores = np.flatnonzero(ok[lo:hi])
+        a = cache.top[lo:hi].take(cores, axis=0)
+        if not (a[:, 0] | a[:, 1]).all():  # full rank iff a != 0
+            raise RuntimeError("loop invariant violated: rank-deficient core basis")
+        a = a.astype(kern.dtype)
+        Q = _gather(P, segs).take(cores, axis=0).astype(kern.dtype)
+        psi[at:at + len(a)] = kern.cross(Q[:, 1], a[:, :1], Q[:, 0], a[:, 1:])
+        at += len(a)
     return psi, added, len(ok)
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import combinations, islice
 from math import comb
 from pathlib import Path
@@ -281,9 +282,34 @@ def _counts_of(counted, subsets):
             for T in subsets]
 
 
+def _cache_levels(cache):
+    """(counts, functionals, flags) of each level j = 0 .. k-1 of the
+    cache. Below the top level, its arrays. The top level is rebuilt from
+    its layout: covered coordinate i's rows are T + x_i for the pencils
+    T = 0 .. C(i, k-2) - 1 in order, each with T's counts plus
+    counted[x_i], the functional a_0 A_T1 - a_1 A_T0 of its two
+    coefficients a, and full rank iff a != 0. For k = 1 the top level is
+    level 0."""
+    levels = list(cache.levels)
+    if cache.k == 1:
+        return levels
+    kern = cache.kern
+    counts, A, _ = levels[-1]
+    rows = [(s, x) for i, x in enumerate(cache.covered)
+            for s in range(comb(i, cache.k - 2))]
+    parent = np.array([s for s, _ in rows], dtype=np.int64)
+    new = np.array([x for _, x in rows], dtype=np.int64)
+    a = cache.top[:len(rows)].astype(kern.dtype)
+    T = A[parent].astype(kern.dtype)
+    phi = kern.cross(T[:, 1], a[:, :1], T[:, 0], a[:, 1:])[:, None, :]
+    return levels + [(counts[parent] + cache.model.counted[new], phi,
+                      (a != 0).any(axis=1))]
+
+
 def _assert_levels_in_cover_order(cache):
-    # every live row of every level holds its subset's counts, in cover order
-    for j, (counts, _, _) in enumerate(cache.levels):
+    # every live row of every level holds its subset's counts, in cover
+    # order; the top level's, derived from its parents, too
+    for j, (counts, _, _) in enumerate(_cache_levels(cache)):
         subsets = _cover_order(cache.covered, j)
         assert (counts[:len(subsets)].tolist()
                 == _counts_of(cache.model.counted, subsets)), j
@@ -295,8 +321,10 @@ def _assert_levels_in_cover_order(cache):
 def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
     # after every growth, level j of the cache holds each j-subset T of
     # the covered coordinates once, in cover order; its flag is T's full
-    # rank, and a full T's rows span T's own nullspace; also with slices
-    # of a few rows, so that a coordinate's rows span several slices
+    # rank, and a full T's rows span T's own nullspace; the top level's,
+    # rebuilt from two coefficients and a parent pencil, too; also with
+    # slices of a few cells, so that a coordinate's rows span several
+    # slices and a slice several coordinates
     rng = random.Random(f.q * 10 + k)
     kern = field_kernel(f)
     deficient = 0
@@ -307,8 +335,8 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
         [np.eye(n + 1, dtype=np.int8),
          np.array([[rng.randrange(2) for _ in range(4)] for _ in range(n + 1)],
                   dtype=np.int8)], axis=1))
-    for rows in [1 << 14, 2, 3, 1]:
-        monkeypatch.setattr(construct_mod, "_SOLVE_ROWS", rows)
+    for cells in [1 << 17, 40, 60, 1]:
+        monkeypatch.setattr(construct_mod, "_SOLVE_CELLS", cells)
         state = _cache_state(f, n, k, rng)
         # sized for n + 1 coordinates, so that all n can be covered
         cache = construct_mod._FunctionalCache(f, n + 1, k, model)
@@ -323,7 +351,7 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
             cache.grow(state)
             assert sorted(cache.covered) == sorted(order[:cut])
             _assert_levels_in_cover_order(cache)
-            for j, (_, A, full) in enumerate(cache.levels):
+            for j, (_, A, full) in enumerate(_cache_levels(cache)):
                 live = comb(cut, j)
                 A, full = A[:live], full[:live]
                 E = np.array(_cover_order(cache.covered, j),
@@ -347,9 +375,12 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
 
 
 def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
-    # nothing is eliminated: construct has no elimination to call, and
-    # every level row is derived by one annihilator step from the level
-    # below, once, in slices of at most _SOLVE_ROWS
+    # nothing is eliminated: construct has no elimination to call. Every
+    # row below the top level is derived by one annihilator step from the
+    # level below, once; the top level by none, as it holds two
+    # coefficients a row. Each annihilator step, and each slice of pencil
+    # functionals gathered for the top level or Psi, reads at most
+    # _SOLVE_CELLS cells, or one row where a row holds more
     assert not hasattr(construct_mod, "_batch_rref")
     builds = [
         lambda: construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0),
@@ -358,15 +389,21 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
                               field_make(29)),
         lambda: construct(CodeParams(9, 2, 1, 3), field_make(11), seed=0),
     ]
+    cells = 40
     for build in builds:
         want = build()
-        monkeypatch.setattr(construct_mod, "_SOLVE_ROWS", 7)
-        real = construct_mod._annihilate
-        shapes, caches = [], []
+        monkeypatch.setattr(construct_mod, "_SOLVE_CELLS", cells)
+        real, real_gather = construct_mod._annihilate, construct_mod._gather
+        shapes, gathered, caches = [], [], []
 
         def annihilate(kern, A, a):
             shapes.append(A.shape)
             return real(kern, A, a)
+
+        def gather(X, segs):
+            out = real_gather(X, segs)
+            gathered.append((out.shape[0], X[0].size, X.ndim))
+            return out
 
         class Cache(construct_mod._FunctionalCache):
             def __init__(self, *args):
@@ -374,21 +411,30 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
                 caches.append(self)
 
         monkeypatch.setattr(construct_mod, "_annihilate", annihilate)
+        monkeypatch.setattr(construct_mod, "_gather", gather)
         monkeypatch.setattr(construct_mod, "_FunctionalCache", Cache)
         code = build()
         monkeypatch.undo()
         p = code.params
         assert code.generator == want.generator
-        assert max(N for N, _, _ in shapes) <= 7
+        assert all(N * m * l <= max(cells, m * l) for N, m, l in shapes)
+        # pencil functionals (3-D) by cells; the counts of a core mask (2-D)
+        # by rows, _BATCH at a time
+        assert gathered and all(N * size <= max(cells, size) if ndim == 3
+                                else N <= construct_mod._BATCH
+                                for N, size, ndim in gathered)
         (cache,) = caches
         assert len(cache.covered) == p.n - 1
         # the levels are full, each row its subset's counts in cover order,
         # and the steps into a level derived exactly as many rows as it has
         _assert_levels_in_cover_order(cache)
-        for j, (counts, _, _) in enumerate(cache.levels):
+        assert len(cache.levels) == max(1, p.k - 1)
+        for j, (counts, _, _) in enumerate(_cache_levels(cache)):
             assert len(counts) == comb(p.n - 1, j)
-            if j:
+            if 0 < j < p.k - 1:
                 assert sum(N for N, m, _ in shapes if m == p.k - j + 1) == len(counts)
+        assert all(m > 2 for _, m, _ in shapes)
+        assert cache.top.shape == ((comb(p.n - 1, p.k - 1), 2) if p.k > 1 else (0, 2))
 
 
 def test_cached_counts_and_core_mask_match_brute_force(monkeypatch):
@@ -427,6 +473,41 @@ def test_cached_counts_and_core_mask_match_brute_force(monkeypatch):
             assert code.generator == want.generator
             assert len(checked) - before >= params.n - len(
                 omega0(structure, params.r, params.delta).indices)
+
+
+def test_top_level_holds_two_coefficients_and_bounds_peak_memory(monkeypatch):
+    # a top-level row is its two coefficients, in the narrowest dtype that
+    # holds q - 1, and nothing else; the levels below the top end at the
+    # pencils. A (23, 8, 3, 3) build peaks near 18 MiB under tracemalloc
+    # (31 MiB when each top row held an 8-entry functional, counts and a
+    # flag)
+    params = CodeParams(23, 8, 3, 3)
+    caches = []
+
+    class Cache(construct_mod._FunctionalCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(construct_mod, "_FunctionalCache", Cache)
+    code = construct(params, seed=0)
+    monkeypatch.undo()
+    (cache,) = caches
+    rows = comb(params.n - 1, params.k - 1)
+    assert cache.top.dtype == np.min_scalar_type(code.field.q - 1)
+    assert cache.top.shape == (rows, 2)
+    assert cache.top.nbytes == rows * 2 * cache.top.itemsize
+    assert len(cache.levels) == params.k - 1
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        assert construct(params, seed=0) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 24 << 20, peak
 
 
 @pytest.mark.parametrize("params, steps, cores", [
