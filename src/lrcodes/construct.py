@@ -19,10 +19,14 @@ vanishing on T + x come from those vanishing on T and the column of x
 by one annihilator step (`linalg._annihilate`), so the cache is a tower
 of the j-subsets for j = 0 .. k-2, each derived once from its prefix. A
 (k-1)-subset T + x on top of it keeps only the two values at x of the
-functionals of its pencil T; a step projects the pencils once onto the
-group span and combines those with the two values. Rows keep or derive
-their subsets' group counts too (T + x: T's plus x's), so a step picks the
-cores paired with lam by one cap test on those counts plus lam's.
+functionals of its pencil T. A candidate v is tested against the
+pencils: one product gives each pencil's two values at v, and each core
+combines its pencil's with its own two, a_0 (A_T1 v) - a_1 (A_T0 v).
+No functional of a core is ever formed. Rows hold the id of their
+subset's count class, the distinct vector of group counts, and T + x's
+class comes from T's and x's through a table built once from the
+structure. So a step picks the cores paired with lam by one cap test per
+class and one gather per covered coordinate.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
+from itertools import accumulate
 from math import comb
-from operator import index
+from operator import index, mul
 from typing import Optional
 
 import numpy as np
@@ -96,9 +101,10 @@ RANDOM_ATTEMPTS = 64
 # sweep completely (only reachable after 64 failed draws at huge q).
 _SCAN_LIMIT = 1 << 20
 
-# Cells per slice as the functional cache grows and Psi is assembled: a
-# slice's rows times the entries each reads, so that its widened gathers
-# and their temporaries stay a few MiB whatever the code's dimension.
+# Cells per slice as the functional cache grows and candidates are
+# evaluated: a slice's rows times the entries each reads, so that its
+# widened gathers and their temporaries stay a few MiB whatever the
+# code's dimension.
 _SOLVE_CELLS = _BATCH
 
 
@@ -312,16 +318,27 @@ class _FunctionalCache:
     """The functionals that vanish on the spans of subsets of the covered
     coordinates, kept across steps.
 
-    Levels j = 0 .. k-2 are count, basis and flag arrays: a row of level j
-    is a j-subset T of the covered coordinates, held as its group counts,
-    a basis of the k-j functionals that vanish on span(T), and whether T
-    has full rank. Level 0 is the empty subset, zero counts and the
+    Levels j = 0 .. k-2 are class, basis and flag arrays: a row of level j
+    is a j-subset T of the covered coordinates, held as the id of its
+    count class, a basis of the k-j functionals that vanish on span(T), and
+    whether T has full rank. Level 0 is the empty subset, class 0 and the
     identity; covering x derives T + x at level j from T at level j-1 by
-    one `_annihilate` step and adds counted[x] to T's counts. Rows stay in
-    cover order, so the first C(i, j) rows of level j are the j-subsets of
-    the first i covered coordinates. Each of these levels is allocated
-    once with C(n-1, j) rows, what a build fills, as the last coordinate
-    it assigns is never covered.
+    one `_annihilate` step, and its class by one gather. Rows stay in cover
+    order, so the first C(i, j) rows of level j are the j-subsets of the
+    first i covered coordinates. Each of these levels is allocated once
+    with C(n-1, j) rows, what a build fills, as the last coordinate it
+    assigns is never covered.
+
+    A count class is one distinct vector of group counts (see
+    `_BlockModel`). Coordinate x is of class `xclass[x]`, a row of
+    `xcounts`, the distinct rows of `model.counted`. Level j's classes are
+    `counts[j]`, and `succ[j][c, t]` is the class of T + x for T of class t
+    at level j-1 and x of class c. Both are built once, from the structure
+    alone: every sum of a class of level j-1 and a coordinate class that
+    passes no column's total, which covers every j-subset's counts. Each
+    level's ids take the narrowest dtype that holds its class count; a
+    sum past a total is no subset's, and its entry of `succ`, 0, is never
+    read.
 
     The top level, the (k-1)-subsets S0 = T + x, is held against the
     pencils T of level k-2. Covered coordinate i owns top rows C(i, k-1)
@@ -329,8 +346,9 @@ class _FunctionalCache:
     the same order, so a top row stores only its two coefficients
     a = A_T c_x (`top`, C(n-1, k-1) x 2). The annihilator step would make
     a_0 A_T1 - a_1 A_T0 its functional, up to sign; its counts are T's
-    plus counted[x], and it has full rank iff a != 0. For k = 1 there are
-    no pencils: the top level is level 0, the empty subset.
+    plus counted[x], and it has full rank iff a != 0. `deficient` lists
+    the top rows with a = 0. For k = 1 there are no pencils: the top level
+    is level 0, the empty subset.
 
     A cached row is never recomputed, so a covered coordinate must keep
     its column. int64 functionals and coefficients are stored in the
@@ -345,14 +363,38 @@ class _FunctionalCache:
         counted = model.counted
         phi_dtype = (np.min_scalar_type(field.q - 1)
                      if self.kern.dtype == np.int64 else self.kern.dtype)
-        self.covered: list[int] = []
-        self.levels = [(np.zeros((comb(n - 1, j), counted.shape[1]), counted.dtype),
-                        np.empty((comb(n - 1, j), k - j, k), phi_dtype),
-                        np.empty(comb(n - 1, j), dtype=bool))
-                       for j in range(max(1, k - 1))]
+        # A count vector's key reads its columns as digits, so the key of
+        # T + x is T's plus x's. Row 0 of counted is no coordinate's. A sum
+        # is kept where x counts only in columns that T has not filled.
+        total = counted.sum(axis=0)
+        digits = list(accumulate((min(int(t), k) + 1 for t in total), mul, initial=1))
+        weights = np.array(digits[:-1], dtype=np.int64 if digits[-1] < 2 ** 63 else object)
+        xkeys, first, xclass = np.unique(counted[1:] @ weights, return_index=True,
+                                         return_inverse=True)
+        self.xcounts, self.xclass = counted[1:][first], np.concatenate([[0], xclass])
+        keys = np.zeros(1, dtype=weights.dtype)
+        self.counts = [np.zeros((1, len(total)), counted.dtype)]
+        self.succ = [None]
+        for _ in range(1, k - 1):
+            pairs = np.flatnonzero(~(self.xcounts.astype(bool)
+                                     @ (self.counts[-1] >= total).T))
+            m = len(keys)
+            xc, c = np.divmod(pairs, m)
+            keys, first, ids = np.unique(xkeys[xc] + keys[c], return_index=True,
+                                         return_inverse=True)
+            succ = np.zeros(len(xkeys) * m, np.min_scalar_type(len(keys) - 1))
+            succ[pairs] = ids
+            self.counts.append(self.xcounts[xc[first]] + self.counts[-1][c[first]])
+            self.succ.append(succ.reshape(len(xkeys), -1))
+        rows = [comb(n - 1, j) for j in range(max(1, k - 1))]
+        self.levels = [(np.zeros(m, succ.dtype if j else np.uint8),
+                        np.empty((m, k - j, k), phi_dtype), np.empty(m, dtype=bool))
+                       for j, (m, succ) in enumerate(zip(rows, self.succ))]
         self.levels[0][1][0] = np.eye(k, dtype=phi_dtype)
         self.levels[0][2][0] = True
+        self.covered: list[int] = []
         self.top = np.empty((comb(n - 1, k - 1) if k > 1 else 0, 2), phi_dtype)
+        self.deficient = np.empty(0, dtype=np.int64)
 
     def grow(self, state: ExtensionState) -> int:
         """Cover the coordinates of Omega not covered yet, in increasing
@@ -365,18 +407,23 @@ class _FunctionalCache:
             raise PreconditionViolated(
                 f"the cache holds subsets of at most {self.n - 1} coordinates")
         cols, kern = _column_array(state), self.kern
+        dead = [self.deficient]
         for j in range(1, self.k):
-            counts0, A0, _ = self.levels[j - 1]
+            ids0, A0, _ = self.levels[j - 1]
             for lo, hi, segs in self.slices(j, _SOLVE_CELLS // A0[0].size, old):
                 # a = A_T c_x for each parent T and new coordinate x
                 B = _gather(A0, segs).astype(kern.dtype)
                 a = kern.matmul(B, _spread(cols, segs)[..., None])[..., 0]
                 if j == self.k - 1:  # the top level keeps a alone
                     self.top[lo:hi] = a
+                    dead.append(lo + np.flatnonzero((a[:, 0] | a[:, 1]) == 0))
                     continue
-                counts, A, full = self.levels[j]
+                ids, A, full = self.levels[j]
                 A[lo:hi], full[lo:hi] = _annihilate(kern, B, a)
-                counts[lo:hi] = _gather(counts0, segs) + _spread(self.model.counted, segs)
+                for s, e, x in segs:  # T + x's class, from T's and x's
+                    self.succ[j][self.xclass[x]].take(ids0[s:e], out=ids[lo:lo + e - s])
+                    lo += e - s
+        self.deficient = np.concatenate(dead)
         return comb(len(order), self.k - 1) - comb(old, self.k - 1)
 
     def slices(self, j: int, rows: int, start: int = 0):
@@ -404,58 +451,63 @@ class _FunctionalCache:
             i, lo = i + 1, lo + size
 
     def paired(self, lam: int) -> np.ndarray:
-        """Which live top-level rows S0 make S0 + lam a core."""
+        """Which live top-level rows S0 = T + x make S0 + lam a core: one cap
+        test per class of pencil T and class of coordinate x, on their counts
+        plus lam's, then one gather per covered coordinate x of the tests of
+        its class, `table[class of x][class of T]`."""
         model = self.model
         if self.k == 1:
-            return model.mask(self.levels[0][0][:1] + model.counted[lam])
-        counts = self.levels[-1][0]
-        # counted[x] + counted[lam] for every coordinate x
-        shifted = model.counted + model.counted[lam]
+            return model.mask(self.counts[0] + model.counted[lam])
+        sums = (self.xcounts + model.counted[lam])[:, None] + self.counts[-1]
+        table = model.mask(sums.reshape(-1, sums.shape[-1])).reshape(sums.shape[:2])
+        ids = self.levels[-1][0]
         ok = np.empty(comb(len(self.covered), self.k - 1), dtype=bool)
-        for lo, hi, segs in self.slices(self.k - 1, _BATCH):
-            ok[lo:hi] = model.mask(_gather(counts, segs) + _spread(shifted, segs))
+        for i, x in enumerate(self.covered):
+            lo, m = comb(i, self.k - 1), comb(i, self.k - 2)
+            ok[lo:lo + m] = table[self.xclass[x]].take(ids[:m])
         return ok
 
 
-def _core_functionals(state: ExtensionState, lam: int,
-                      basis: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """For every core S0 paired with lam, the b coefficients of the linear
-    functional ker = span(S0) restricted to the b x k group-span basis,
-    with how many subsets this step added to the cache and tested.
+def _core_values(state: ExtensionState, lam: int, basis: np.ndarray):
+    """The cores S0 paired with lam, as the values of their functionals
+    ker = span(S0) on candidate columns, with how many cores there are and
+    how many subsets this step added to the cache and tested.
 
-    A candidate with coefficient vector c avoids span(S0) iff the matching
-    row of the returned Psi has nonzero dot product with c. Rows follow
-    the cache's order, each up to a nonzero scalar; only the lines the
-    rows span matter. The live pencils are projected once onto the basis,
-    P = A_T basis^T, and a core T + x with coefficients a gets the row
-    a_0 P_1 - a_1 P_0: projection is linear, so that is its functional's
-    projection, up to sign.
+    `values(C)`, for N x b coefficients C of candidates v = C basis over
+    the b x k group-span basis, yields, slice by slice in the cache's
+    order, an array of cores x N values; a candidate avoids span(S0) iff
+    its value for S0 is nonzero. Each row is up to a nonzero scalar. The
+    live pencils T are evaluated once per call, A_T v, and a core T + x
+    with coefficients a takes a_0 (A_T1 v) - a_1 (A_T0 v): the value of
+    its functional, up to sign. On C = I_b the rows are each core's
+    functional restricted to the basis. Raises RuntimeError when a paired
+    core is rank-deficient, which breaks the loop invariant.
     """
     kern = field_kernel(state.field)
     cache = state.functionals
     added = cache.grow(state)
     ok = cache.paired(lam)
-    if cache.k == 1:  # the empty subset's functional is the identity
-        return basis.T[ok], added, len(ok)
-    b = len(basis)
-    A = cache.levels[-1][1][:comb(len(cache.covered), cache.k - 2)]
-    P = np.empty((len(A), 2, b), A.dtype)
-    step = max(1, _SOLVE_CELLS // (2 * cache.k))
-    for lo in range(0, len(A), step):
-        P[lo:lo + step] = kern.matmul(A[lo:lo + step].astype(kern.dtype), basis.T)
-    # Psi is filled in place, slice by slice, and held once
-    psi = kern.zeros((np.count_nonzero(ok), b))
-    at = 0
-    for lo, hi, segs in cache.slices(cache.k - 1, _SOLVE_CELLS // (2 * b)):
-        cores = np.flatnonzero(ok[lo:hi])
-        a = cache.top[lo:hi].take(cores, axis=0)
-        if not (a[:, 0] | a[:, 1]).all():  # full rank iff a != 0
-            raise RuntimeError("loop invariant violated: rank-deficient core basis")
-        a = a.astype(kern.dtype)
-        Q = _gather(P, segs).take(cores, axis=0).astype(kern.dtype)
-        psi[at:at + len(a)] = kern.cross(Q[:, 1], a[:, :1], Q[:, 0], a[:, 1:])
-        at += len(a)
-    return psi, added, len(ok)
+    if ok.take(cache.deficient).any():
+        raise RuntimeError("loop invariant violated: rank-deficient core basis")
+    k = cache.k
+
+    def values(C: np.ndarray):
+        V = kern.matmul(C, basis)
+        if k == 1:  # the empty subset's functional is the identity
+            yield V.T[ok]
+            return
+        A = cache.levels[-1][1][:comb(len(cache.covered), k - 2)]
+        PV = np.empty((len(A), 2, len(C)), kern.dtype)
+        step = max(1, _SOLVE_CELLS // (2 * k))
+        for lo in range(0, len(A), step):
+            PV[lo:lo + step] = kern.matmul(A[lo:lo + step].astype(kern.dtype), V.T)
+        for lo, hi, segs in cache.slices(k - 1, _SOLVE_CELLS // (2 * len(C))):
+            cores = np.flatnonzero(ok[lo:hi])
+            a = cache.top[lo:hi].take(cores, axis=0).astype(kern.dtype)
+            Q = _gather(PV, segs).take(cores, axis=0)
+            yield kern.cross(Q[:, 1], a[:, :1], Q[:, 0], a[:, 1:])
+
+    return values, int(np.count_nonzero(ok)), added, len(ok)
 
 
 def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[int, ...]:
@@ -465,7 +517,10 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     lines. The scan certifies NoValidVector for small spans; for spans too
     large to sweep it gives up after a fixed budget (the draw stage is then
     overwhelmingly likely to have succeeded first when q >= C(n, k-1)),
-    and the error says the span was not exhausted. A successful step
+    and the error says the span was not exhausted. Each draw, and each
+    batch of lines, is tested against the pencils through `_core_values`;
+    the containment check before the scan evaluates the basis vectors,
+    whose values are the cores' functionals on the span. A successful step
     appends its StepStats to `state.steps`.
     """
     start = time.perf_counter()
@@ -476,18 +531,24 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     kern = field_kernel(state.field)
     basis = kern.array([row for _, row in _group_span_basis(state, group)]
                        ).reshape(-1, state.params.k)
-    psi, added, subsets = _core_functionals(state, lam, basis)
+    values, cores, added, subsets = _core_values(state, lam, basis)
 
     def accept(C: np.ndarray) -> np.ndarray:
-        return (kern.matmul(psi, C.T) != 0).all(axis=0)
+        hit = np.ones(len(C), dtype=bool)
+        for vals in values(C):
+            hit &= (vals != 0).all(axis=0)
+            if not hit.any():
+                break
+        return hit
 
     def contained() -> bool:
-        # an all-zero row means that core's functional kills the whole span
-        return not (psi != 0).any(axis=1).all()
+        # a core that vanishes on every basis vector kills the whole span
+        unit = kern.array(np.eye(len(basis), dtype=np.int64))
+        return any((vals == 0).all(axis=1).any() for vals in values(unit))
 
     coeffs, draws, scanned = _avoidance_search(
-        state, lam, len(basis), accept, contained, psi.shape[0])
-    state.steps.append(StepStats(lam, added, subsets, psi.shape[0], draws,
+        state, lam, len(basis), accept, contained, cores)
+    state.steps.append(StepStats(lam, added, subsets, cores, draws,
                                  scanned, time.perf_counter() - start))
     return tuple(kern.matmul(kern.array([coeffs]), basis)[0].tolist())
 

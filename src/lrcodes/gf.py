@@ -382,7 +382,9 @@ class _PrimeKernel(_Kernel):
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         # one reduction at the end while m products of residues fit in int64
         if self.dtype is np.int64 and B.shape[-2] * (self.p - 1) ** 2 < 2 ** 63:
-            return A @ B % self.p
+            out = A @ B
+            out %= self.p
+            return out
         return super().matmul(A, B)
 
     def inv(self, a: np.ndarray) -> np.ndarray:

@@ -198,26 +198,33 @@ def _projective_rows(f, rows):
     return sorted(out)
 
 
-def _checked_core_functionals(compared):
-    real = construct_mod._core_functionals
+def _checked_core_values(compared):
+    real = construct_mod._core_values
 
     def step(state, lam, basis):
         want = _per_step_psi(state, lam, basis)
-        psi, added, subsets = real(state, lam, basis)
+        values, cores, added, subsets = real(state, lam, basis)
+        # the values on the unit coefficient vectors are the functionals
+        # restricted to the basis
+        kern = field_kernel(state.field)
+        unit = kern.array(np.eye(len(basis), dtype=np.int64))
+        psi = np.concatenate(list(values(unit)))
+        assert psi.shape == (cores, len(basis))
         assert (_projective_rows(state.field, psi)
                 == _projective_rows(state.field, want)), (state.params, lam)
         compared.append(lam)
-        return psi, added, subsets
+        return values, cores, added, subsets
     return step
 
 
 def test_cached_functionals_match_per_step_solve(monkeypatch):
-    # the cache's Psi, at every step, holds the same rows as solving each
-    # paired core afresh, up to row order and nonzero row scalars; also
-    # with cache blocks of a few rows, so Psi gathers many blocks
+    # the cores' values on the unit coefficient vectors, at every step, are
+    # the rows of solving each paired core afresh, up to row order and
+    # nonzero row scalars; also with slices of a few cells, so that the
+    # values gather many blocks and cut the larger ones
     compared = []
-    monkeypatch.setattr(construct_mod, "_core_functionals",
-                        _checked_core_functionals(compared))
+    monkeypatch.setattr(construct_mod, "_core_values",
+                        _checked_core_values(compared))
     builds = [
         lambda: construct(CodeParams(12, 5, 2, 3), field_make(499), seed=1),
         lambda: construct(CodeParams(12, 5, 2, 3), field_make(2, 9), seed=2),
@@ -233,8 +240,8 @@ def test_cached_functionals_match_per_step_solve(monkeypatch):
         lambda: construct(CodeParams(9, 2, 1, 3), field_make(11), seed=0),
         lambda: construct(CodeParams(8, 2, 1, 2), field_make(2, 4), seed=1),
     ]
-    for batch in (5, construct_mod._BATCH):
-        monkeypatch.setattr(construct_mod, "_BATCH", batch)
+    for cells in (10, construct_mod._SOLVE_CELLS):
+        monkeypatch.setattr(construct_mod, "_SOLVE_CELLS", cells)
         for build in builds:
             before = len(compared)
             build()
@@ -284,13 +291,14 @@ def _counts_of(counted, subsets):
 
 def _cache_levels(cache):
     """(counts, functionals, flags) of each level j = 0 .. k-1 of the
-    cache. Below the top level, its arrays. The top level is rebuilt from
-    its layout: covered coordinate i's rows are T + x_i for the pencils
-    T = 0 .. C(i, k-2) - 1 in order, each with T's counts plus
-    counted[x_i], the functional a_0 A_T1 - a_1 A_T0 of its two
-    coefficients a, and full rank iff a != 0. For k = 1 the top level is
-    level 0."""
-    levels = list(cache.levels)
+    cache. Below the top level, its arrays, each row's counts read off its
+    class id. The top level is rebuilt from its layout: covered coordinate
+    i's rows are T + x_i for the pencils T = 0 .. C(i, k-2) - 1 in order,
+    each with T's counts plus counted[x_i], the functional
+    a_0 A_T1 - a_1 A_T0 of its two coefficients a, and full rank iff
+    a != 0. For k = 1 the top level is level 0."""
+    levels = [(counts[ids], A, full)
+              for (ids, A, full), counts in zip(cache.levels, cache.counts)]
     if cache.k == 1:
         return levels
     kern = cache.kern
@@ -308,11 +316,19 @@ def _cache_levels(cache):
 
 def _assert_levels_in_cover_order(cache):
     # every live row of every level holds its subset's counts, in cover
-    # order; the top level's, derived from its parents, too
-    for j, (counts, _, _) in enumerate(_cache_levels(cache)):
+    # order; the top level's, derived from its parents, too. Each class of
+    # a level is one distinct count vector, its ids fit the level's dtype,
+    # and the deficient top rows are listed
+    for (ids, _, _), counts in zip(cache.levels, cache.counts):
+        assert len({v.tobytes() for v in counts}) == len(counts)
+        assert len(counts) <= np.iinfo(ids.dtype).max + 1
+    for j, (counts, _, full) in enumerate(_cache_levels(cache)):
         subsets = _cover_order(cache.covered, j)
         assert (counts[:len(subsets)].tolist()
                 == _counts_of(cache.model.counted, subsets)), j
+    if cache.k > 1:
+        assert (cache.deficient.tolist()
+                == np.flatnonzero(~full[:len(subsets)]).tolist())
 
 
 @pytest.mark.parametrize("f", [field_make(11), field_make(1000003),
@@ -374,6 +390,27 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
         cache.grow(state)
 
 
+@pytest.mark.parametrize("n, k, classes", [
+    # 1 + 13 + 78 + 286 classes: level 3's ids take two bytes
+    (13, 5, [1, 13, 78, 286]),
+    # 70 columns: count keys pass 63 bits and are Python ints
+    (69, 4, [1, 69, 2346]),
+])
+def test_count_classes_fit_their_dtype(n, k, classes):
+    # one indicator column per coordinate gives every subset a class of
+    # its own
+    f = field_make(101)
+    model = SimpleNamespace(counted=np.eye(n + 1, dtype=np.int8))
+    state = _cache_state(f, n, k, random.Random(0))
+    cache = construct_mod._FunctionalCache(f, n + 1, k, model)
+    assert [len(v) for v in cache.counts] == classes
+    assert [ids.dtype for ids, _, _ in cache.levels] == [
+        np.min_scalar_type(c - 1) for c in classes]
+    state.omega = list(range(1, 12))
+    cache.grow(state)
+    _assert_levels_in_cover_order(cache)
+
+
 def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
     # nothing is eliminated: construct has no elimination to call. Every
     # row below the top level is derived by one annihilator step from the
@@ -418,8 +455,8 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
         p = code.params
         assert code.generator == want.generator
         assert all(N * m * l <= max(cells, m * l) for N, m, l in shapes)
-        # pencil functionals (3-D) by cells; the counts of a core mask (2-D)
-        # by rows, _BATCH at a time
+        # pencil functionals and their values (3-D) by cells; class ids
+        # (1-D) by rows
         assert gathered and all(N * size <= max(cells, size) if ndim == 3
                                 else N <= construct_mod._BATCH
                                 for N, size, ndim in gathered)
@@ -441,15 +478,16 @@ def test_cached_counts_and_core_mask_match_brute_force(monkeypatch):
     # after every growth, each live row of every level holds the counted
     # sum over its subset; and for every coordinate lam not covered, the
     # cache's mask over the top level is is_core(S0 + (lam,)) row by row,
-    # on a partition, a hub frame and a paired frame; also with mask
-    # slices of a few rows
+    # on a partition, a hub frame and a paired frame; also with slices of a
+    # few cells, so that each level's class ids are gathered a few rows at a
+    # time
     builds = [
         (uniform_partition(12, 2, 3), CodeParams(12, 5, 2, 3), field_make(499)),
         (hub_frame(13, 3, 2), CodeParams(13, 5, 3, 2), field_make(719)),
         (paired_frame(10, 2, 2), CodeParams(10, 5, 2, 2), field_make(211)),
     ]
-    for batch in (5, construct_mod._BATCH):
-        monkeypatch.setattr(construct_mod, "_BATCH", batch)
+    for cells in (5, construct_mod._SOLVE_CELLS):
+        monkeypatch.setattr(construct_mod, "_SOLVE_CELLS", cells)
         checked = []
 
         class Cache(construct_mod._FunctionalCache):
@@ -478,9 +516,10 @@ def test_cached_counts_and_core_mask_match_brute_force(monkeypatch):
 def test_top_level_holds_two_coefficients_and_bounds_peak_memory(monkeypatch):
     # a top-level row is its two coefficients, in the narrowest dtype that
     # holds q - 1, and nothing else; the levels below the top end at the
-    # pencils. A (23, 8, 3, 3) build peaks near 18 MiB under tracemalloc
-    # (31 MiB when each top row held an 8-entry functional, counts and a
-    # flag)
+    # pencils. A (23, 8, 3, 3) build peaks near 14 MiB under tracemalloc
+    # (18 MiB when each step built every core's functional on the group
+    # span, 31 MiB when each top row held an 8-entry functional, counts and
+    # a flag)
     params = CodeParams(23, 8, 3, 3)
     caches = []
 
@@ -507,7 +546,7 @@ def test_top_level_holds_two_coefficients_and_bounds_peak_memory(monkeypatch):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 24 << 20, peak
+    assert peak <= 16 << 20, peak
 
 
 @pytest.mark.parametrize("params, steps, cores", [
@@ -517,9 +556,13 @@ def test_top_level_holds_two_coefficients_and_bounds_peak_memory(monkeypatch):
 ])
 def test_step_core_counts_pinned(params, steps, cores):
     # the benchmark's three large builds at seed 0 over the default field
-    # pick the same cores step after step
+    # pick the same cores step after step, and accept after the same
+    # draws, with no line scan
+    draws = {(26, 7, 3, 3): 12, (23, 8, 3, 3): 11, (20, 8, 4, 2): 4}[params]
     code = construct(CodeParams(*params), seed=0)
-    assert (len(code.steps), sum(s.cores for s in code.steps)) == (steps, cores)
+    s = code.steps
+    assert (len(s), sum(x.cores for x in s), sum(x.draws for x in s),
+            sum(x.scan_steps for x in s)) == (steps, cores, draws, 0)
 
 
 def test_dependent_column_still_breaks_the_next_step(monkeypatch):
@@ -534,14 +577,16 @@ def test_dependent_column_still_breaks_the_next_step(monkeypatch):
         col = real(state, lam, group)
         return state.columns[5] if lam == 3 else col
 
-    def per_step(state, lam, rows):
-        return _per_step_psi(state, lam, rows), 0, 0
+    def per_step(state, lam, basis):
+        kern = field_kernel(state.field)
+        psi = _per_step_psi(state, lam, basis)
+        return lambda C: iter([kern.matmul(psi, C.T)]), len(psi), 0, 0
 
     for f in (field_make(499), field_make(2, 9)):
-        for functionals in (construct_mod._core_functionals, per_step):
+        for evaluate in (construct_mod._core_values, per_step):
             seen.clear()
             monkeypatch.setattr(construct_mod, "pick_extension_vector", corrupt)
-            monkeypatch.setattr(construct_mod, "_core_functionals", functionals)
+            monkeypatch.setattr(construct_mod, "_core_values", evaluate)
             with pytest.raises(RuntimeError, match="rank-deficient core"):
                 construct(CodeParams(12, 5, 2, 3), f, seed=0)
             monkeypatch.undo()
@@ -753,8 +798,10 @@ def test_fallback_scan_matches_scalar_product_order(f, monkeypatch):
         monkeypatch.setattr(construct_mod, "RANDOM_ATTEMPTS", 0)
         monkeypatch.setattr(construct_mod, "_SCAN_LIMIT", limit)
         monkeypatch.setattr(construct_mod, "_BATCH", rows * max(1, len(psi)))
-        monkeypatch.setattr(construct_mod, "_core_functionals",
-                            lambda state, lam, basis: (P, 0, 0))
+        # the chosen functionals' values on each batch of candidates
+        monkeypatch.setattr(
+            construct_mod, "_core_values", lambda state, lam, basis: (
+                lambda C: iter([kern.matmul(P, C.T)]), len(P), 0, 0))
         state = _unit_state(f, b)
         total = (f.q ** b - 1) // (f.q - 1)
         want, lines = _scalar_scan(f, psi, b,
