@@ -36,20 +36,18 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from itertools import accumulate
 from math import comb
-from operator import index, mul
+from operator import mul
 from typing import Optional
 
 import numpy as np
 
 from .covers import (
     CoverSet,
-    Frame,
     Structure,
     coverage_check,
     hub_frame,
     paired_frame,
     remainder_partition,
-    structure_from_json,
     uniform_partition,
 )
 from .covers import validate as validate_structure
@@ -59,7 +57,6 @@ from .covers import validate as validate_structure
 from .cores import (_BATCH, CoreQuery, _BlockModel, _block_model, lambda_cores,
                     omega0)
 from .errors import (
-    CodeFileError,
     DimensionMismatch,
     FieldMismatch,
     FieldTooSmall,
@@ -140,45 +137,6 @@ class LrcCode:
     claimed_d: int
     trace: tuple[tuple[int, tuple[int, ...]], ...] = ()
     steps: tuple[StepStats, ...] = dataclass_field(default=(), compare=False)
-
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "params": {"n": self.params.n, "k": self.params.k,
-                       "r": self.params.r, "delta": self.params.delta},
-            "claimed_d": self.claimed_d,
-            "generator": self.generator.to_json(),
-            "structure": self.structure.to_json(),
-            "trace": [[lam, list(col)] for lam, col in self.trace],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LrcCode":
-        pp = data["params"]
-        code = cls(
-            field=FieldSpec.from_json(data["field"]),
-            generator=Matrix.from_json(data["generator"]),
-            structure=structure_from_json(data["structure"]),
-            params=CodeParams(*(pp[key] for key in ("n", "k", "r", "delta"))),
-            claimed_d=index(data["claimed_d"]),
-            trace=tuple((index(lam), tuple(map(index, col)))
-                        for lam, col in data["trace"]),
-        )
-        code.validate()
-        lams = [lam for lam, _ in code.trace]
-        if len(set(lams)) < len(lams):
-            raise CodeFileError(f"trace assigns a coordinate twice: {lams}")
-        for lam, col in code.trace:  # column() rejects lam outside [1, n]
-            if col != code.generator.column(lam):
-                raise CodeFileError(f"trace column {lam} is not the generator's")
-        if isinstance(code.structure, Frame):
-            # cores read a frame's hub layout; a CoverSet may overlap (the
-            # windows of an r = k code), so it keeps the range checks only
-            ok, bad = validate_structure(code.structure, code.params.r,
-                                         code.params.delta)
-            if not ok:
-                raise StructureMismatch("invalid frame: " + "; ".join(bad))
-        return code
 
     def validate(self) -> None:
         """Raise unless the parts agree: a k x n generator over the code's
@@ -318,16 +276,16 @@ class _FunctionalCache:
     """The functionals that vanish on the spans of subsets of the covered
     coordinates, kept across steps.
 
-    Levels j = 0 .. k-2 are class, basis and flag arrays: a row of level j
-    is a j-subset T of the covered coordinates, held as the id of its
-    count class, a basis of the k-j functionals that vanish on span(T), and
-    whether T has full rank. Level 0 is the empty subset, class 0 and the
-    identity; covering x derives T + x at level j from T at level j-1 by
-    one `_annihilate` step, and its class by one gather. Rows stay in cover
-    order, so the first C(i, j) rows of level j are the j-subsets of the
-    first i covered coordinates. Each of these levels is allocated once
-    with C(n-1, j) rows, what a build fills, as the last coordinate it
-    assigns is never covered.
+    Levels j = 0 .. k-2 are class and basis arrays: a row of level j is a
+    j-subset T of the covered coordinates, held as the id of its count
+    class and a basis of the k-j functionals that vanish on span(T), all
+    zero where T is rank-deficient. Level 0 is the empty subset, class 0
+    and the identity; covering x derives T + x at level j from T at level
+    j-1 by one `_annihilate` step, and its class by one gather. Rows stay
+    in cover order, so the first C(i, j) rows of level j are the j-subsets
+    of the first i covered coordinates. Each of these levels is allocated
+    once with C(n-1, j) rows, what a build fills, as the last coordinate
+    it assigns is never covered.
 
     A count class is one distinct vector of group counts (see
     `_BlockModel`). Coordinate x is of class `xclass[x]`, a row of
@@ -353,8 +311,8 @@ class _FunctionalCache:
     A cached row is never recomputed, so a covered coordinate must keep
     its column. int64 functionals and coefficients are stored in the
     narrowest dtype that holds q-1 and widened to the kernel's dtype when
-    read. Rows of deficient subsets stay, zero and flagged: only a
-    deficient subset paired with lam as a core breaks the loop invariant.
+    read. Rows of deficient subsets stay, zero: only a deficient subset
+    paired with lam as a core breaks the loop invariant.
     """
 
     def __init__(self, field: FieldSpec, n: int, k: int, model: _BlockModel) -> None:
@@ -388,10 +346,9 @@ class _FunctionalCache:
             self.succ.append(succ.reshape(len(xkeys), -1))
         rows = [comb(n - 1, j) for j in range(max(1, k - 1))]
         self.levels = [(np.zeros(m, succ.dtype if j else np.uint8),
-                        np.empty((m, k - j, k), phi_dtype), np.empty(m, dtype=bool))
+                        np.empty((m, k - j, k), phi_dtype))
                        for j, (m, succ) in enumerate(zip(rows, self.succ))]
         self.levels[0][1][0] = np.eye(k, dtype=phi_dtype)
-        self.levels[0][2][0] = True
         self.covered: list[int] = []
         self.top = np.empty((comb(n - 1, k - 1) if k > 1 else 0, 2), phi_dtype)
         self.deficient = np.empty(0, dtype=np.int64)
@@ -409,7 +366,7 @@ class _FunctionalCache:
         cols, kern = _column_array(state), self.kern
         dead = [self.deficient]
         for j in range(1, self.k):
-            ids0, A0, _ = self.levels[j - 1]
+            ids0, A0 = self.levels[j - 1]
             for lo, hi, segs in self.slices(j, _SOLVE_CELLS // A0[0].size, old):
                 # a = A_T c_x for each parent T and new coordinate x
                 B = _gather(A0, segs).astype(kern.dtype)
@@ -418,8 +375,8 @@ class _FunctionalCache:
                     self.top[lo:hi] = a
                     dead.append(lo + np.flatnonzero((a[:, 0] | a[:, 1]) == 0))
                     continue
-                ids, A, full = self.levels[j]
-                A[lo:hi], full[lo:hi] = _annihilate(kern, B, a)
+                ids, A = self.levels[j]
+                A[lo:hi] = _annihilate(kern, B, a)[0]
                 for s, e, x in segs:  # T + x's class, from T's and x's
                     self.succ[j][self.xclass[x]].take(ids0[s:e], out=ids[lo:lo + e - s])
                     lo += e - s

@@ -37,7 +37,6 @@ __all__ = [
     "validate",
     "coverage_check",
     "deficiency_witness",
-    "structure_from_json",
 ]
 
 
@@ -84,15 +83,6 @@ class CoverSet:
 
     def __repr__(self) -> str:
         return f"CoverSet(n={self.n}, t={self.t})"
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "groups": [list(g) for g in self.groups],
-            "hub_blocks": [],
-            "tail_block": [],
-            "hubs": [],
-        }
 
 
 class Frame:
@@ -146,25 +136,8 @@ class Frame:
     def __repr__(self) -> str:
         return f"Frame(n={self.n}, t={self.t}, alpha={len(self.hub_blocks)})"
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "groups": [list(g) for g in self.groups],
-            "hub_blocks": [list(b) for b in self.hub_blocks],
-            "tail_block": list(self.tail_block),
-            "hubs": list(self.hubs),
-        }
-
 
 Structure = Union[CoverSet, Frame]
-
-
-def structure_from_json(data: dict) -> Structure:
-    """Rebuild a stored structure."""
-    if data.get("hub_blocks") or data.get("hubs"):
-        return Frame(data["n"], data["groups"], data["hub_blocks"],
-                     data["tail_block"], data["hubs"])
-    return CoverSet(data["n"], data["groups"])
 
 
 def uniform_partition(n: int, r: int, delta: int) -> CoverSet:

@@ -16,7 +16,6 @@ kind for array code lives there.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
 from typing import Iterator, Optional
 
 import numpy as np
@@ -226,16 +225,6 @@ class FieldSpec:
             base = self.mul(base, base)
             exponent >>= 1
         return result
-
-    # serialization
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "e": self.e, "poly": self.poly}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FieldSpec":
-        return field_make(index(data["p"]), index(data["e"]),
-                          index(data["poly"]) or None)
 
 
 def field_make(characteristic: int, degree: int = 1,

@@ -126,9 +126,9 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field: FieldSpec, cols_data: Sequence[Vector]) -> "Matrix":
-        canon = [_canon_vector(field, c) for c in cols_data]
-        height = len(canon[0]) if canon else 0
-        return cls(field, [[c[i] for c in canon] for i in range(height)])
+        if len({len(c) for c in cols_data}) > 1:
+            raise DimensionMismatch("ragged columns")
+        return cls(field, list(zip(*cols_data)))
 
     def row(self, i: int) -> tuple[int, ...]:
         """Row by 1-based index."""
@@ -160,22 +160,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
-
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "rows": self.rows,
-            "cols": self.cols,
-            "data": [list(r) for r in self._data],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Matrix":
-        field = FieldSpec.from_json(data["field"])
-        m = cls(field, data["data"])
-        if m.rows != data["rows"] or m.cols != data["cols"]:
-            raise DimensionMismatch("declared shape does not match data")
-        return m
 
 
 def rank(m: Matrix, cols: Optional[Iterable[int]] = None) -> int:

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import lrcodes
 from lrcodes.codefile import FORMAT_TAG, CodeFile, load_code, save_code
-from lrcodes.construct import construct
+from lrcodes.construct import construct, run_extension
+from lrcodes.covers import Frame
 from lrcodes.errors import CodeFileError
 from lrcodes.gf import field_make
 from lrcodes.params import CodeParams
@@ -66,7 +68,7 @@ def test_round_trip_many_structures(tmp_path):
         path = tmp_path / f"code{i}.json"
         save_code(code, path, seed=i)
         back = load_code(path)
-        assert back.code.to_json() == code.to_json()
+        assert back.code == code
         assert type(back.code.structure) is type(code.structure)
 
 
@@ -80,4 +82,47 @@ def test_field_over_a_strong_pseudoprime_rejected(tmp_path):
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(data))
     with pytest.raises(CodeFileError, match="not prime"):
+        load_code(path)
+
+
+FIXTURES = sorted((Path(__file__).parents[1] / "perfbench" / "fixtures").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.name)
+def test_stored_fixtures_re_encode_unchanged(path):
+    # the format is pinned: each stored file loads and writes back, as
+    # save_code writes it, to the same bytes
+    text = path.read_text(encoding="utf-8")
+    stored = load_code(path).to_json()
+    assert stored["code"] == json.loads(text)["code"]
+    assert json.dumps(stored, indent=2) + "\n" == text
+
+
+def test_frame_without_hub_blocks_loads_as_a_frame(tmp_path):
+    # a frame of tail groups only writes empty hub lists, like a CoverSet;
+    # its tail block tells them apart
+    frame = Frame(12, [range(1, 5), range(5, 9), range(9, 13)], [], [1, 2, 3], [])
+    code = run_extension(frame, CodeParams(12, 5, 2, 3), field_make(499), seed=1)
+    save_code(code, tmp_path / "frame.json")
+    back = load_code(tmp_path / "frame.json").code
+    assert type(back.structure) is Frame and back == code
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("generator", "rows"), 4, "declared shape does not match data"),
+    (("generator", "field", "p"), 19, "generator is over GF\\(19\\), the code over GF\\(17\\)"),
+    (("params", "n"), 7, "generator is 3 x 6, params declare k=3, n=7"),
+    (("structure", "n"), 7, r"structure covers \[1..7\], params declare n=6"),
+], ids=["rows", "generator-field", "params-n", "structure-n"])
+def test_header_disagreeing_with_matrix_rejected(tmp_path, where, value, message):
+    code = construct(CodeParams(6, 3, 2, 2), field_make(17), seed=0)
+    data = CodeFile(code=code, seed=0, tool_version="0", created_at="").to_json()
+    *keys, last = where
+    part = data["code"]
+    for key in keys:
+        part = part[key]
+    part[last] = value
+    path = tmp_path / "header.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CodeFileError, match="malformed code file: " + message):
         load_code(path)

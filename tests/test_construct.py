@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lrcodes.codefile import CodeFile
 from lrcodes.construct import (
     ExtensionState,
     LrcCode,
@@ -140,9 +141,9 @@ def test_construct_default_field_is_smallest_adequate_prime():
 def test_construct_deterministic_per_seed():
     a = construct(CodeParams(12, 5, 2, 3), field_make(499), seed=7)
     b = construct(CodeParams(12, 5, 2, 3), field_make(499), seed=7)
-    assert a.to_json() == b.to_json()
+    assert a == b
     c = construct(CodeParams(12, 5, 2, 3), field_make(499), seed=8)
-    assert a.generator.to_json() != c.generator.to_json()
+    assert a.generator != c.generator
 
 
 def test_engine_matches_scalar_oracle(monkeypatch):
@@ -164,14 +165,14 @@ def test_engine_matches_scalar_oracle(monkeypatch):
             monkeypatch.setattr(construct_mod, "pick_extension_vector", oracle_pick)
             oracle = construct(params, f, seed=seed)
             monkeypatch.undo()
-            assert engine.to_json() == oracle.to_json(), (params, f, seed)
+            assert engine == oracle, (params, f, seed)
     for seed in (0, 3):
         args = (hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2), field_make(29))
         engine = run_extension(*args, seed=seed)
         monkeypatch.setattr(construct_mod, "pick_extension_vector", oracle_pick)
         oracle = run_extension(*args, seed=seed)
         monkeypatch.undo()
-        assert engine.to_json() == oracle.to_json()
+        assert engine == oracle
 
 
 def _per_step_psi(state, lam, basis):
@@ -291,14 +292,14 @@ def _counts_of(counted, subsets):
 
 def _cache_levels(cache):
     """(counts, functionals, flags) of each level j = 0 .. k-1 of the
-    cache. Below the top level, its arrays, each row's counts read off its
-    class id. The top level is rebuilt from its layout: covered coordinate
-    i's rows are T + x_i for the pencils T = 0 .. C(i, k-2) - 1 in order,
-    each with T's counts plus counted[x_i], the functional
-    a_0 A_T1 - a_1 A_T0 of its two coefficients a, and full rank iff
-    a != 0. For k = 1 the top level is level 0."""
-    levels = [(counts[ids], A, full)
-              for (ids, A, full), counts in zip(cache.levels, cache.counts)]
+    cache, a row's flag whether its functionals are nonzero. Below the top
+    level, its arrays, each row's counts read off its class id. The top
+    level is rebuilt from its layout: covered coordinate i's rows are
+    T + x_i for the pencils T = 0 .. C(i, k-2) - 1 in order, each with T's
+    counts plus counted[x_i] and the functional a_0 A_T1 - a_1 A_T0 of its
+    two coefficients a. For k = 1 the top level is level 0."""
+    levels = [(counts[ids], A, A.any(axis=(1, 2)))
+              for (ids, A), counts in zip(cache.levels, cache.counts)]
     if cache.k == 1:
         return levels
     kern = cache.kern
@@ -311,7 +312,7 @@ def _cache_levels(cache):
     T = A[parent].astype(kern.dtype)
     phi = kern.cross(T[:, 1], a[:, :1], T[:, 0], a[:, 1:])[:, None, :]
     return levels + [(counts[parent] + cache.model.counted[new], phi,
-                      (a != 0).any(axis=1))]
+                      phi.any(axis=(1, 2)))]
 
 
 def _assert_levels_in_cover_order(cache):
@@ -319,7 +320,7 @@ def _assert_levels_in_cover_order(cache):
     # order; the top level's, derived from its parents, too. Each class of
     # a level is one distinct count vector, its ids fit the level's dtype,
     # and the deficient top rows are listed
-    for (ids, _, _), counts in zip(cache.levels, cache.counts):
+    for (ids, _), counts in zip(cache.levels, cache.counts):
         assert len({v.tobytes() for v in counts}) == len(counts)
         assert len(counts) <= np.iinfo(ids.dtype).max + 1
     for j, (counts, _, full) in enumerate(_cache_levels(cache)):
@@ -336,8 +337,8 @@ def _assert_levels_in_cover_order(cache):
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
     # after every growth, level j of the cache holds each j-subset T of
-    # the covered coordinates once, in cover order; its flag is T's full
-    # rank, and a full T's rows span T's own nullspace; the top level's,
+    # the covered coordinates once, in cover order; its rows are nonzero
+    # iff T has full rank, and then span T's own nullspace; the top level's,
     # rebuilt from two coefficients and a parent pencil, too; also with
     # slices of a few cells, so that a coordinate's rows span several
     # slices and a slice several coordinates
@@ -404,7 +405,7 @@ def test_count_classes_fit_their_dtype(n, k, classes):
     state = _cache_state(f, n, k, random.Random(0))
     cache = construct_mod._FunctionalCache(f, n + 1, k, model)
     assert [len(v) for v in cache.counts] == classes
-    assert [ids.dtype for ids, _, _ in cache.levels] == [
+    assert [ids.dtype for ids, _ in cache.levels] == [
         np.min_scalar_type(c - 1) for c in classes]
     state.omega = list(range(1, 12))
     cache.grow(state)
@@ -627,7 +628,8 @@ def test_step_stats_count_cores_rows_and_draws():
         assert sum(added) == (comb(p.n - 1, p.k - 1) if p.k > 1 else 0)
         base = len(omega) - len(code.steps)
         assert added[0] == comb(base, p.k - 1) - comb(0, p.k - 1)
-        assert "steps" not in code.to_json()
+        stored = CodeFile(code=code, seed=None, tool_version="", created_at="")
+        assert "steps" not in stored.to_json()["code"]
 
 
 def test_step_stats_count_the_fallback_scan(monkeypatch):
@@ -983,11 +985,6 @@ def test_code_json_round_trip():
         construct(CodeParams(10, 5, 2, 2), field_make(211), seed=0),
         construct(CodeParams(6, 3, 2, 2), field_make(2, 4), seed=0),
     ):
-        data = json.loads(json.dumps(code.to_json()))
-        back = LrcCode.from_json(data)
-        assert back.field == code.field
-        assert back.generator == code.generator
-        assert back.structure == code.structure
-        assert back.params == code.params
-        assert back.claimed_d == code.claimed_d
-        assert back.trace == code.trace
+        stored = CodeFile(code=code, seed=None, tool_version="", created_at="")
+        back = CodeFile.from_json(json.loads(json.dumps(stored.to_json()))).code
+        assert back == code

@@ -1,8 +1,11 @@
+import json
 import random
 from itertools import combinations
 
 import pytest
 
+from lrcodes.codefile import CodeFile
+from lrcodes.construct import run_extension
 from lrcodes.covers import (
     CoverSet,
     Frame,
@@ -11,7 +14,6 @@ from lrcodes.covers import (
     hub_frame,
     paired_frame,
     remainder_partition,
-    structure_from_json,
     uniform_partition,
     validate,
 )
@@ -22,6 +24,7 @@ from lrcodes.errors import (
     PreconditionViolated,
     TooFewGroups,
 )
+from lrcodes.gf import field_make
 from lrcodes.params import EXISTS, CodeParams, classify
 
 # the n=13 covering family whose deficiency certifies non-existence for
@@ -338,7 +341,13 @@ def _random_cover(rng, n, t, size):
 # ---------------------------------------------------------------------
 
 def test_structure_json_round_trip():
-    for s in (uniform_partition(12, 2, 3), remainder_partition(11, 2, 2, 5),
-              hub_frame(8, 2, 2), paired_frame(10, 2, 2)):
-        back = structure_from_json(s.to_json())
-        assert type(back) is type(s) and back == s
+    # a code file stores its structure, both kinds in one layout
+    for s, params, q in (
+            (uniform_partition(12, 2, 3), CodeParams(12, 5, 2, 3), 499),
+            (remainder_partition(11, 2, 2, 5), CodeParams(11, 5, 2, 2), 331),
+            (hub_frame(8, 2, 2), CodeParams(8, 3, 2, 2), 29),
+            (paired_frame(10, 2, 2), CodeParams(10, 5, 2, 2), 211)):
+        code = run_extension(s, params, field_make(q))
+        stored = CodeFile(code=code, seed=None, tool_version="", created_at="")
+        back = CodeFile.from_json(json.loads(json.dumps(stored.to_json()))).code
+        assert type(back.structure) is type(s) and back.structure == s

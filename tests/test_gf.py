@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -5,6 +6,9 @@ import numpy as np
 import pytest
 import sympy
 
+from lrcodes.codefile import CodeFile
+from lrcodes.construct import LrcCode
+from lrcodes.covers import CoverSet
 from lrcodes.errors import (
     BoundTooLarge,
     CompositeCharacteristic,
@@ -14,12 +18,13 @@ from lrcodes.errors import (
 )
 from lrcodes.gf import (
     IRREDUCIBLE_POLY,
-    FieldSpec,
     field_at_least,
     field_kernel,
     field_make,
     is_prime,
 )
+from lrcodes.linalg import Matrix
+from lrcodes.params import CodeParams
 
 
 def _poly_of_mask(mask):
@@ -233,8 +238,15 @@ def test_field_at_least_matches_sympy_nextprime():
 
 
 def test_fieldspec_json_round_trip():
+    # a field is stored twice in a code file, for the code and for its
+    # generator; a chosen modulus comes back too
     for f in (field_make(499), field_make(2, 4), field_make(2, 3, 0b1101)):
-        assert FieldSpec.from_json(f.to_json()) == f
+        code = LrcCode(field=f, generator=Matrix(f, [[1, 0, 1], [0, 1, 1]]),
+                       structure=CoverSet(3, [[1, 2, 3]]),
+                       params=CodeParams(3, 2, 2, 2), claimed_d=2)
+        stored = CodeFile(code=code, seed=None, tool_version="", created_at="")
+        back = CodeFile.from_json(json.loads(json.dumps(stored.to_json()))).code
+        assert back.field == back.generator.field == f
 
 
 # ---------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -6,6 +7,9 @@ import pytest
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
+from lrcodes.codefile import CodeFile
+from lrcodes.construct import LrcCode
+from lrcodes.covers import CoverSet
 from lrcodes.errors import DimensionMismatch, IndexOutOfRange
 from lrcodes.gf import field_kernel, field_make
 from lrcodes.linalg import (
@@ -17,6 +21,7 @@ from lrcodes.linalg import (
     reduce_vector,
     reduced_basis,
 )
+from lrcodes.params import CodeParams
 
 from nullspace_oracle import batch_nullspace, row_spaces
 
@@ -162,14 +167,23 @@ def test_matrix_canonicalizes_entries():
 
 
 def test_matrix_json_round_trip():
+    # a code file stores its generator; a shape that disagrees with the
+    # data is refused there (tests/test_codefile.py)
     for f in (field_make(499), field_make(2, 2)):
         m = Matrix(f, [[1, 2, 3], [0, 1, f.q - 1]])
-        back = Matrix.from_json(m.to_json())
-        assert back == m and back.field == f
-    bad = m.to_json()
-    bad["rows"] = 5
-    with pytest.raises(DimensionMismatch):
-        Matrix.from_json(bad)
+        code = LrcCode(field=f, generator=m, structure=CoverSet(3, [[1, 2, 3]]),
+                       params=CodeParams(3, 2, 2, 2), claimed_d=2)
+        stored = CodeFile(code=code, seed=None, tool_version="", created_at="")
+        back = CodeFile.from_json(json.loads(json.dumps(stored.to_json()))).code
+        assert back.generator == m and back.generator.field == f
+
+
+def test_from_columns_rejects_ragged_columns():
+    f = field_make(7)
+    assert Matrix.from_columns(f, [[1, 9], [2, 3]]).row_data() == ((1, 2), (2, 3))
+    for cols in ([[1], [2, 3]], [[1, 2], [3]]):
+        with pytest.raises(DimensionMismatch, match="ragged columns"):
+            Matrix.from_columns(f, cols)
 
 
 def test_as_indices_sorts_and_checks_columns():
