@@ -6,6 +6,9 @@ round-trips exactly except the timestamp, which records write time.
 The reader refuses a file whose parts disagree: its field must be one
 `field_make` accepts, its generator the shape it declares, the whole a
 valid `LrcCode`, its trace the generator's columns, and a frame valid.
+It refuses stored integers that are not canonical too, a modulus for a
+prime field or a generator entry outside [0, q), as saving the loaded
+code would rewrite them.
 """
 
 from __future__ import annotations
@@ -52,7 +55,10 @@ def _encode(code: LrcCode) -> dict:
 
 
 def _decode_field(data: dict) -> FieldSpec:
-    return field_make(index(data["p"]), index(data["e"]), index(data["poly"]) or None)
+    p, e, poly = index(data["p"]), index(data["e"]), index(data["poly"])
+    if e == 1 and poly:
+        raise CodeFileError(f"GF({p}) has no modulus, got poly {poly}")
+    return field_make(p, e, poly or None)
 
 
 def _decode(data: dict) -> LrcCode:
@@ -63,6 +69,9 @@ def _decode(data: dict) -> LrcCode:
     generator = Matrix(_decode_field(gen["field"]), gen["data"])
     if generator.rows != gen["rows"] or generator.cols != gen["cols"]:
         raise DimensionMismatch("declared shape does not match data")
+    if [list(row) for row in generator.row_data()] != gen["data"]:
+        raise CodeFileError(
+            f"generator entries must be integers in [0, {generator.field.q})")
     st = data["structure"]
     # a frame with no hub blocks still has its tail block
     if st.get("hub_blocks") or st.get("hubs") or st.get("tail_block"):

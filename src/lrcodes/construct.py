@@ -12,21 +12,22 @@ up, since a candidate's multiples pass or fail with it.
 Avoidance is one batched test for every field: each (k-1)-subset S0 of
 assigned coordinates has a linear functional whose kernel is span(S0),
 and a candidate is accepted when none of the functionals of the cores
-paired with lam vanishes on it. The functionals are cached across
-steps: a subset's functional depends only on its own columns, which
-never change once assigned. Nothing is eliminated: the functionals
-vanishing on T + x come from those vanishing on T and the column of x
-by one annihilator step (`linalg._annihilate`), so the cache is a tower
-of the j-subsets for j = 0 .. k-2, each derived once from its prefix. A
-(k-1)-subset T + x on top of it keeps only the two values at x of the
-functionals of its pencil T. A candidate v is tested against the
-pencils: one product gives each pencil's two values at v, and each core
-combines its pencil's with its own two, a_0 (A_T1 v) - a_1 (A_T0 v).
-No functional of a core is ever formed. Rows hold the id of their
-subset's count class, the distinct vector of group counts, and T + x's
-class comes from T's and x's through a table built once from the
-structure. So a step picks the cores paired with lam by one cap test per
-class and one gather per covered coordinate.
+paired with lam vanishes on it. Nothing is eliminated and no functional
+is stored: those vanishing on T + x come from those vanishing on T and
+the column of x by one annihilator step (`linalg._annihilate`), which
+needs only the values a at x of T's. So the cache is a tower over the
+j-subsets for j = 1 .. k-1, each row T + x holding its a, derived once
+across steps, as a subset's functionals depend only on its own columns,
+which never change once assigned. Vectors stream down the tower: their
+values under T + x's functionals are the same step on their values
+under T's. A new coordinate's column is walked down to read its rows'
+a, and a candidate v to the pencils, the (k-2)-subsets T, where each
+core T + x combines the two values with its own two coefficients,
+a_0 (A_T1 v) - a_1 (A_T0 v). Rows hold the id of their subset's count
+class, the distinct vector of group counts, and T + x's class comes from
+T's and x's through a table built once from the structure. So a step
+picks the cores paired with lam by one cap test per class and one gather
+per covered coordinate.
 """
 
 from __future__ import annotations
@@ -256,36 +257,60 @@ def _column_array(state: ExtensionState) -> np.ndarray:
     return cols
 
 
-def _gather(X: np.ndarray, segs: list) -> np.ndarray:
-    """The rows s .. e-1 of X for each segment (s, e, x), in order."""
+def _gather(X: np.ndarray, segs: list, dtype) -> np.ndarray:
+    """The columns s .. e-1 of X (its axis 1) for each segment (s, e), in
+    order, widened to dtype."""
     if len(segs) == 1:
-        (s, e, _), = segs
-        return X[s:e]
-    return np.concatenate([X[s:e] for s, e, _ in segs])
+        (s, e), = segs
+        return X[:, s:e].astype(dtype)
+    return np.concatenate([X[:, s:e] for s, e in segs], axis=1, dtype=dtype)
 
 
-def _spread(V: np.ndarray, segs: list) -> np.ndarray:
-    """Row x of V once for each row of each segment (s, e, x); one row
-    for one segment, which broadcasts."""
-    if len(segs) == 1:
-        return V[segs[0][2]]
-    return np.repeat(V[[x for _, _, x in segs]], [e - s for s, e, _ in segs], axis=0)
+def _descend(kern, G: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """One annihilator step on values: the m x rows x N values G of each
+    parent's m functionals on N vectors, with each row's coefficients a
+    (m x rows), to the m-1 values a_p G_i - a_i G_p, i != p, with p a's
+    first nonzero entry, as `_annihilate` takes it. Pivot 0 by slicing;
+    the rows whose a_0 = 0 and a != 0 are gathered and stepped by
+    `_annihilate`. Where a = 0 the values are zero."""
+    out = kern.cross(G[1:], a[:1, :, None], a[1:, :, None], G[:1])
+    redo = np.flatnonzero(a[0] == 0)
+    redo = redo[a[1:, redo].any(axis=0)]
+    if redo.size:
+        out[:, redo] = _annihilate(kern, G[:, redo].transpose(1, 0, 2),
+                                   a[:, redo].T)[0].transpose(1, 0, 2)
+    return out
 
 
 class _FunctionalCache:
-    """The functionals that vanish on the spans of subsets of the covered
-    coordinates, kept across steps.
+    """The annihilator tower over the covered coordinates, kept across
+    steps as coefficients: no functional is stored.
 
-    Levels j = 0 .. k-2 are class and basis arrays: a row of level j is a
-    j-subset T of the covered coordinates, held as the id of its count
-    class and a basis of the k-j functionals that vanish on span(T), all
-    zero where T is rank-deficient. Level 0 is the empty subset, class 0
-    and the identity; covering x derives T + x at level j from T at level
-    j-1 by one `_annihilate` step, and its class by one gather. Rows stay
-    in cover order, so the first C(i, j) rows of level j are the j-subsets
-    of the first i covered coordinates. Each of these levels is allocated
-    once with C(n-1, j) rows, what a build fills, as the last coordinate
-    it assigns is never covered.
+    A row of level j = 1 .. k-1 is a j-subset T + x of the covered
+    coordinates, x its last covered member, and holds a = A_T c_x, the
+    values at x of the k-j+1 functionals A_T that vanish on span(T).
+    Level 0 is the empty subset, whose functionals are the identity, so a
+    level 1 row holds c_x itself. One annihilator step (`_annihilate`)
+    would make the rows a_p A_i - a_i A_p, i != p, the k-j functionals of
+    T + x. a is zero exactly where T + x is rank-deficient, and then so
+    are those functionals and the a of every row that extends T + x.
+    Level j is `coeffs[j]`, (k-j+1) x C(n-1, j) in the narrowest dtype
+    that holds q-1, functionals-major so that the long row axis is
+    innermost, allocated once with what a build fills, as the last
+    coordinate it assigns is never covered. Rows stay in cover
+    order: covered coordinate i owns rows C(i, j) .. C(i+1, j) - 1, whose
+    parents are rows 0 .. C(i, j-1) - 1 of level j-1 in the same order,
+    so the first C(i, j) rows are the j-subsets of the first i covered
+    coordinates. The top level, j = k-1, the (k-1)-subsets, is `top`: two
+    coefficients a row against its pencil T of level k-2; `deficient`
+    lists its rows with a = 0. For k = 1 there are no pencils: the top
+    level is level 0, the empty subset.
+
+    `walk` streams vectors down the tower: a vector's values under A_T are
+    derived level by level with the stored a, by the same step, since
+    A_{T+x} v = a_p (A_T,i v) - a_i (A_T,p v) exactly. So the values under
+    the functionals are those that storing the functionals would give, and
+    the values of I_k are the functionals themselves.
 
     A count class is one distinct vector of group counts (see
     `_BlockModel`). Coordinate x is of class `xclass[x]`, a row of
@@ -293,25 +318,14 @@ class _FunctionalCache:
     `counts[j]`, and `succ[j][c, t]` is the class of T + x for T of class t
     at level j-1 and x of class c. Both are built once, from the structure
     alone: every sum of a class of level j-1 and a coordinate class that
-    passes no column's total, which covers every j-subset's counts. Each
-    level's ids take the narrowest dtype that holds its class count; a
-    sum past a total is no subset's, and its entry of `succ`, 0, is never
-    read.
-
-    The top level, the (k-1)-subsets S0 = T + x, is held against the
-    pencils T of level k-2. Covered coordinate i owns top rows C(i, k-1)
-    .. C(i+1, k-1) - 1, whose parents are pencils 0 .. C(i, k-2) - 1 in
-    the same order, so a top row stores only its two coefficients
-    a = A_T c_x (`top`, C(n-1, k-1) x 2). The annihilator step would make
-    a_0 A_T1 - a_1 A_T0 its functional, up to sign; its counts are T's
-    plus counted[x], and it has full rank iff a != 0. `deficient` lists
-    the top rows with a = 0. For k = 1 there are no pencils: the top level
-    is level 0, the empty subset.
+    passes no column's total, which covers every j-subset's counts. The
+    class of each row of levels j = 0 .. k-2 is `ids[j]`, in the narrowest
+    dtype that holds the level's class count; a sum past a total is no
+    subset's, and its entry of `succ`, 0, is never read. A top row's counts
+    are its pencil's plus counted[x].
 
     A cached row is never recomputed, so a covered coordinate must keep
-    its column. int64 functionals and coefficients are stored in the
-    narrowest dtype that holds q-1 and widened to the kernel's dtype when
-    read. Rows of deficient subsets stay, zero: only a deficient subset
+    its column. Rows of deficient subsets stay: only a deficient subset
     paired with lam as a core breaks the loop invariant.
     """
 
@@ -319,8 +333,8 @@ class _FunctionalCache:
         self.kern = field_kernel(field)
         self.n, self.k, self.model = n, k, model
         counted = model.counted
-        phi_dtype = (np.min_scalar_type(field.q - 1)
-                     if self.kern.dtype == np.int64 else self.kern.dtype)
+        self.dtype = (np.min_scalar_type(field.q - 1)
+                      if self.kern.dtype == np.int64 else self.kern.dtype)
         # A count vector's key reads its columns as digits, so the key of
         # T + x is T's plus x's. Row 0 of counted is no coordinate's. A sum
         # is kept where x counts only in columns that T has not filled.
@@ -344,67 +358,92 @@ class _FunctionalCache:
             succ[pairs] = ids
             self.counts.append(self.xcounts[xc[first]] + self.counts[-1][c[first]])
             self.succ.append(succ.reshape(len(xkeys), -1))
-        rows = [comb(n - 1, j) for j in range(max(1, k - 1))]
-        self.levels = [(np.zeros(m, succ.dtype if j else np.uint8),
-                        np.empty((m, k - j, k), phi_dtype))
-                       for j, (m, succ) in enumerate(zip(rows, self.succ))]
-        self.levels[0][1][0] = np.eye(k, dtype=phi_dtype)
+        self.ids = [np.zeros(comb(n - 1, j), succ.dtype if j else np.uint8)
+                    for j, succ in enumerate(self.succ)]
+        self.coeffs = [None] + [np.empty((k - j + 1, comb(n - 1, j)), self.dtype)
+                                for j in range(1, k)]
+        self.top = self.coeffs[-1]
         self.covered: list[int] = []
-        self.top = np.empty((comb(n - 1, k - 1) if k > 1 else 0, 2), phi_dtype)
         self.deficient = np.empty(0, dtype=np.int64)
 
     def grow(self, state: ExtensionState) -> int:
         """Cover the coordinates of Omega not covered yet, in increasing
-        order, level by level in slices of about _SOLVE_CELLS cells; returns
-        how many (k-1)-subsets that added."""
+        order, level by level: their columns are walked down the tower
+        together, and each new row T + x reads its a off x's values at T.
+        Returns how many (k-1)-subsets that added."""
         old = len(self.covered)
         order = self.covered = self.covered + sorted(
             set(state.omega).difference(self.covered))
         if len(order) >= self.n:
             raise PreconditionViolated(
                 f"the cache holds subsets of at most {self.n - 1} coordinates")
-        cols, kern = _column_array(state), self.kern
+        new = list(enumerate(order))[old:]
+        if not new:
+            return 0
         dead = [self.deficient]
-        for j in range(1, self.k):
-            ids0, A0 = self.levels[j - 1]
-            for lo, hi, segs in self.slices(j, _SOLVE_CELLS // A0[0].size, old):
-                # a = A_T c_x for each parent T and new coordinate x
-                B = _gather(A0, segs).astype(kern.dtype)
-                a = kern.matmul(B, _spread(cols, segs)[..., None])[..., 0]
-                if j == self.k - 1:  # the top level keeps a alone
-                    self.top[lo:hi] = a
-                    dead.append(lo + np.flatnonzero((a[:, 0] | a[:, 1]) == 0))
-                    continue
-                ids, A = self.levels[j]
-                A[lo:hi] = _annihilate(kern, B, a)[0]
-                for s, e, x in segs:  # T + x's class, from T's and x's
-                    self.succ[j][self.xclass[x]].take(ids0[s:e], out=ids[lo:lo + e - s])
-                    lo += e - s
+        cols = _column_array(state)[order[old:]].T
+        for j, W in enumerate(self.walk(cols), start=1):
+            # x's values at level j-1 are its rows' a at level j
+            for col, (i, x) in enumerate(new):
+                lo, m = comb(i, j), comb(i, j - 1)
+                self.coeffs[j][:, lo:lo + m] = W[:, :m, col]
+                if j == self.k - 1:
+                    a = self.coeffs[j][:, lo:lo + m]
+                    dead.append(lo + np.flatnonzero(~a.any(axis=0)))
+                else:  # T + x's class, from T's and x's
+                    self.succ[j][self.xclass[x]].take(
+                        self.ids[j - 1][:m], out=self.ids[j][lo:lo + m])
         self.deficient = np.concatenate(dead)
         return comb(len(order), self.k - 1) - comb(old, self.k - 1)
 
-    def slices(self, j: int, rows: int, start: int = 0):
-        """The live rows of level j (the top level for j = k-1) of covered
-        coordinates `start` on, as (lo, hi, segments): rows lo .. hi-1 are,
-        in order, the subsets T + x for the rows T = s .. e-1 of level j-1
-        of each segment (s, e, x). Covered coordinate i owns rows C(i, j) ..
+    def walk(self, V: np.ndarray):
+        """The values of N vectors V (k x N) down the tower: yields, for
+        j = 0 .. k-2, their values under each row's k-j functionals at
+        level j, (k-j) x rows x N, on the rows of the coordinates covered
+        before the last one, C(L-1, j) rows for L covered; level 0 is V.
+        Level j is derived from level j-1 with the stored coefficients,
+        which must be in place when it is asked for, in slices whose int64
+        operands hold about _SOLVE_CELLS cells; a level is held in the
+        narrow dtype while the next is derived from it. Nothing for k = 1.
+        """
+        if self.k == 1:
+            return
+        kern, stop = self.kern, len(self.covered) - 1
+        W = V[:, None]
+        yield W
+        for j in range(1, self.k - 1):
+            m, N = self.k - j + 1, W.shape[2]
+            out = np.empty((m - 1, comb(stop, j), N), self.dtype)
+            for lo, hi, segs in self.slices(j, _SOLVE_CELLS // (m * N), stop):
+                out[:, lo:hi] = _descend(kern, _gather(W, segs, kern.dtype),
+                                         self.coeffs[j][:, lo:hi])
+            W = out
+            yield W
+
+    def slices(self, j: int, rows: int, stop: Optional[int] = None):
+        """The rows of level j (the top level for j = k-1) of the first
+        `stop` covered coordinates (all of them by default), as (lo, hi,
+        segments): rows lo .. hi-1 are, in order, the subsets T + x for the
+        rows T = s .. e-1 of level j-1 of each segment (s, e), x the
+        segment's coordinate. Covered coordinate i owns rows C(i, j) ..
         C(i+1, j) - 1, whose parents are rows 0 .. C(i, j-1) - 1. A run of
         whole blocks of at most `rows` rows in all is one slice, a segment
         per block; a larger block is cut into slices of `rows`."""
-        rows, xs = max(1, rows), self.covered
-        i, lo = start, comb(start, j)
-        while i < len(xs):
+        rows = max(1, rows)
+        count = len(self.covered) if stop is None else stop
+        i = lo = 0
+        while i < count:
             end, total = i, 0
-            while end < len(xs) and total + comb(end, j - 1) <= rows:
+            while end < count and total + comb(end, j - 1) <= rows:
                 total += comb(end, j - 1)
                 end += 1
             if end > i:
-                yield lo, lo + total, [(0, comb(t, j - 1), xs[t]) for t in range(i, end)]
+                yield lo, lo + total, [(0, comb(t, j - 1)) for t in range(i, end)]
                 i, lo = end, lo + total
                 continue
             size = comb(i, j - 1)
             for s in range(0, size, rows):
-                yield lo + s, lo + min(s + rows, size), [(s, min(s + rows, size), xs[i])]
+                yield lo + s, lo + min(s + rows, size), [(s, min(s + rows, size))]
             i, lo = i + 1, lo + size
 
     def paired(self, lam: int) -> np.ndarray:
@@ -417,7 +456,7 @@ class _FunctionalCache:
             return model.mask(self.counts[0] + model.counted[lam])
         sums = (self.xcounts + model.counted[lam])[:, None] + self.counts[-1]
         table = model.mask(sums.reshape(-1, sums.shape[-1])).reshape(sums.shape[:2])
-        ids = self.levels[-1][0]
+        ids = self.ids[-1]
         ok = np.empty(comb(len(self.covered), self.k - 1), dtype=bool)
         for i, x in enumerate(self.covered):
             lo, m = comb(i, self.k - 1), comb(i, self.k - 2)
@@ -434,11 +473,12 @@ def _core_values(state: ExtensionState, lam: int, basis: np.ndarray):
     the b x k group-span basis, yields, slice by slice in the cache's
     order, an array of cores x N values; a candidate avoids span(S0) iff
     its value for S0 is nonzero. Each row is up to a nonzero scalar. The
-    live pencils T are evaluated once per call, A_T v, and a core T + x
-    with coefficients a takes a_0 (A_T1 v) - a_1 (A_T0 v): the value of
-    its functional, up to sign. On C = I_b the rows are each core's
-    functional restricted to the basis. Raises RuntimeError when a paired
-    core is rank-deficient, which breaks the loop invariant.
+    candidates are walked down the tower to the pencils T once per call,
+    A_T v, and a core T + x with coefficients a takes a_0 (A_T1 v) - a_1
+    (A_T0 v): the value of its functional, up to sign. On C = I_b the rows
+    are each core's functional restricted to the basis. Raises
+    RuntimeError when a paired core is rank-deficient, which breaks the
+    loop invariant.
     """
     kern = field_kernel(state.field)
     cache = state.functionals
@@ -453,16 +493,11 @@ def _core_values(state: ExtensionState, lam: int, basis: np.ndarray):
         if k == 1:  # the empty subset's functional is the identity
             yield V.T[ok]
             return
-        A = cache.levels[-1][1][:comb(len(cache.covered), k - 2)]
-        PV = np.empty((len(A), 2, len(C)), kern.dtype)
-        step = max(1, _SOLVE_CELLS // (2 * k))
-        for lo in range(0, len(A), step):
-            PV[lo:lo + step] = kern.matmul(A[lo:lo + step].astype(kern.dtype), V.T)
+        for PV in cache.walk(V.T):
+            pass
         for lo, hi, segs in cache.slices(k - 1, _SOLVE_CELLS // (2 * len(C))):
-            cores = np.flatnonzero(ok[lo:hi])
-            a = cache.top[lo:hi].take(cores, axis=0).astype(kern.dtype)
-            Q = _gather(PV, segs).take(cores, axis=0)
-            yield kern.cross(Q[:, 1], a[:, :1], Q[:, 0], a[:, 1:])
+            Q, a = _gather(PV, segs, kern.dtype), cache.top[:, lo:hi, None]
+            yield kern.cross(Q[1], a[0], Q[0], a[1])[ok[lo:hi]]
 
     return values, int(np.count_nonzero(ok)), added, len(ok)
 

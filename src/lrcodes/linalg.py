@@ -9,7 +9,10 @@ Single matrices are reduced in scalar Python (`rank`, reduced bases);
 many small matrices at once go through `_batch_rref`, the one batched
 elimination, on the field's numpy kernel. The functionals that vanish
 on column sets are never eliminated: `_annihilate` extends a basis of
-those of T to those of T + c, and their values on the columns alike.
+those of T to those of T + c, and their values on vectors alike. The
+pencil scan steps values on the generator's columns with it; the
+construction cache, which keeps only each step's coefficients, steps its
+vectors' values itself and calls it on the rows whose pivot is not 0.
 """
 
 from __future__ import annotations

@@ -126,3 +126,35 @@ def test_header_disagreeing_with_matrix_rejected(tmp_path, where, value, message
     path.write_text(json.dumps(data))
     with pytest.raises(CodeFileError, match="malformed code file: " + message):
         load_code(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c["field"].update(poly=19), r"GF\(17\) has no modulus, got poly 19"),
+    (lambda c: c["generator"]["field"].update(poly=1), r"GF\(17\) has no modulus, got poly 1"),
+    (lambda c: c["generator"]["data"][0].__setitem__(0, 18),
+     r"generator entries must be integers in \[0, 17\)"),
+    (lambda c: c["generator"]["data"][2].__setitem__(5, -1),
+     r"generator entries must be integers in \[0, 17\)"),
+], ids=["field-poly", "generator-field-poly", "entry-q+1", "entry-negative"])
+def test_non_canonical_integers_rejected(tmp_path, edit, message):
+    # a stored integer that loading would reduce, and saving rewrite, is
+    # refused: a modulus for a prime field, an entry outside [0, q)
+    code = construct(CodeParams(6, 3, 2, 2), field_make(17), seed=0)
+    data = CodeFile(code=code, seed=0, tool_version="0", created_at="").to_json()
+    assert data["code"]["generator"]["data"][0][0] == 1
+    edit(data["code"])
+    path = tmp_path / "canonical.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CodeFileError, match="malformed code file: " + message):
+        load_code(path)
+
+
+def test_binary_field_entries_checked_against_q(tmp_path):
+    # over GF(2^4) an entry of 16 or more is refused, one below is kept
+    code = construct(CodeParams(6, 3, 2, 2), field_make(2, 4), seed=3)
+    data = CodeFile(code=code, seed=0, tool_version="0", created_at="").to_json()
+    rows = data["code"]["generator"]["data"]
+    assert CodeFile.from_json(data).code == code
+    rows[1][1] = 16
+    with pytest.raises(CodeFileError, match=r"integers in \[0, 16\)"):
+        CodeFile.from_json(data)

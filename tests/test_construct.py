@@ -33,7 +33,7 @@ from lrcodes.errors import (
     UnknownCase,
 )
 from lrcodes.gf import field_at_least, field_kernel, field_make
-from lrcodes.linalg import Matrix, rank
+from lrcodes.linalg import Matrix, _annihilate, rank
 from lrcodes.params import (
     EXISTS,
     EXISTS_MDS,
@@ -290,29 +290,43 @@ def _counts_of(counted, subsets):
             for T in subsets]
 
 
+def _walked(cache, V):
+    """Each level's values of V (k x N) as the cache walks it: j = 0 .. k-2,
+    (k-j) x C(L-1, j) x N for L covered coordinates."""
+    return [W.astype(cache.kern.dtype) for W in cache.walk(V)]
+
+
 def _cache_levels(cache):
     """(counts, functionals, flags) of each level j = 0 .. k-1 of the
-    cache, a row's flag whether its functionals are nonzero. Below the top
-    level, its arrays, each row's counts read off its class id. The top
-    level is rebuilt from its layout: covered coordinate i's rows are
-    T + x_i for the pencils T = 0 .. C(i, k-2) - 1 in order, each with T's
-    counts plus counted[x_i] and the functional a_0 A_T1 - a_1 A_T0 of its
-    two coefficients a. For k = 1 the top level is level 0."""
-    levels = [(counts[ids], A, A.any(axis=(1, 2)))
-              for (ids, A), counts in zip(cache.levels, cache.counts)]
-    if cache.k == 1:
-        return levels
-    kern = cache.kern
-    counts, A, _ = levels[-1]
-    rows = [(s, x) for i, x in enumerate(cache.covered)
-            for s in range(comb(i, cache.k - 2))]
-    parent = np.array([s for s, _ in rows], dtype=np.int64)
-    new = np.array([x for _, x in rows], dtype=np.int64)
-    a = cache.top[:len(rows)].astype(kern.dtype)
-    T = A[parent].astype(kern.dtype)
-    phi = kern.cross(T[:, 1], a[:, :1], T[:, 0], a[:, 1:])[:, None, :]
-    return levels + [(counts[parent] + cache.model.counted[new], phi,
-                      phi.any(axis=(1, 2)))]
+    cache over every live row, a row's flag whether its functionals are
+    nonzero. Level 0 is the empty subset and the identity. Level j >= 1
+    is rebuilt from its layout: covered coordinate i's rows are T + x_i
+    for the rows T = 0 .. C(i, j-1) - 1 of level j-1 in order, each with
+    T's counts plus counted[x_i] and, by one `_annihilate` step with its
+    stored coefficients a, the functionals of T + x_i, T's read off the
+    cache's walk of I_k. Below the top the counts are read off the class
+    ids, and the rows the walk covers are its values, entry for entry.
+    For k = 1 the top level is level 0."""
+    kern, k = cache.kern, cache.k
+    ids = [counts[i] for i, counts in zip(cache.ids, cache.counts)]
+    levels = [(ids[0], np.eye(k, dtype=np.int64)[None].astype(kern.dtype),
+               np.ones(1, dtype=bool))]
+    walked = _walked(cache, kern.array(np.eye(k, dtype=np.int64)))
+    for j in range(1, k):
+        counts, A, _ = levels[-1]
+        rows = [(s, x) for i, x in enumerate(cache.covered)
+                for s in range(comb(i, j - 1))]
+        parent = np.array([s for s, _ in rows], dtype=np.int64)
+        new = np.array([x for _, x in rows], dtype=np.int64)
+        a = cache.coeffs[j][:, :len(rows)].T.astype(kern.dtype)
+        phi = _annihilate(kern, A[parent], a)[0]
+        counts = counts[parent] + cache.model.counted[new]
+        if j < k - 1:
+            assert (ids[j][:len(rows)] == counts).all()
+            W = walked[j]
+            assert (W.transpose(1, 0, 2) == phi[:W.shape[1]]).all(), j
+        levels.append((counts, phi, phi.any(axis=(1, 2))))
+    return levels
 
 
 def _assert_levels_in_cover_order(cache):
@@ -320,7 +334,7 @@ def _assert_levels_in_cover_order(cache):
     # order; the top level's, derived from its parents, too. Each class of
     # a level is one distinct count vector, its ids fit the level's dtype,
     # and the deficient top rows are listed
-    for (ids, _), counts in zip(cache.levels, cache.counts):
+    for ids, counts in zip(cache.ids, cache.counts):
         assert len({v.tobytes() for v in counts}) == len(counts)
         assert len(counts) <= np.iinfo(ids.dtype).max + 1
     for j, (counts, _, full) in enumerate(_cache_levels(cache)):
@@ -332,16 +346,26 @@ def _assert_levels_in_cover_order(cache):
                 == np.flatnonzero(~full[:len(subsets)]).tolist())
 
 
+def _cut_order(rng, n):
+    """A random order of 1..n, cut after a few coordinates and then one or
+    two at a time."""
+    order = rng.sample(range(1, n + 1), n)
+    cuts = [rng.randrange(1, 5)]
+    while cuts[-1] < n:
+        cuts.append(min(n, cuts[-1] + rng.randrange(1, 3)))
+    return order, cuts
+
+
 @pytest.mark.parametrize("f", [field_make(11), field_make(1000003),
                                field_make(2, 4), field_make(4294967311)], ids=repr)
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
-    # after every growth, level j of the cache holds each j-subset T of
-    # the covered coordinates once, in cover order; its rows are nonzero
-    # iff T has full rank, and then span T's own nullspace; the top level's,
-    # rebuilt from two coefficients and a parent pencil, too; also with
-    # slices of a few cells, so that a coordinate's rows span several
-    # slices and a slice several coordinates
+    # after every growth, level j of the cache, walked on I_k, holds each
+    # j-subset T of the covered coordinates once, in cover order; its rows
+    # are nonzero iff T has full rank, and then span T's own nullspace;
+    # the top level's, rebuilt from two coefficients and a parent pencil,
+    # too; also with slices of a few cells, so that a coordinate's rows
+    # span several slices and a slice several coordinates
     rng = random.Random(f.q * 10 + k)
     kern = field_kernel(f)
     deficient = 0
@@ -359,10 +383,7 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
         cache = construct_mod._FunctionalCache(f, n + 1, k, model)
         # cover a few coordinates, then one or two at a time, in an order
         # that is not increasing
-        order = rng.sample(range(1, n + 1), n)
-        cuts = [rng.randrange(1, 5)]
-        while cuts[-1] < n:
-            cuts.append(min(n, cuts[-1] + rng.randrange(1, 3)))
+        order, cuts = _cut_order(rng, n)
         for cut in cuts:
             state.omega = order[:cut]
             cache.grow(state)
@@ -391,6 +412,51 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
         cache.grow(state)
 
 
+@pytest.mark.parametrize("f", [field_make(1000003), field_make(4294967311),
+                               field_make(2, 4)], ids=repr)
+def test_walk_is_exact_against_repeated_annihilation(f, monkeypatch):
+    # the functionals of every subset, derived from the identity by one
+    # `_annihilate` step per member in cover order, are the walk of I_k,
+    # entry for entry, and each stored a is the functionals of its parent
+    # at its column; the walk of random vectors is those functionals times
+    # them. Random structures over an int64 prime, a prime whose kernel
+    # holds Python ints and GF(2^4), where a_0 = 0 with a != 0 is common
+    rng = random.Random(f.q)
+    kern = field_kernel(f)
+    pivots = 0
+    for trial in range(6):
+        n, k = rng.randrange(6, 10), rng.randrange(2, 6)
+        monkeypatch.setattr(construct_mod, "_SOLVE_CELLS", rng.choice([1, 30, 1 << 17]))
+        model = SimpleNamespace(counted=np.array(
+            [[rng.randrange(2) for _ in range(3)] for _ in range(n + 1)], dtype=np.int8))
+        state = _cache_state(f, n, k, rng)
+        cache = construct_mod._FunctionalCache(f, n + 1, k, model)
+        cols = construct_mod._column_array(state)
+        order, cuts = _cut_order(rng, n)
+        for cut in cuts:
+            state.omega = order[:cut]
+            cache.grow(state)
+            xs = cache.covered
+            phi = {(): kern.array(np.eye(k, dtype=np.int64))}
+            V = kern.array([[rng.randrange(f.q) for _ in range(3)] for _ in range(k)])
+            walked = _walked(cache, kern.array(np.eye(k, dtype=np.int64)))
+            values = _walked(cache, V)
+            for j in range(1, k):
+                for row, T in enumerate(_cover_order(xs, j)):
+                    A = phi[tuple(T[:-1])]
+                    a = kern.matmul(A, cols[T[-1]][:, None])[:, 0]
+                    assert cache.coeffs[j][:, row].tolist() == a.tolist(), (j, T)
+                    pivots += int(a[0] == 0 and a.any())
+                    phi[tuple(T)] = _annihilate(kern, A[None], a[None])[0][0]
+                    if j < k - 1 and row < comb(len(xs) - 1, j):
+                        assert (walked[j][:, row] == phi[tuple(T)]).all(), (j, T)
+                        assert (values[j][:, row]
+                                == kern.matmul(phi[tuple(T)], V)).all(), (j, T)
+            assert (walked[0][:, 0] == np.eye(k)).all() and (values[0][:, 0] == V).all()
+    if f.e > 1:
+        assert pivots > 10
+
+
 @pytest.mark.parametrize("n, k, classes", [
     # 1 + 13 + 78 + 286 classes: level 3's ids take two bytes
     (13, 5, [1, 13, 78, 286]),
@@ -405,7 +471,7 @@ def test_count_classes_fit_their_dtype(n, k, classes):
     state = _cache_state(f, n, k, random.Random(0))
     cache = construct_mod._FunctionalCache(f, n + 1, k, model)
     assert [len(v) for v in cache.counts] == classes
-    assert [ids.dtype for ids, _ in cache.levels] == [
+    assert [ids.dtype for ids in cache.ids] == [
         np.min_scalar_type(c - 1) for c in classes]
     state.omega = list(range(1, 12))
     cache.grow(state)
@@ -413,12 +479,15 @@ def test_count_classes_fit_their_dtype(n, k, classes):
 
 
 def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
-    # nothing is eliminated: construct has no elimination to call. Every
-    # row below the top level is derived by one annihilator step from the
-    # level below, once; the top level by none, as it holds two
-    # coefficients a row. Each annihilator step, and each slice of pencil
-    # functionals gathered for the top level or Psi, reads at most
-    # _SOLVE_CELLS cells, or one row where a row holds more
+    # nothing is eliminated: construct has no elimination to call, and the
+    # cache holds coefficients, no functional. Each walk down the tower, in
+    # `grow` or for a batch of candidates, derives each row of every level
+    # between the identity and the pencils once, by one step from the
+    # level above, on the rows of all covered coordinates but the last;
+    # the top level by none. Each step, and each slice of pencil values
+    # gathered for it or for the top level, reads at most _SOLVE_CELLS
+    # cells, or one row where a row holds more; only rows with a_0 = 0
+    # take `_annihilate`
     assert not hasattr(construct_mod, "_batch_rref")
     builds = [
         lambda: construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0),
@@ -431,48 +500,57 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
     for build in builds:
         want = build()
         monkeypatch.setattr(construct_mod, "_SOLVE_CELLS", cells)
-        real, real_gather = construct_mod._annihilate, construct_mod._gather
-        shapes, gathered, caches = [], [], []
+        real_descend, real_gather = construct_mod._descend, construct_mod._gather
+        real_annihilate = construct_mod._annihilate
+        steps, gathered, pivots, walks, caches = [], [], [], [], []
+
+        def descend(kern, G, a):
+            steps.append(G.shape)
+            return real_descend(kern, G, a)
+
+        def gather(X, segs, dtype):
+            out = real_gather(X, segs, dtype)
+            gathered.append(out.shape)
+            return out
 
         def annihilate(kern, A, a):
-            shapes.append(A.shape)
-            return real(kern, A, a)
-
-        def gather(X, segs):
-            out = real_gather(X, segs)
-            gathered.append((out.shape[0], X[0].size, X.ndim))
-            return out
+            pivots.append(a[:, 0].tolist())
+            return real_annihilate(kern, A, a)
 
         class Cache(construct_mod._FunctionalCache):
             def __init__(self, *args):
                 super().__init__(*args)
                 caches.append(self)
 
-        monkeypatch.setattr(construct_mod, "_annihilate", annihilate)
+            def walk(self, V):
+                start = len(steps)
+                yield from super().walk(V)
+                walks.append((len(self.covered), steps[start:]))
+
+        monkeypatch.setattr(construct_mod, "_descend", descend)
         monkeypatch.setattr(construct_mod, "_gather", gather)
+        monkeypatch.setattr(construct_mod, "_annihilate", annihilate)
         monkeypatch.setattr(construct_mod, "_FunctionalCache", Cache)
         code = build()
         monkeypatch.undo()
         p = code.params
         assert code.generator == want.generator
-        assert all(N * m * l <= max(cells, m * l) for N, m, l in shapes)
-        # pencil functionals and their values (3-D) by cells; class ids
-        # (1-D) by rows
-        assert gathered and all(N * size <= max(cells, size) if ndim == 3
-                                else N <= construct_mod._BATCH
-                                for N, size, ndim in gathered)
+        assert gathered and all(m * R * N <= max(cells, m * N) for m, R, N in gathered)
+        assert all(m * R * N <= max(cells, m * N) for m, R, N in steps)
+        assert all(a0 == 0 for a in pivots for a0 in a)
+        # one walk per growth and per batch of candidates
+        assert len(walks) >= 2 * len(code.steps)
+        for covered, shapes in walks:
+            for j in range(1, p.k - 1):
+                assert sum(R for m, R, _ in shapes if m == p.k - j + 1) == comb(covered - 1, j)
         (cache,) = caches
         assert len(cache.covered) == p.n - 1
-        # the levels are full, each row its subset's counts in cover order,
-        # and the steps into a level derived exactly as many rows as it has
+        # the levels are full, each row its subset's counts in cover order
         _assert_levels_in_cover_order(cache)
-        assert len(cache.levels) == max(1, p.k - 1)
-        for j, (counts, _, _) in enumerate(_cache_levels(cache)):
-            assert len(counts) == comb(p.n - 1, j)
-            if 0 < j < p.k - 1:
-                assert sum(N for N, m, _ in shapes if m == p.k - j + 1) == len(counts)
-        assert all(m > 2 for _, m, _ in shapes)
-        assert cache.top.shape == ((comb(p.n - 1, p.k - 1), 2) if p.k > 1 else (0, 2))
+        assert len(cache.ids) == max(1, p.k - 1)
+        assert [a.shape for a in cache.coeffs[1:]] == [
+            (p.k - j + 1, comb(p.n - 1, j)) for j in range(1, p.k)]
+        assert cache.top is cache.coeffs[-1]
 
 
 def test_cached_counts_and_core_mask_match_brute_force(monkeypatch):
@@ -515,12 +593,13 @@ def test_cached_counts_and_core_mask_match_brute_force(monkeypatch):
 
 
 def test_top_level_holds_two_coefficients_and_bounds_peak_memory(monkeypatch):
-    # a top-level row is its two coefficients, in the narrowest dtype that
-    # holds q - 1, and nothing else; the levels below the top end at the
-    # pencils. A (23, 8, 3, 3) build peaks near 14 MiB under tracemalloc
-    # (18 MiB when each step built every core's functional on the group
-    # span, 31 MiB when each top row held an 8-entry functional, counts and
-    # a flag)
+    # a row of level j holds its k-j+1 coefficients, in the narrowest dtype
+    # that holds q - 1, functionals-major, and nothing else: a top-level row
+    # its two. A (23, 8, 3, 3) build peaks near 7 MiB under tracemalloc
+    # (14 MiB when each level below the top held k-j functionals of k
+    # entries a row, 18 MiB when each step built every core's functional
+    # on the group span, 31 MiB when each top row held an 8-entry
+    # functional, counts and a flag)
     params = CodeParams(23, 8, 3, 3)
     caches = []
 
@@ -533,11 +612,14 @@ def test_top_level_holds_two_coefficients_and_bounds_peak_memory(monkeypatch):
     code = construct(params, seed=0)
     monkeypatch.undo()
     (cache,) = caches
+    narrow = np.min_scalar_type(code.field.q - 1)
     rows = comb(params.n - 1, params.k - 1)
-    assert cache.top.dtype == np.min_scalar_type(code.field.q - 1)
-    assert cache.top.shape == (rows, 2)
-    assert cache.top.nbytes == rows * 2 * cache.top.itemsize
-    assert len(cache.levels) == params.k - 1
+    assert cache.top.shape == (2, rows)
+    assert cache.top.nbytes == rows * 2 * narrow.itemsize
+    assert len(cache.ids) == len(cache.coeffs) - 1 == params.k - 1
+    for j, a in enumerate(cache.coeffs[1:], start=1):
+        assert a.dtype == narrow and a.flags.c_contiguous
+        assert a.shape == (params.k - j + 1, comb(params.n - 1, j))
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -547,7 +629,7 @@ def test_top_level_holds_two_coefficients_and_bounds_peak_memory(monkeypatch):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 16 << 20, peak
+    assert peak <= 15 << 19, peak
 
 
 @pytest.mark.parametrize("params, steps, cores", [
