@@ -275,7 +275,7 @@ def _descend(kern, G: np.ndarray, a: np.ndarray) -> np.ndarray:
     `_annihilate`. Where a = 0 the values are zero."""
     out = kern.cross(G[1:], a[:1, :, None], a[1:, :, None], G[:1])
     redo = np.flatnonzero(a[0] == 0)
-    redo = redo[a[1:, redo].any(axis=0)]
+    redo = redo[(a[1:, redo] != 0).any(axis=0)]
     if redo.size:
         out[:, redo] = _annihilate(kern, G[:, redo].transpose(1, 0, 2),
                                    a[:, redo].T)[0].transpose(1, 0, 2)
@@ -377,21 +377,20 @@ class _FunctionalCache:
         if len(order) >= self.n:
             raise PreconditionViolated(
                 f"the cache holds subsets of at most {self.n - 1} coordinates")
-        new = list(enumerate(order))[old:]
-        if not new:
+        if old == len(order):
             return 0
         dead = [self.deficient]
         cols = _column_array(state)[order[old:]].T
         for j, W in enumerate(self.walk(cols), start=1):
             # x's values at level j-1 are its rows' a at level j
-            for col, (i, x) in enumerate(new):
+            for i in range(old, len(order)):
                 lo, m = comb(i, j), comb(i, j - 1)
-                self.coeffs[j][:, lo:lo + m] = W[:, :m, col]
+                a = self.coeffs[j][:, lo:lo + m]
+                a[:] = W[:, :m, i - old]
                 if j == self.k - 1:
-                    a = self.coeffs[j][:, lo:lo + m]
-                    dead.append(lo + np.flatnonzero(~a.any(axis=0)))
+                    dead.append(lo + np.flatnonzero((a == 0).all(axis=0)))
                 else:  # T + x's class, from T's and x's
-                    self.succ[j][self.xclass[x]].take(
+                    self.succ[j][self.xclass[order[i]]].take(
                         self.ids[j - 1][:m], out=self.ids[j][lo:lo + m])
         self.deficient = np.concatenate(dead)
         return comb(len(order), self.k - 1) - comb(old, self.k - 1)

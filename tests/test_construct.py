@@ -325,7 +325,7 @@ def _cache_levels(cache):
             assert (ids[j][:len(rows)] == counts).all()
             W = walked[j]
             assert (W.transpose(1, 0, 2) == phi[:W.shape[1]]).all(), j
-        levels.append((counts, phi, phi.any(axis=(1, 2))))
+        levels.append((counts, phi, (phi != 0).any(axis=(1, 2))))
     return levels
 
 
@@ -430,6 +430,10 @@ def test_walk_is_exact_against_repeated_annihilation(f, monkeypatch):
         model = SimpleNamespace(counted=np.array(
             [[rng.randrange(2) for _ in range(3)] for _ in range(n + 1)], dtype=np.int8))
         state = _cache_state(f, n, k, rng)
+        # a column with first entry 0 and another nonzero: its level 1 row
+        # takes pivot 1 in every field
+        x = rng.randrange(1, n + 1)
+        state.columns[x] = (0, 1 + rng.randrange(f.q - 1)) + state.columns[x][2:]
         cache = construct_mod._FunctionalCache(f, n + 1, k, model)
         cols = construct_mod._column_array(state)
         order, cuts = _cut_order(rng, n)
@@ -446,15 +450,17 @@ def test_walk_is_exact_against_repeated_annihilation(f, monkeypatch):
                     A = phi[tuple(T[:-1])]
                     a = kern.matmul(A, cols[T[-1]][:, None])[:, 0]
                     assert cache.coeffs[j][:, row].tolist() == a.tolist(), (j, T)
-                    pivots += int(a[0] == 0 and a.any())
                     phi[tuple(T)] = _annihilate(kern, A[None], a[None])[0][0]
                     if j < k - 1 and row < comb(len(xs) - 1, j):
+                        pivots += int(a[0] == 0 and (a != 0).any())
                         assert (walked[j][:, row] == phi[tuple(T)]).all(), (j, T)
                         assert (values[j][:, row]
                                 == kern.matmul(phi[tuple(T)], V)).all(), (j, T)
             assert (walked[0][:, 0] == np.eye(k)).all() and (values[0][:, 0] == V).all()
+    # walked rows that took a pivot past a_0
+    assert pivots >= 6
     if f.e > 1:
-        assert pivots > 10
+        assert pivots > 20
 
 
 @pytest.mark.parametrize("n, k, classes", [
