@@ -308,8 +308,8 @@ def _cache_levels(cache):
     ids, and the rows the walk covers are its values, entry for entry.
     For k = 1 the top level is level 0."""
     kern, k = cache.kern, cache.k
-    ids = [counts[i] for i, counts in zip(cache.ids, cache.counts)]
-    levels = [(ids[0], np.eye(k, dtype=np.int64)[None].astype(kern.dtype),
+    held = [counts[i] for i, counts in zip(cache.ids, cache.counts)]
+    levels = [(held[0], np.eye(k, dtype=np.int64)[None].astype(kern.dtype),
                np.ones(1, dtype=bool))]
     walked = _walked(cache, kern.array(np.eye(k, dtype=np.int64)))
     for j in range(1, k):
@@ -322,7 +322,7 @@ def _cache_levels(cache):
         phi = _annihilate(kern, A[parent], a)[0]
         counts = counts[parent] + cache.model.counted[new]
         if j < k - 1:
-            assert (ids[j][:len(rows)] == counts).all()
+            assert (held[j][:len(rows)] == counts).all()
             W = walked[j]
             assert (W.transpose(1, 0, 2) == phi[:W.shape[1]]).all(), j
         levels.append((counts, phi, (phi != 0).any(axis=(1, 2))))
