@@ -492,7 +492,7 @@ def _core_values(state: ExtensionState, lam: int, basis: np.ndarray):
         if k == 1:  # the empty subset's functional is the identity
             yield V.T[ok]
             return
-        for PV in cache.walk(V.T):
+        for PV in cache.walk(V.T):  # its last level is the pencils'
             pass
         for lo, hi, segs in cache.slices(k - 1, _SOLVE_CELLS // (2 * len(C))):
             Q, a = _gather(PV, segs, kern.dtype), cache.top[:, lo:hi, None]

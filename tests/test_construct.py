@@ -489,7 +489,7 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
     # cache holds coefficients, no functional. Each walk down the tower, in
     # `grow` or for a batch of candidates, derives each row of every level
     # between the identity and the pencils once, by one step from the
-    # level above, on the rows of all covered coordinates but the last;
+    # previous level, on the rows of all covered coordinates but the last;
     # the top level by none. Each step, and each slice of pencil values
     # gathered for it or for the top level, reads at most _SOLVE_CELLS
     # cells, or one row where a row holds more; only rows with a_0 = 0
