@@ -55,10 +55,7 @@ def _encode(code: LrcCode) -> dict:
 
 
 def _decode_field(data: dict) -> FieldSpec:
-    p, e, poly = index(data["p"]), index(data["e"]), index(data["poly"])
-    if e == 1 and poly:
-        raise CodeFileError(f"GF({p}) has no modulus, got poly {poly}")
-    return field_make(p, e, poly or None)
+    return field_make(index(data["p"]), index(data["e"]), index(data["poly"]) or None)
 
 
 def _decode(data: dict) -> LrcCode:

@@ -266,22 +266,6 @@ def _gather(X: np.ndarray, segs: list, dtype) -> np.ndarray:
     return np.concatenate([X[:, s:e] for s, e in segs], axis=1, dtype=dtype)
 
 
-def _descend(kern, G: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """One annihilator step on values: the m x rows x N values G of each
-    parent's m functionals on N vectors, with each row's coefficients a
-    (m x rows), to the m-1 values a_p G_i - a_i G_p, i != p, with p a's
-    first nonzero entry, as `_annihilate` takes it. Pivot 0 by slicing;
-    the rows whose a_0 = 0 and a != 0 are gathered and stepped by
-    `_annihilate`. Where a = 0 the values are zero."""
-    out = kern.cross(G[1:], a[:1, :, None], a[1:, :, None], G[:1])
-    redo = np.flatnonzero(a[0] == 0)
-    redo = redo[(a[1:, redo] != 0).any(axis=0)]
-    if redo.size:
-        out[:, redo] = _annihilate(kern, G[:, redo].transpose(1, 0, 2),
-                                   a[:, redo].T)[0].transpose(1, 0, 2)
-    return out
-
-
 class _FunctionalCache:
     """The annihilator tower over the covered coordinates, kept across
     steps as coefficients: no functional is stored.
@@ -291,9 +275,10 @@ class _FunctionalCache:
     values at x of the k-j+1 functionals A_T that vanish on span(T).
     Level 0 is the empty subset, whose functionals are the identity, so a
     level 1 row holds c_x itself. One annihilator step (`_annihilate`)
-    would make the rows a_p A_i - a_i A_p, i != p, the k-j functionals of
-    T + x. a is zero exactly where T + x is rank-deficient, and then so
-    are those functionals and the a of every row that extends T + x.
+    would make the rows a_0 A_i - a_i A_0, i >= 1 (after a change of basis
+    where a_0 = 0), the k-j functionals of T + x. a is zero exactly where
+    T + x is rank-deficient, and then so are those functionals and the a
+    of every row that extends T + x.
     Level j is `coeffs[j]`, (k-j+1) x C(n-1, j) in the narrowest dtype
     that holds q-1, functionals-major so that the long row axis is
     innermost, allocated once with what a build fills, as the last
@@ -308,7 +293,7 @@ class _FunctionalCache:
 
     `walk` streams vectors down the tower: a vector's values under A_T are
     derived level by level with the stored a, by the same step, since
-    A_{T+x} v = a_p (A_T,i v) - a_i (A_T,p v) exactly. So the values under
+    A_{T+x} v = a_0 (A_T,i v) - a_i (A_T,0 v) exactly. So the values under
     the functionals are those that storing the functionals would give, and
     the values of I_k are the functionals themselves.
 
@@ -400,10 +385,11 @@ class _FunctionalCache:
         j = 0 .. k-2, their values under each row's k-j functionals at
         level j, (k-j) x rows x N, on the rows of the coordinates covered
         before the last one, C(L-1, j) rows for L covered; level 0 is V.
-        Level j is derived from level j-1 with the stored coefficients,
-        which must be in place when it is asked for, in slices whose int64
-        operands hold about _SOLVE_CELLS cells; a level is held in the
-        narrow dtype while the next is derived from it. Nothing for k = 1.
+        Level j is derived from level j-1 by one `_annihilate` step with
+        the stored coefficients, which must be in place when it is asked
+        for, in slices whose int64 operands hold about _SOLVE_CELLS cells;
+        a level is held in the narrow dtype while the next is derived from
+        it. Nothing for k = 1.
         """
         if self.k == 1:
             return
@@ -414,8 +400,8 @@ class _FunctionalCache:
             m, N = self.k - j + 1, W.shape[2]
             out = np.empty((m - 1, comb(stop, j), N), self.dtype)
             for lo, hi, segs in self.slices(j, _SOLVE_CELLS // (m * N), stop):
-                out[:, lo:hi] = _descend(kern, _gather(W, segs, kern.dtype),
-                                         self.coeffs[j][:, lo:hi])
+                out[:, lo:hi] = _annihilate(kern, _gather(W, segs, kern.dtype),
+                                            self.coeffs[j][:, lo:hi])[0]
             W = out
             yield W
 

@@ -18,7 +18,8 @@ class CompositeCharacteristic(LrcError):
 
 
 class ReduciblePolynomial(LrcError):
-    """Supplied modulus polynomial is not irreducible over GF(2)."""
+    """Supplied modulus polynomial defines no supported field: it is
+    reducible over GF(2), not of the field's degree, or given for GF(p)."""
 
 
 class UnsupportedExtension(LrcError):

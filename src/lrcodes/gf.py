@@ -233,7 +233,8 @@ def field_make(characteristic: int, degree: int = 1,
 
     `modulus_poly` is a bitmask (bit i = coefficient of x^i), monic of
     the requested degree and irreducible over GF(2); omitted, the
-    built-in table is used. Degrees stop at 16.
+    built-in table is used. Degrees stop at 16. A prime field (degree 1)
+    has no modulus: a nonzero one raises.
     """
     if characteristic >= _MR_EXACT_BELOW:
         raise BoundTooLarge(
@@ -244,6 +245,9 @@ def field_make(characteristic: int, degree: int = 1,
     if degree < 1:
         raise UnsupportedExtension(f"degree must be >= 1, got {degree}")
     if degree == 1:
+        if modulus_poly:
+            raise ReduciblePolynomial(
+                f"GF({characteristic}) has no modulus, got poly {modulus_poly}")
         return FieldSpec(characteristic, 1, 0)
     if characteristic != 2:
         raise UnsupportedExtension(

@@ -9,10 +9,10 @@ Single matrices are reduced in scalar Python (`rank`, reduced bases);
 many small matrices at once go through `_batch_rref`, the one batched
 elimination, on the field's numpy kernel. The functionals that vanish
 on column sets are never eliminated: `_annihilate` extends a basis of
-those of T to those of T + c, and their values on vectors alike. The
-pencil scan steps values on the generator's columns with it; the
-construction cache, which keeps only each step's coefficients, steps its
-vectors' values itself and calls it on the rows whose pivot is not 0.
+those of T to those of T + c, and their values on vectors alike, in
+the functionals-major layout of both towers that step with it: the
+pencil scan's, on the generator's columns, and the construction cache's,
+on the vectors it walks down its stored coefficients.
 """
 
 from __future__ import annotations
@@ -206,17 +206,24 @@ def _batch_rref(kern, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _annihilate(kern, A: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One annihilator step: rows A (N x m x l) and their coefficients a
-    (N x m) on a new column c, to the rows a_p A_i - a_i A_p, i != p, with
-    p a's first nonzero entry, and the mask a != 0. For functionals A that
-    vanish on T, a = A.c and the rows vanish on T + c, of full rank iff T
-    is and a != 0; for their values on the columns, a is those at c. Where
-    a = 0 the rows are zero, and stay so (a = 0) in every later step."""
-    N, m, _ = A.shape
-    nonzero = a != 0
-    p = nonzero.argmax(axis=1)
-    rows = np.arange(N)[:, None]
-    rest = np.arange(m - 1) + (np.arange(m - 1) >= p[:, None])
-    out = kern.cross(A[rows, rest], a[rows, p[:, None], None],
-                     a[rows, rest, None], A[rows, p[:, None]])
-    return out, nonzero.any(axis=1)
+    """One annihilator step: rows A (m x N x l) and their coefficients a
+    (m x N) on a new column c, to the m-1 rows a_0 A_i - a_i A_0, i >= 1,
+    and the mask a != 0. For functionals A that vanish on T, a = A.c and
+    the rows vanish on T + c, of full rank iff T is and a != 0; for their
+    values on the columns, a is those at c. Where a_0 = 0 and a != 0, A_0
+    is first replaced by A_0 + A_p and a_0 by a_p, with p a's first nonzero
+    entry: a change of basis. Where a = 0 the rows are zero, and stay so
+    (a = 0) in every later step."""
+    full = a[0] != 0
+    fix = np.flatnonzero(~full)
+    nonzero = a[1:, fix] != 0
+    full[fix] = live = nonzero.any(axis=0)
+    fix, p = fix[live], 1 + nonzero[:, live].argmax(axis=0)
+    a0, A0 = a[0], A[0]
+    if fix.size:
+        a0, A0 = a0.copy(), A0.copy()
+        a0[fix] = a[p, fix]
+        shifted = A0[fix]
+        kern.fma(shifted, 1, A[p, fix])
+        A0[fix] = shifted
+    return kern.cross(A[1:], a0[:, None], a[1:, :, None], A0), full

@@ -11,8 +11,9 @@ the same pencil scan, or by a sweep of the subsets themselves when
 that scans fewer. One elimination gives the generator's RREF, whose
 last rows are the first pencil; the subsets stream down one annihilator
 tower from it, each with the values on the columns of the functionals
-that vanish on it, by one step a subset; a subtree is cut when no
-hyperplane with its canonical prefix in that subtree can change an answer.
+that vanish on it, by one step a subset (`linalg._annihilate`, as in
+construction); a subtree is cut when no hyperplane with its canonical
+prefix in that subtree can change an answer.
 The subset sweep, locality and the structure theorem's punctured MDS
 codes ask one question: which subset of a given size in a column set
 is first to fall below a given rank. One batched scan answers all three.
@@ -270,7 +271,7 @@ def _pencil_hyperplanes(kern, XY: np.ndarray
     the columns, each column's slope label (-1 at infinity, -2 in span(T)),
     the span(T) mask, and the size of the hyperplane each column names: its
     slope class plus span(T). A column in span(T) names none (at rank k)."""
-    x, y = XY.transpose(1, 0, 2)
+    x, y = XY
     span = (x == 0) & (y == 0)
     label = np.where(span, -2, -1).astype(x.dtype, copy=False)
     finite = x != 0
@@ -290,11 +291,12 @@ def _pencil_hyperplanes(kern, XY: np.ndarray
 
 def _pencils(kern, G: np.ndarray, floor: Callable[[], int]) -> Iterator[np.ndarray]:
     """The pencils of the independent (k-2)-subsets T of the k x n
-    generator's columns, in lexicographic order, as N x 2 x n batches of
+    generator's columns, in lexicographic order, as 2 x N x n batches of
     the values (X, Y) on the columns of two functionals that vanish on T.
     Down one annihilator tower from G: a j-subset P's k-j rows of values
-    B give P + x's, x > max(P), by one step with a = B[:, x]. A deficient
-    subset is dropped at its level, as its extensions are deficient too.
+    B give P + x's, x > max(P), by one step with a = B[:, x], for a batch
+    of N subsets functionals-major, (k-j) x N x n. A deficient subset is
+    dropped at its level, as its extensions are deficient too.
     So is P + x with its subtree when it is no canonical prefix (the first
     columns a lexicographic greedy pass keeps as independent) of a
     hyperplane H of floor() columns or more, read once per batch of
@@ -308,12 +310,12 @@ def _pencils(kern, G: np.ndarray, floor: Callable[[], int]) -> Iterator[np.ndarr
     def level(j: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         # the j-subsets with room for k-2-j more columns, and their last
         if j == 0:
-            yield G[None], np.array([-1])
+            yield G[:, None], np.array([-1])
             return
         stop = n - (k - 2 - j)
         rows = max(1, _BATCH_CELLS // max(1, (k - j) * n))
         for B, last in level(j - 1):
-            spanned = ~B.any(axis=1)
+            spanned = ~B.any(axis=0)
             reach = np.cumsum(spanned, axis=1) - spanned + (n - cols) >= floor()
             end = np.minimum(stop, reach.sum(axis=1))
             # parent i owns children ends[i] - count[i] .. ends[i] - 1
@@ -323,9 +325,9 @@ def _pencils(kern, G: np.ndarray, floor: Callable[[], int]) -> Iterator[np.ndarr
                 at = np.arange(lo, min(lo + rows, ends[-1]))
                 owner = np.searchsorted(ends, at, side="right")
                 x = at - ends[owner] + count[owner] + last[owner] + 1
-                out, full = _annihilate(kern, B[owner], B[owner, :, x])
+                out, full = _annihilate(kern, B[:, owner], B[:, owner, x])
                 if not full.all():
-                    out, x = out[full], x[full]
+                    out, x = out[:, full], x[full]
                 if x.size:
                     yield out, x
                 del out
@@ -367,9 +369,9 @@ def _pencil_scan(m: Matrix, size: Optional[int], R: np.ndarray
     # the answer so far; largest as (-size, set), so that the min wins
     largest, first, labelled = (1, ()), None, 0  # nothing yet: size -1
     floor = size if size is not None else 1 + int(
-        _pencil_hyperplanes(kern, R[:, k - 2:])[2].max())
+        _pencil_hyperplanes(kern, R[0, k - 2:, None])[2].max())
     for XY in _pencils(kern, R[0], lambda: floor):
-        labelled += len(XY)
+        labelled += XY.shape[1]
         label, span, sizes = _pencil_hyperplanes(kern, XY)
 
         def on(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

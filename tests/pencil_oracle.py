@@ -23,9 +23,10 @@ from lrcodes.linalg import rank
 
 def annihilate_step(kern, A, c):
     """Functionals A (N x m x k) that vanish on column sets T, and one
-    column c (N x k) each, to those of T + c: with a = A.c and p its
-    first nonzero entry, the rows a_p A_i - a_i A_p for i != p (zero where
-    a = 0), and whether a != 0."""
+    column c (N x k) each, to those of T + c: with a = A.c, the rows
+    a_0 A_i - a_i A_0 for i >= 1, where first, if a_0 = 0 and a != 0, A_0
+    becomes A_0 + A_p and a_0 becomes a_p, p a's first nonzero entry; zero
+    rows where a = 0; and whether a != 0."""
     a = kern.matmul(A, c[:, :, None])[:, :, 0]
     N, m, k = A.shape
     out = kern.zeros((N, m - 1, k))
@@ -33,9 +34,11 @@ def annihilate_step(kern, A, c):
         nonzero = np.flatnonzero(a[t] != 0)
         if nonzero.size:
             p = nonzero[0]
-            rest = [i for i in range(m) if i != p]
-            out[t] = kern.mul(A[t, rest], a[t, p])
-            kern.fms(out[t], a[t, rest, None], A[t, p][None])
+            first, a0 = A[t, 0].copy(), a[t, p]
+            if p:
+                kern.fma(first, 1, A[t, p])
+            out[t] = kern.mul(A[t, 1:], a0)
+            kern.fms(out[t], a[t, 1:, None], first[None])
     return out, (a != 0).any(axis=1)
 
 

@@ -265,7 +265,8 @@ def test_criterion_11_large_instance_within_budget():
     # the exact distance scans the C(37,5) = 435,897 pencils and must find
     # d = 27; the certificate, with no distance known, takes the same
     # pencil scan, far fewer than the C(37,11) = 854,992,152 subsets it
-    # covers, and must certify; once d = 27 is known it reads it instead
+    # covers, and must certify; each labels 172,305 of the pencils, the
+    # rest cut by the floor. Once d = 27 is known it reads it instead
     with criterion(11):
         p = CodeParams(37, 7, 3, 3)
         assert field_bound(p) == 2324784
@@ -292,9 +293,11 @@ def test_criterion_11_large_instance_within_budget():
         assert ok and report.witness is None
         assert report.subsets_total == comb(37, 11) == 854992152
         assert (report.route, report.scanned) == (PENCIL_ROUTE, comb(37, 5))
+        assert report.labelled == 172305
 
         rep = min_distance(code)
         assert rep.method == RANK_METHOD and rep.scanned == comb(37, 5)
+        assert rep.labelled == 172305
         assert rep.d == 27 and len(rep.witness) == 37 - 27
         assert rank(code.generator, rep.witness) < 7
 

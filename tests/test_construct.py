@@ -298,9 +298,10 @@ def _walked(cache, V):
 
 def _cache_levels(cache):
     """(counts, functionals, flags) of each level j = 0 .. k-1 of the
-    cache over every live row, a row's flag whether its functionals are
-    nonzero. Level 0 is the empty subset and the identity. Level j >= 1
-    is rebuilt from its layout: covered coordinate i's rows are T + x_i
+    cache over every live row, the functionals (k-j) x rows x k, a row's
+    flag whether its functionals are nonzero. Level 0 is the empty subset
+    and the identity. Level j >= 1 is rebuilt from its layout: covered
+    coordinate i's rows are T + x_i
     for the rows T = 0 .. C(i, j-1) - 1 of level j-1 in order, each with
     T's counts plus counted[x_i] and, by one `_annihilate` step with its
     stored coefficients a, the functionals of T + x_i, T's read off the
@@ -309,7 +310,7 @@ def _cache_levels(cache):
     For k = 1 the top level is level 0."""
     kern, k = cache.kern, cache.k
     held = [counts[i] for i, counts in zip(cache.ids, cache.counts)]
-    levels = [(held[0], np.eye(k, dtype=np.int64)[None].astype(kern.dtype),
+    levels = [(held[0], kern.array(np.eye(k, dtype=np.int64)[:, None]),
                np.ones(1, dtype=bool))]
     walked = _walked(cache, kern.array(np.eye(k, dtype=np.int64)))
     for j in range(1, k):
@@ -318,14 +319,14 @@ def _cache_levels(cache):
                 for s in range(comb(i, j - 1))]
         parent = np.array([s for s, _ in rows], dtype=np.int64)
         new = np.array([x for _, x in rows], dtype=np.int64)
-        a = cache.coeffs[j][:, :len(rows)].T.astype(kern.dtype)
-        phi = _annihilate(kern, A[parent], a)[0]
+        a = cache.coeffs[j][:, :len(rows)].astype(kern.dtype)
+        phi = _annihilate(kern, A[:, parent], a)[0]
         counts = counts[parent] + cache.model.counted[new]
         if j < k - 1:
             assert (held[j][:len(rows)] == counts).all()
             W = walked[j]
-            assert (W.transpose(1, 0, 2) == phi[:W.shape[1]]).all(), j
-        levels.append((counts, phi, (phi != 0).any(axis=(1, 2))))
+            assert (W == phi[:, :W.shape[1]]).all(), j
+        levels.append((counts, phi, (phi != 0).any(axis=(0, 2))))
     return levels
 
 
@@ -391,7 +392,7 @@ def test_derived_functionals_match_their_own_elimination(f, k, monkeypatch):
             _assert_levels_in_cover_order(cache)
             for j, (_, A, full) in enumerate(_cache_levels(cache)):
                 live = comb(cut, j)
-                A, full = A[:live], full[:live]
+                A, full = A[:, :live].transpose(1, 0, 2), full[:live]
                 E = np.array(_cover_order(cache.covered, j),
                              dtype=np.int64).reshape(live, j)
                 if j == 0:
@@ -450,7 +451,7 @@ def test_walk_is_exact_against_repeated_annihilation(f, monkeypatch):
                     A = phi[tuple(T[:-1])]
                     a = kern.matmul(A, cols[T[-1]][:, None])[:, 0]
                     assert cache.coeffs[j][:, row].tolist() == a.tolist(), (j, T)
-                    phi[tuple(T)] = _annihilate(kern, A[None], a[None])[0][0]
+                    phi[tuple(T)] = _annihilate(kern, A[:, None], a[:, None])[0][:, 0]
                     if j < k - 1 and row < comb(len(xs) - 1, j):
                         pivots += int(a[0] == 0 and (a != 0).any())
                         assert (walked[j][:, row] == phi[tuple(T)]).all(), (j, T)
@@ -492,8 +493,8 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
     # previous level, on the rows of all covered coordinates but the last;
     # the top level by none. Each step, and each slice of pencil values
     # gathered for it or for the top level, reads at most _SOLVE_CELLS
-    # cells, or one row where a row holds more; only rows with a_0 = 0
-    # take `_annihilate`
+    # cells, or one row where a row holds more; a step's coefficients are
+    # one per functional and row
     assert not hasattr(construct_mod, "_batch_rref")
     builds = [
         lambda: construct(CodeParams(12, 5, 2, 3), field_make(499), seed=0),
@@ -506,22 +507,18 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
     for build in builds:
         want = build()
         monkeypatch.setattr(construct_mod, "_SOLVE_CELLS", cells)
-        real_descend, real_gather = construct_mod._descend, construct_mod._gather
-        real_annihilate = construct_mod._annihilate
-        steps, gathered, pivots, walks, caches = [], [], [], [], []
+        real_annihilate, real_gather = construct_mod._annihilate, construct_mod._gather
+        steps, gathered, walks, caches = [], [], [], []
 
-        def descend(kern, G, a):
-            steps.append(G.shape)
-            return real_descend(kern, G, a)
+        def annihilate(kern, A, a):
+            assert a.shape == A.shape[:2]
+            steps.append(A.shape)
+            return real_annihilate(kern, A, a)
 
         def gather(X, segs, dtype):
             out = real_gather(X, segs, dtype)
             gathered.append(out.shape)
             return out
-
-        def annihilate(kern, A, a):
-            pivots.append(a[:, 0].tolist())
-            return real_annihilate(kern, A, a)
 
         class Cache(construct_mod._FunctionalCache):
             def __init__(self, *args):
@@ -533,7 +530,6 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
                 yield from super().walk(V)
                 walks.append((len(self.covered), steps[start:]))
 
-        monkeypatch.setattr(construct_mod, "_descend", descend)
         monkeypatch.setattr(construct_mod, "_gather", gather)
         monkeypatch.setattr(construct_mod, "_annihilate", annihilate)
         monkeypatch.setattr(construct_mod, "_FunctionalCache", Cache)
@@ -543,7 +539,6 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
         assert code.generator == want.generator
         assert gathered and all(m * R * N <= max(cells, m * N) for m, R, N in gathered)
         assert all(m * R * N <= max(cells, m * N) for m, R, N in steps)
-        assert all(a0 == 0 for a in pivots for a0 in a)
         # one walk per growth and per batch of candidates
         assert len(walks) >= 2 * len(code.steps)
         for covered, shapes in walks:

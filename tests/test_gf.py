@@ -203,6 +203,16 @@ def test_field_make_rejects_bad_input():
         field_make(2, 3, 0b111)  # degree 2, not 3
 
 
+def test_field_make_rejects_a_modulus_for_a_prime_field():
+    # GF(p) has no modulus: one given is refused, not dropped; none, or 0
+    # as a code file stores it, builds GF(p)
+    for p, poly in ((7, 5), (17, 19), (2, 3), (17, 1)):
+        with pytest.raises(ReduciblePolynomial,
+                           match=rf"^GF\({p}\) has no modulus, got poly {poly}$"):
+            field_make(p, 1, poly)
+    assert field_make(7, 1, None) == field_make(7, 1, 0) == field_make(7)
+
+
 def test_field_make_accepts_explicit_modulus():
     f = field_make(2, 3, 0b1011)  # x^3 + x + 1
     assert f.poly == 0b1011

@@ -212,12 +212,13 @@ def test_annihilate_matches_gauss_jordan(f, kk):
     # from the identity, one column at a time (m = kk down to 2): the
     # flags are the full rank of each prefix T + c, and where T + c is
     # full the rows span its nullspace; planted zero columns, columns in
-    # span(T), and steps after T went deficient must all show up
+    # span(T), steps after T went deficient and full steps whose a_0 = 0
+    # must all show up
     rng = random.Random(f.q * 10 + kk)
     kern = field_kernel(f)
     N = 60
     cols = []
-    planted = {"zero": 0, "in span": 0, "after deficient": 0}
+    planted = {"zero": 0, "in span": 0, "after deficient": 0, "pivot past a_0": 0}
     for t in range(kk - 1):
         step = []
         for i in range(N):
@@ -230,23 +231,29 @@ def test_annihilate_matches_gauss_jordan(f, kk):
                     a = rng.randrange(f.q)
                     c = [f.add(x, f.mul(a, y)) for x, y in zip(c, prev[i])]
                 step.append(tuple(c))
+            elif roll < 0.45:  # a_0 = 0 at the first step, from the identity
+                step.append((0,) + tuple(rng.randrange(f.q) for _ in range(kk - 1)))
             else:
                 step.append(tuple(rng.randrange(f.q) for _ in range(kk)))
         cols.append(step)
-    A = kern.array(np.broadcast_to(np.eye(kk, dtype=np.int64), (N, kk, kk)))
+    # functionals-major: A is m x N x kk, a and the flags per column of N
+    A = kern.array(np.broadcast_to(np.eye(kk, dtype=np.int64)[:, None], (kk, N, kk)))
     was_full = np.ones(N, dtype=bool)
     for t, step in enumerate(cols):
         c = kern.array(step)
-        A, full = _annihilate(kern, A, kern.matmul(A, c[:, :, None])[:, :, 0])
-        assert A.shape == (N, kk - t - 1, kk) and A.dtype == kern.dtype
+        a = kern.matmul(A.transpose(1, 0, 2), c[:, :, None])[:, :, 0].T
+        A, full = _annihilate(kern, A, a)
+        assert A.shape == (kk - t - 1, N, kk) and A.dtype == kern.dtype
         T = kern.array([[cols[s][i] for s in range(t + 1)] for i in range(N)])
         want, want_full = batch_nullspace(kern, T)
         assert full.tolist() == want_full.tolist(), (f, kk, t)
-        assert (row_spaces(kern, A[full]) == row_spaces(kern, want[full])).all()
-        assert not A[~full].any()
+        got = A.transpose(1, 0, 2)
+        assert (row_spaces(kern, got[full]) == row_spaces(kern, want[full])).all()
+        assert not A[:, ~full].any()
         planted["zero"] += int((was_full & ~c.any(axis=1)).sum())
         planted["in span"] += int((was_full & ~full & c.any(axis=1)).sum())
         planted["after deficient"] += int((~was_full).sum())
+        planted["pivot past a_0"] += int((full & (a[0] == 0)).sum())
         was_full = full
     if kk >= 3:
         assert all(planted.values()), planted
