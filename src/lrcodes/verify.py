@@ -13,7 +13,12 @@ last rows are the first pencil; the subsets stream down one annihilator
 tower from it, each with the values on the columns of the functionals
 that vanish on it, by one step a subset (`linalg._annihilate`, as in
 construction); a subtree is cut when no hyperplane with its canonical
-prefix in that subtree can change an answer.
+prefix in that subtree can change an answer. A pencil T = P + x is
+labelled on its columns from x on only, the rest read as span(P): a
+hyperplane's columns below x lie in span(P) at its canonical prefix, the
+first subset in lexicographic order that holds it, where it is counted
+in full; a later T through it counts a part of it. So every answer is
+the one all n columns would give.
 The subset sweep, locality and the structure theorem's punctured MDS
 codes ask one question: which subset of a given size in a column set
 is first to fall below a given rank. One batched scan answers all three.
@@ -265,34 +270,50 @@ def _lex_first(sets: np.ndarray) -> tuple[int, ...]:
     return tuple((np.flatnonzero(sets[top]) + 1).tolist())
 
 
-def _pencil_hyperplanes(kern, XY: np.ndarray
+def _pencil_hyperplanes(kern, XY: np.ndarray, x: np.ndarray, below: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For pencils given by the values (X, Y) of their two functionals on
-    the columns, each column's slope label (-1 at infinity, -2 in span(T)),
-    the span(T) mask, and the size of the hyperplane each column names: its
-    slope class plus span(T). A column in span(T) names none (at rank k)."""
-    x, y = XY
-    span = (x == 0) & (y == 0)
-    label = np.where(span, -2, -1).astype(x.dtype, copy=False)
-    finite = x != 0
-    label[finite] = kern.mul(y[finite], kern.inv(x[finite]))
-    # class sizes from one sort per row (every row starts a run)
-    order = np.argsort(label, axis=1)
-    ranked = np.take_along_axis(label, order, axis=1)
-    starts = np.ones(label.shape, dtype=bool)
-    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    runs = np.diff(np.flatnonzero(starts), append=starts.size)
-    shared = np.empty(label.shape, dtype=np.int64)
-    np.put_along_axis(shared, order, np.repeat(runs, runs).reshape(label.shape),
-                      axis=1)
-    z = span.sum(axis=1, keepdims=True)
-    return label, span, np.where(span, 0, z + shared)
+    """For pencils T = P + x given by the values (X, Y) of their two
+    functionals on the columns from c0 on, and the span(P) mask of the c0
+    columns below: on the columns from c0 on, each one's slope label (q
+    at infinity; -1 in span(T) and below the pencil's own window, its
+    columns from x on), the span(T) mask, and the size of the hyperplane
+    H each own column names: its slope class on the own window, plus
+    span(P) below c0 and span(T) from c0 on. A column in span(T) names
+    none (at rank k). At H's canonical prefix that size is |H|, as H's
+    columns below x lie in span(P); at any other T through H it counts a
+    part of H. The class sizes come from one sort of the batch's
+    (pencil, label) keys, made in the field's dtype: a row times q + 1
+    passes 2^63 at q = 2^61 - 1."""
+    X, Y = XY
+    c0 = below.shape[1]
+    span = (X == 0) & (Y == 0)
+    own = np.flatnonzero(~span & (np.arange(c0, c0 + X.shape[1]) >= x[:, None]))
+    X, Y = X.reshape(-1)[own], Y.reshape(-1)[own]
+    slope = np.full(own.size, kern.q, dtype=XY.dtype)
+    finite = X != 0
+    slope[finite] = kern.mul(Y[finite], kern.inv(X[finite]))
+    row = own // span.shape[1]
+    key = row.astype(XY.dtype) * (kern.q + 1) + slope
+    order = np.argsort(key)
+    ranked = key[order]
+    starts = np.ones(key.size, dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    runs = np.diff(np.flatnonzero(starts), append=key.size)
+    label = np.full(span.shape, -1, dtype=XY.dtype)
+    label.reshape(-1)[own] = slope
+    sizes = np.zeros(span.shape, dtype=np.int64)
+    z = below.sum(axis=1) + span.sum(axis=1)
+    sizes.reshape(-1)[own[order]] = z[row[order]] + np.repeat(runs, runs)
+    return label, span, sizes
 
 
-def _pencils(kern, G: np.ndarray, floor: Callable[[], int]) -> Iterator[np.ndarray]:
-    """The pencils of the independent (k-2)-subsets T of the k x n
-    generator's columns, in lexicographic order, as 2 x N x n batches of
-    the values (X, Y) on the columns of two functionals that vanish on T.
+def _pencils(kern, G: np.ndarray, floor: Callable[[], int]
+             ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The pencils of the independent (k-2)-subsets T = P + x of the
+    k x n generator's columns, in lexicographic order, as batches of N:
+    the values (X, Y), 2 x N x (n - c0), of two functionals that vanish
+    on T on the batch's window, the columns from c0 on, the least x the
+    batch stepped; each x; and the N x c0 span(P) mask below the window.
     Down one annihilator tower from G: a j-subset P's k-j rows of values
     B give P + x's, x > max(P), by one step with a = B[:, x], for a batch
     of N subsets functionals-major, (k-j) x N x n. A deficient subset is
@@ -302,19 +323,22 @@ def _pencils(kern, G: np.ndarray, floor: Callable[[], int]) -> Iterator[np.ndarr
     hyperplane H of floor() columns or more, read once per batch of
     parents: H's columns below x would be in span(P), where B is zero, so
     H holds at most those and the n - x from x on. That bound falls as x
-    grows, so each parent keeps a run of children. No batch is held while
-    the next one at its level is derived."""
+    grows, so each parent keeps a run of children. For the same reason a
+    pencil's columns below its x are read only as span(P), and the last
+    step takes the window alone. No batch is held while the next one at
+    its level is derived."""
     k, n = G.shape
     cols = np.arange(n)
 
-    def level(j: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        # the j-subsets with room for k-2-j more columns, and their last
+    def level(j: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        # the j-subsets with room for k-2-j more columns, their last, and
+        # below the window (at j = k-2 only) their parents' span
         if j == 0:
-            yield G[:, None], np.array([-1])
+            yield G[:, None], np.array([-1]), np.zeros((1, 0), dtype=bool)
             return
         stop = n - (k - 2 - j)
         rows = max(1, _BATCH_CELLS // max(1, (k - j) * n))
-        for B, last in level(j - 1):
+        for B, last, _ in level(j - 1):
             spanned = ~B.any(axis=0)
             reach = np.cumsum(spanned, axis=1) - spanned + (n - cols) >= floor()
             end = np.minimum(stop, reach.sum(axis=1))
@@ -325,15 +349,17 @@ def _pencils(kern, G: np.ndarray, floor: Callable[[], int]) -> Iterator[np.ndarr
                 at = np.arange(lo, min(lo + rows, ends[-1]))
                 owner = np.searchsorted(ends, at, side="right")
                 x = at - ends[owner] + count[owner] + last[owner] + 1
-                out, full = _annihilate(kern, B[:, owner], B[:, owner, x])
+                c0 = int(x.min()) if j == k - 2 else 0
+                out, full = _annihilate(kern, B[:, owner, c0:], B[:, owner, x])
+                below = spanned[owner, :c0]
                 if not full.all():
-                    out, x = out[:, full], x[full]
+                    out, x, below = out[:, full], x[full], below[full]
                 if x.size:
-                    yield out, x
+                    yield out, x, below
                 del out
             del B
 
-    return map(lambda batch: batch[0], level(k - 2))
+    return level(k - 2)
 
 
 def _echelon(m: Matrix) -> np.ndarray:
@@ -358,9 +384,13 @@ def _pencil_scan(m: Matrix, size: Optional[int], R: np.ndarray
     columns start first has the first set and the first size-prefix.
     One of size columns or more, or more than the largest so far (a greedy
     prefix is Gale-minimal), is labelled at its canonical prefix (see
-    _pencils). m's RREF R, the tower's root, ends in the pencil of its first
-    k-2 pivots T0, the first subset, which no floor up to n cuts: the
-    distance's floor starts one above T0's largest hyperplane.
+    _pencils). There a pencil's own window, its columns from x on, counts
+    it in full; at a later T through it the window counts part of it, a
+    real column set no larger, so the floor rises as it would over every
+    column, and each set read off a window is a true one. m's RREF R, the
+    tower's root, ends in the pencil of its first k-2 pivots T0, the first
+    subset, which no floor up to n cuts: the distance's floor starts one
+    above T0's largest hyperplane, read on every column.
     """
     k, n = m.rows, m.cols
     kern = field_kernel(m.field)
@@ -368,14 +398,16 @@ def _pencil_scan(m: Matrix, size: Optional[int], R: np.ndarray
         return (tuple(range(1, n + 1))[:size] if (size or 0) <= n else None), 0
     # the answer so far; largest as (-size, set), so that the min wins
     largest, first, labelled = (1, ()), None, 0  # nothing yet: size -1
-    floor = size if size is not None else 1 + int(
-        _pencil_hyperplanes(kern, R[0, k - 2:, None])[2].max())
-    for XY in _pencils(kern, R[0], lambda: floor):
-        labelled += XY.shape[1]
-        label, span, sizes = _pencil_hyperplanes(kern, XY)
+    floor = size if size is not None else 1 + int(_pencil_hyperplanes(
+        kern, R[0, k - 2:, None], np.array([-1]), np.zeros((1, 0), dtype=bool)
+    )[2].max())
+    for XY, x, below in _pencils(kern, R[0], lambda: floor):
+        labelled += x.size
+        label, span, sizes = _pencil_hyperplanes(kern, XY, x, below)
 
         def on(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            return (label[rows] == label[rows, cols][:, None]) | span[rows]
+            return np.hstack([below[rows], span[rows]
+                              | (label[rows] == label[rows, cols][:, None])])
 
         if size is None:
             best = sizes.argmax(axis=1)
@@ -393,7 +425,7 @@ def _pencil_scan(m: Matrix, size: Optional[int], R: np.ndarray
                 sets &= np.cumsum(sets, axis=1) <= size
                 cand = _lex_first(sets)
                 first = cand if first is None else min(first, cand)
-        del XY, label, span, sizes
+        del XY, below, label, span, sizes
     return (largest[1] if size is None else first), labelled
 
 

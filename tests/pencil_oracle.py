@@ -11,7 +11,8 @@ comparison also pins the pivot `lrcodes.linalg._annihilate` takes.
 
 `oracle_cut` and `oracle_labelled` say which subtrees the scan cuts by
 the canonical-prefix bound: under a fixed floor, and how many pencils
-it labels one pencil per batch as the floor rises from its seed.
+it labels one pencil per batch as the floor rises from its seed,
+`oracle_seed_floor`.
 """
 
 from itertools import combinations
@@ -63,43 +64,52 @@ def oracle_pencils(kern, columns):
     return psi[full]
 
 
+def _span(m, P):
+    """The columns (0-based) in the span of the independent P."""
+    return [c for c in range(m.cols)
+            if c in P or rank(m, [i + 1 for i in P + [c]]) == len(P)]
+
+
+def _most(m, T):
+    """The most columns on one hyperplane through the independent T."""
+    inside = _span(m, T)
+    return max(len(_span(m, T + [c])) for c in range(m.cols) if c not in inside)
+
+
+def oracle_seed_floor(m):
+    """The distance scan's first floor on m of rank k >= 2: one above the
+    most columns on one hyperplane through T0, the first independent
+    (k-2)-subset."""
+    T0 = []
+    for c in range(m.cols):
+        if len(T0) < m.rows - 2 and rank(m, [i + 1 for i in T0 + [c]]) > len(T0):
+            T0.append(c)
+    return _most(m, T0) + 1
+
+
 def oracle_labelled(m, size=None):
     """How many pencils `_pencil_scan(m, size, R)` labels at one pencil per
     batch (k >= 2), by a depth-first walk of the independent subsets in
     lexicographic order with scalar ranks; none below rank k. P + x is cut
     when P's columns below x in span(P), plus the n - x columns from x on,
     fall below the floor at the time P is reached. The floor is size
-    throughout; with no size it starts one above the most columns on one
-    hyperplane through T0, the first independent (k-2)-subset, and is one
-    above the most through any pencil labelled so far."""
+    throughout; with no size it starts at `oracle_seed_floor` and is one
+    above the most columns on one hyperplane through any pencil labelled
+    so far."""
     k, n = m.rows, m.cols
     if rank(m) < k:
         return 0
     labelled = 0
-
-    def span(P):
-        """The columns (0-based) in the span of the independent P."""
-        return [c for c in range(n)
-                if c in P or rank(m, [i + 1 for i in P + [c]]) == len(P)]
-
-    def most(T):
-        inside = span(T)
-        return max(len(span(T + [c])) for c in range(n) if c not in inside)
-
-    T0 = []
-    for c in range(n):
-        if len(T0) < k - 2 and rank(m, [i + 1 for i in T0 + [c]]) > len(T0):
-            T0.append(c)
-    floor = size if size is not None else most(T0) + 1
+    floor = size if size is not None else oracle_seed_floor(m)
 
     def visit(P):
         nonlocal floor, labelled
         if len(P) == k - 2:
             labelled += 1
-            floor = size if size is not None else max(floor, most(P) + 1)
+            floor = size if size is not None else max(floor, _most(m, P) + 1)
             return
         stop = n - (k - 3 - len(P))
-        inside = span(P)
+        inside = _span(m, P)
         for x in range(P[-1] + 1 if P else 0, stop):
             if rank(m, [i + 1 for i in P + [x]]) <= len(P):
                 continue

@@ -34,7 +34,8 @@ import lrcodes.verify as verify_mod
 from deficient_oracle import (oracle_check_locality, oracle_first_deficient,
                               oracle_rank_criterion, oracle_structure_theorem)
 from nullspace_oracle import batch_nullspace, row_spaces
-from pencil_oracle import oracle_cut, oracle_labelled, oracle_pencils
+from pencil_oracle import (oracle_cut, oracle_labelled, oracle_pencils,
+                           oracle_seed_floor)
 from weight_oracle import oracle_weight_enumeration
 
 F4 = field_make(2, 2)
@@ -456,13 +457,49 @@ def _two_pencils_per_batch(monkeypatch, n):
     monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 2 * 2 * n)
 
 
+def _oracle_pencils(kern, m):
+    """The oracle's pencils of m's independent (k-2)-subsets T = P + x, in
+    lexicographic order: their values on every column (2 x N x n), each
+    x (-1 for the empty T) and each span(P) mask (N x n)."""
+    k, n = m.rows, m.cols
+    columns = kern.array(m.columns()).reshape(n, k)
+    want = kern.matmul(oracle_pencils(kern, columns), columns.T).transpose(1, 0, 2)
+    subsets = [[i + 1 for i in T] for T in combinations(range(n), k - 2)
+               if rank(m, [i + 1 for i in T]) == k - 2]
+    assert len(subsets) == want.shape[1]
+    last = np.array([T[-1] - 1 if T else -1 for T in subsets], dtype=np.int64)
+    inside = np.array([[c in T[:-1] or rank(m, T[:-1] + [c]) == len(T[:-1])
+                        for c in range(1, n + 1)] for T in subsets],
+                      dtype=bool).reshape(len(subsets), n)
+    return want, last, inside
+
+
+def _assert_windows(batches, want, last, inside, most):
+    """The batches of _pencils, at most `most` pencils each (None: any),
+    are bit for bit the given pencils in order: their values on the
+    batch's window, columns c0.. with c0 at most each x, each x, and each
+    span(P) mask below the window."""
+    at = 0
+    for XY, x, below in batches:
+        c0 = below.shape[1]
+        rows = slice(at, at + x.size)
+        assert x.size <= (most or x.size) and c0 <= max(0, int(x.min()))
+        assert XY.dtype == want.dtype
+        assert XY.tolist() == want[:, rows, c0:].tolist()
+        assert x.tolist() == last[rows].tolist()
+        assert below.tolist() == inside[rows, :c0].tolist()
+        at += x.size
+    assert at == last.size
+
+
 @pytest.mark.parametrize("f", RANK_FIELDS, ids=repr)
 def test_pencils_are_each_independent_subset_in_order(f, monkeypatch):
-    # the (X, Y) batches, concatenated, are bit for bit psi . c on every
-    # column for the functional tower's pencils psi of the independent
-    # (k-2)-subsets in lexicographic order, with pencils one, two or all
-    # per batch, on matrices of rank k and below; each psi spans its
-    # subset's own nullspace
+    # the functional tower's pencils psi of the independent (k-2)-subsets
+    # T = P + x, in lexicographic order, each spanning its subset's own
+    # nullspace; the scan's batches are bit for bit psi . c on every
+    # column of the batch's window (from c0 <= each x on), with each x and
+    # each span(P) mask below the window, at pencils one, two or all per
+    # batch, on matrices of rank k and below
     rng = random.Random(f.q % 1051)
     kern = field_kernel(f)
     for trial in range(24):
@@ -476,7 +513,7 @@ def test_pencils_are_each_independent_subset_in_order(f, monkeypatch):
         nullspace, full = batch_nullspace(kern, columns[T.reshape(len(T), k - 2)])
         assert (row_spaces(kern, psi).tolist()
                 == row_spaces(kern, nullspace[full]).tolist()), m.row_data()
-        want = kern.matmul(psi, columns.T).transpose(1, 0, 2)
+        want = _oracle_pencils(kern, m)
         G = kern.array(m.row_data()).reshape(k, n)
         for most in (1, 2, None):
             if most == 1:
@@ -485,10 +522,7 @@ def test_pencils_are_each_independent_subset_in_order(f, monkeypatch):
                 _two_pencils_per_batch(monkeypatch, n)
             got = list(verify_mod._pencils(kern, G, lambda: 0))
             monkeypatch.undo()
-            assert all(B.shape[1] <= (most or B.shape[1]) for B in got)
-            got = np.concatenate(got, axis=1) if got else kern.zeros((2, 0, n))
-            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (
-                m.row_data(), most)
+            _assert_windows(got, *want, most)
 
 
 @pytest.mark.parametrize("f", RANK_FIELDS, ids=repr)
@@ -607,8 +641,9 @@ def test_pencil_scan_cuts_keep_both_answers(f, monkeypatch):
                          ids=repr)
 def test_pencils_under_a_fixed_floor_are_the_uncut_ones(f, monkeypatch):
     # under a fixed floor the scan yields, bit for bit and in order, the
-    # uncut scan's pencils of the subsets the oracle keeps, with pencils
-    # one, two or a full batch at a time
+    # windows, each x and the span(P) masks of the oracle's pencils of the
+    # subsets the oracle keeps, with pencils one, two or a full batch at a
+    # time
     rng = random.Random(f.q * 41)
     kern = field_kernel(f)
     for trial in range(30):
@@ -616,10 +651,9 @@ def test_pencils_under_a_fixed_floor_are_the_uncut_ones(f, monkeypatch):
         n = rng.randrange(k, 10)
         m = _sparse_matrix(rng, f, k, n)
         G = kern.array(m.row_data()).reshape(k, n)
-        every = list(verify_mod._pencils(kern, G, lambda: 0))
-        every = np.concatenate(every, axis=1) if every else kern.zeros((2, 0, n))
+        want, last, inside = _oracle_pencils(kern, m)
         for floor in range(1, n + 2):
-            want = every[:, oracle_cut(m, floor)]
+            keep = oracle_cut(m, floor)
             for most in (1, 2, None):
                 if most == 1:
                     monkeypatch.setattr(verify_mod, "_BATCH_CELLS", 1)
@@ -627,8 +661,7 @@ def test_pencils_under_a_fixed_floor_are_the_uncut_ones(f, monkeypatch):
                     _two_pencils_per_batch(monkeypatch, n)
                 got = list(verify_mod._pencils(kern, G, lambda: floor))
                 monkeypatch.undo()
-                got = np.concatenate(got, axis=1) if got else kern.zeros((2, 0, n))
-                assert got.tolist() == want.tolist(), (m.row_data(), floor, most)
+                _assert_windows(got, want[:, keep], last[keep], inside[keep], most)
 
 
 def test_pencil_scan_of_no_independent_subset_labels_none():
@@ -705,9 +738,10 @@ def test_pencil_scan_labels_fewer_on_the_fixtures():
 
 def test_distance_scan_of_the_fixture_bounds_peak_memory():
     # the cold distance scan of the stored (20,8,4,2) code peaks near
-    # 2.17 MiB under tracemalloc: each annihilator step slices its
-    # operands out of the gathered parents (2.44 MiB when it gathered
-    # all four of them again)
+    # 1.87 MiB under tracemalloc: each pencil is labelled on its own
+    # window alone, by one sort of its batch's keys, and the last
+    # annihilator step takes only the batch's window (2.16 MiB when every
+    # pencil was labelled on all n columns by a per-row sort)
     code = load_code(FIXTURES / "verify-20-8-4-2.json").code
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -719,7 +753,7 @@ def test_distance_scan_of_the_fixture_bounds_peak_memory():
         if not tracing:
             tracemalloc.stop()
     assert (rep.d, rep.labelled) == (12, 12520)
-    assert peak <= 9 << 18, peak
+    assert peak <= 31 << 16, peak
 
 
 @pytest.mark.parametrize("name, labelled", [("verify-20-8-4-2.json", 12520),
@@ -758,14 +792,66 @@ def test_seed_pencil_has_the_classes_of_the_towers_first(f):
             continue
         seen += 1
         G = kern.array(m.row_data()).reshape(k, n)
-        first = next(verify_mod._pencils(kern, G, lambda: 0))[:, :1]
+        XY, x, below = next(verify_mod._pencils(kern, G, lambda: 0))
+        # the first pencil on its window, with span(P) below it put back:
+        # every column below the first subset's last lies in span(P)
+        label, span, sizes = verify_mod._pencil_hyperplanes(
+            kern, XY[:, :1], x[:1], below[:1])
+        c0 = below.shape[1]
+        assert below[0].all()
+        first = (np.hstack([np.full((1, c0), -1, dtype=label.dtype), label]),
+                 np.hstack([below[:1], span]),
+                 np.hstack([np.zeros((1, c0), dtype=sizes.dtype), sizes]))
+        seed = verify_mod._pencil_hyperplanes(
+            kern, R[0, k - 2:, None], np.array([-1]), np.zeros((1, 0), dtype=bool))
         classes = []
-        for XY in (R[0, k - 2:, None], first):
-            label, span, sizes = verify_mod._pencil_hyperplanes(kern, XY)
+        for label, span, sizes in (seed, first):
             classes.append((span.tolist(), sizes.tolist(),
                             (label[0][:, None] == label[0][None, :]).tolist()))
         assert classes[0] == classes[1], m.row_data()
     assert seen >= 20
+
+
+@pytest.mark.parametrize("f", [field_make(2 ** 61 - 1), field_make(3037000493)],
+                         ids=repr)
+def test_pencil_scan_keys_its_classes_in_the_fields_dtype(f):
+    # a class key is a pencil's batch row times q + 1 plus its label, which
+    # passes 2^63 from the fifth row on at q = 2^61 - 1; 3,037,000,493 is
+    # the largest prime on int64 residues. With every subset of a level in
+    # one batch, five pencils or more, the scans of optimal codes, and of
+    # their edits with one column a multiple of another, give the oracles'
+    # d, witness, first deficient s-sets and labelled counts: each floor
+    # is read before any pencil is labelled, so the distance scan's stays
+    # at its seed
+    rng = random.Random(f.q % 1031)
+    seen = 0
+    for params in ((9, 4, 2, 2), (10, 5, 3, 2), (10, 4, 3, 3)):
+        p = CodeParams(*params)
+        code = construct(p, field=f, seed=0)
+        s = p.k + (p.mu - 1) * (p.delta - 1)
+        columns = code.generator.columns()
+        edits = [columns]
+        for _ in range(3):
+            i, j = rng.sample(range(p.n), 2)
+            edit = list(columns)
+            edit[j] = tuple(f.mul(rng.randrange(1, f.q), v) for v in columns[i])
+            edits.append(edit)
+        for cols in edits:
+            m = Matrix.from_columns(f, cols)
+            if rank(m) < p.k:
+                continue
+            seen += 1
+            n = p.n
+            assert 5 <= comb(n, p.k - 2) <= verify_mod._BATCH_CELLS // (2 * n)
+            largest, labelled = _scan(m, None)
+            assert (n - len(largest), largest) == oracle_rank_criterion(m), cols
+            assert labelled == oracle_cut(m, oracle_seed_floor(m)).sum(), cols
+            assert cols is not columns or n - len(largest) == distance_bound(p)
+            for size in (s - 1, s, s + 1):
+                got = _scan(m, size)
+                assert got == (oracle_first_deficient(m, size, p.k),
+                               oracle_labelled(m, size)), (cols, size)
+    assert seen >= 9
 
 
 def test_distance_methods_agree_on_random_codes():
