@@ -20,10 +20,15 @@ j-subsets for j = 1 .. k-1, each row T + x holding its a, derived once
 across steps, as a subset's functionals depend only on its own columns,
 which never change once assigned. Vectors stream down the tower: their
 values under T + x's functionals are the same step on their values
-under T's. A new coordinate's column is walked down to read its rows'
-a, and a candidate v to the pencils, the (k-2)-subsets T, where each
-core T + x combines the two values with its own two coefficients,
-a_0 (A_T1 v) - a_1 (A_T0 v). Rows hold the id of their subset's count
+under T's. One rule governs every walk: a vector headed for cover index
+i walks the rows of the first i covered coordinates, once, and its
+values there are the a of the rows it owns once covered. A step's
+candidates v are headed for the next index; the pencils, the
+(k-2)-subsets T, are a prefix of their last level, and each core T + x
+combines the two values with its own two coefficients,
+a_0 (A_T1 v) - a_1 (A_T0 v). The accepted candidate's walk is written
+into its coordinate's rows, so only the base columns are walked when
+covered. Rows hold the id of their subset's count
 class, the distinct vector of group counts, and T + x's class comes from
 T's and x's through a table built once from the structure. So a step
 picks the cores paired with lam by one cap test per class and one gather
@@ -109,7 +114,7 @@ _SOLVE_CELLS = _BATCH
 @dataclass(frozen=True)
 class StepStats:
     """What one extension step did: the coordinate lam it assigned, the
-    (k-1)-subsets it derived into the cache and those its core mask tested,
+    (k-1)-subsets it added to the cache and those its core mask tested,
     the cores paired with lam, the random draws and scan candidates it
     tried, and its wall time.
     """
@@ -295,7 +300,13 @@ class _FunctionalCache:
     derived level by level with the stored a, by the same step, since
     A_{T+x} v = a_0 (A_T,i v) - a_i (A_T,0 v) exactly. So the values under
     the functionals are those that storing the functionals would give, and
-    the values of I_k are the functionals themselves.
+    the values of I_k are the functionals themselves. A vector headed for
+    cover index i is walked over the rows of the first i covered
+    coordinates, which are the rows a column covered at index i reads: its
+    values at level j-1 are its rows' a at level j. So the walk of an
+    accepted candidate, headed for the next index, is written into that
+    index's slots by `keep`, and `grow` walks only what it does not find
+    there. The arrays start zeroed, which is the walk of the zero column.
 
     A count class is one distinct vector of group counts (see
     `_BlockModel`). Coordinate x is of class `xclass[x]`, a row of
@@ -345,65 +356,94 @@ class _FunctionalCache:
             self.succ.append(succ.reshape(len(xkeys), -1))
         self.ids = [np.zeros(comb(n - 1, j), succ.dtype if j else np.uint8)
                     for j, succ in enumerate(self.succ)]
-        self.coeffs = [None] + [np.empty((k - j + 1, comb(n - 1, j)), self.dtype)
+        self.coeffs = [None] + [np.zeros((k - j + 1, comb(n - 1, j)), self.dtype)
                                 for j in range(1, k)]
         self.top = self.coeffs[-1]
         self.covered: list[int] = []
         self.deficient = np.empty(0, dtype=np.int64)
+        self.walked: Optional[list] = None
 
     def grow(self, state: ExtensionState) -> int:
         """Cover the coordinates of Omega not covered yet, in increasing
-        order, level by level: their columns are walked down the tower
-        together, and each new row T + x reads its a off x's values at T.
+        order: each takes the next cover index i, its rows' class ids and,
+        at the top, which of its rows are deficient. Its rows' a are the
+        walk of its column over the rows of the first i covered
+        coordinates, which `keep` has already written into its slots for
+        an accepted candidate; a slot that holds no walk of exactly its
+        column (the base columns, or a column the caller chose) is walked
+        here, all such columns together, each only over the rows it reads.
         Returns how many (k-1)-subsets that added."""
+        self.walked = None
         old = len(self.covered)
         order = self.covered = self.covered + sorted(
             set(state.omega).difference(self.covered))
         if len(order) >= self.n:
             raise PreconditionViolated(
                 f"the cache holds subsets of at most {self.n - 1} coordinates")
-        if old == len(order):
-            return 0
+        if old == len(order) or self.k == 1:
+            return comb(len(order), self.k - 1) - comb(old, self.k - 1)
+        cols = _column_array(state)[order[old:]]
+        # a slot's level 1 row is the column its walk started from
+        fresh = np.flatnonzero((self.coeffs[1][:, old:len(order)].T != cols).any(axis=1))
+        if fresh.size:
+            heads = old + fresh
+            for j, W in enumerate(self.walk(cols[fresh].T, heads), start=1):
+                for c, i in enumerate(heads.tolist()):
+                    lo, m = comb(i, j), comb(i, j - 1)
+                    self.coeffs[j][:, lo:lo + m] = W[:, :m, c]
         dead = [self.deficient]
-        cols = _column_array(state)[order[old:]].T
-        for j, W in enumerate(self.walk(cols), start=1):
-            # x's values at level j-1 are its rows' a at level j
+        for j in range(1, self.k):
             for i in range(old, len(order)):
                 lo, m = comb(i, j), comb(i, j - 1)
-                a = self.coeffs[j][:, lo:lo + m]
-                a[:] = W[:, :m, i - old]
                 if j == self.k - 1:
-                    dead.append(lo + np.flatnonzero((a == 0).all(axis=0)))
+                    dead.append(lo + np.flatnonzero((self.top[:, lo:lo + m] == 0).all(axis=0)))
                 else:  # T + x's class, from T's and x's
                     self.succ[j][self.xclass[order[i]]].take(
                         self.ids[j - 1][:m], out=self.ids[j][lo:lo + m])
         self.deficient = np.concatenate(dead)
         return comb(len(order), self.k - 1) - comb(old, self.k - 1)
 
-    def walk(self, V: np.ndarray):
-        """The values of N vectors V (k x N) down the tower: yields, for
-        j = 0 .. k-2, their values under each row's k-j functionals at
-        level j, (k-j) x rows x N, on the rows of the coordinates covered
-        before the last one, C(L-1, j) rows for L covered; level 0 is V.
-        Level j is derived from level j-1 by one `_annihilate` step with
-        the stored coefficients, which must be in place when it is asked
-        for, in slices whose int64 operands hold about _SOLVE_CELLS cells;
-        a level is held in the narrow dtype while the next is derived from
-        it. Nothing for k = 1.
+    def walk(self, V: np.ndarray, heads: np.ndarray):
+        """The values of N vectors V (k x N) down the tower, vector c headed
+        for cover index heads[c] (non-decreasing): yields, for j = 0 .. k-2,
+        their values under each row's k-j functionals at level j, (k-j) x
+        C(heads[-1], j) x N, where vector c's are exact on the rows of the
+        first heads[c] covered coordinates, C(heads[c], j) rows, which is all
+        that a vector headed for that index reads; level 0 is V. Level j is
+        derived from level j-1 by one `_annihilate` step with the stored
+        coefficients, which must be in place when it is asked for, in slices
+        whose int64 operands hold about _SOLVE_CELLS cells, each walked only
+        for the suffix of vectors that reads any of its rows; a level is
+        held in the narrow dtype. Nothing for k = 1.
         """
         if self.k == 1:
             return
-        kern, stop = self.kern, len(self.covered) - 1
+        kern, stop = self.kern, int(heads[-1])
         W = V[:, None]
         yield W
         for j in range(1, self.k - 1):
             m, N = self.k - j + 1, W.shape[2]
-            out = np.empty((m - 1, comb(stop, j), N), self.dtype)
+            ends = np.array([comb(i, j) for i in range(stop + 1)])[heads]
+            out = np.zeros((m - 1, comb(stop, j), N), self.dtype)
             for lo, hi, segs in self.slices(j, _SOLVE_CELLS // (m * N), stop):
-                out[:, lo:hi] = _annihilate(kern, _gather(W, segs, kern.dtype),
-                                            self.coeffs[j][:, lo:hi])[0]
+                c = int(np.searchsorted(ends, lo, side="right"))
+                out[:, lo:hi, c:] = _annihilate(
+                    kern, _gather(W[:, :, c:], segs, kern.dtype), self.coeffs[j][:, lo:hi])[0]
             W = out
             yield W
+
+    def keep(self, index: int) -> None:
+        """Write candidate `index` of the last walk of candidates, headed for
+        cover index L = len(covered), into the slots of coordinate L: its
+        values at level j-1 are the a of L's rows at level j. The next
+        `grow` finds them there if that candidate becomes L's column."""
+        walked, self.walked = self.walked, None
+        if walked is None:
+            return
+        L = len(self.covered)
+        for j, W in enumerate(walked, start=1):
+            lo, m = comb(L, j), comb(L, j - 1)
+            self.coeffs[j][:, lo:lo + m] = W[:, :m, index]
 
     def slices(self, j: int, rows: int, stop: Optional[int] = None):
         """The rows of level j (the top level for j = k-1) of the first
@@ -450,20 +490,23 @@ class _FunctionalCache:
 
 
 def _core_values(state: ExtensionState, lam: int, basis: np.ndarray):
-    """The cores S0 paired with lam, as the values of their functionals
-    ker = span(S0) on candidate columns, with how many cores there are and
-    how many subsets this step added to the cache and tested.
+    """The cores S0 paired with lam, as masks of which candidate columns
+    avoid span(S0), with how many cores there are and how many subsets this
+    step added to the cache and tested.
 
     `values(C)`, for N x b coefficients C of candidates v = C basis over
     the b x k group-span basis, yields, slice by slice in the cache's
-    order, an array of cores x N values; a candidate avoids span(S0) iff
-    its value for S0 is nonzero. Each row is up to a nonzero scalar. The
-    candidates are walked down the tower to the pencils T once per call,
-    A_T v, and a core T + x with coefficients a takes a_0 (A_T1 v) - a_1
-    (A_T0 v): the value of its functional, up to sign. On C = I_b the rows
-    are each core's functional restricted to the basis. Raises
-    RuntimeError when a paired core is rank-deficient, which breaks the
-    loop invariant.
+    order, a rows x N mask over the top level: True where v avoids span(S0)
+    or S0 is not paired with lam. The candidates are headed for cover
+    index L, L the number of covered coordinates, so they are walked once
+    per call down the tower over the rows of all L, A_T v; the pencils T
+    the test reads are the prefix C(L-1, k-2) of the last level, and a core
+    T + x with coefficients a takes a_0 (A_T1 v) - a_1 (A_T0 v), the value
+    of its functional up to sign, which is zero iff v is in span(S0). The
+    walk is kept for `keep`, so that the accepted candidate's becomes L's
+    rows. At the last step, L = n-1, there is no slot for L, and the walk
+    covers only the rows the test reads. Raises RuntimeError when a paired
+    core is rank-deficient, which breaks the loop invariant.
     """
     kern = field_kernel(state.field)
     cache = state.functionals
@@ -471,18 +514,25 @@ def _core_values(state: ExtensionState, lam: int, basis: np.ndarray):
     ok = cache.paired(lam)
     if ok.take(cache.deficient).any():
         raise RuntimeError("loop invariant violated: rank-deficient core basis")
-    k = cache.k
+    k, L = cache.k, len(cache.covered)
+    head = L if L < cache.n - 1 else L - 1
+    unpaired = ~ok[:, None]
 
     def values(C: np.ndarray):
         V = kern.matmul(C, basis)
         if k == 1:  # the empty subset's functional is the identity
-            yield V.T[ok]
+            yield (V.T != 0) | unpaired
             return
-        for PV in cache.walk(V.T):  # its last level is the pencils'
-            pass
+        cache.walked = None
+        walked = list(cache.walk(V.T, np.full(len(C), head)))
+        if head == L:
+            cache.walked = walked
+        PV = walked[-1]
         for lo, hi, segs in cache.slices(k - 1, _SOLVE_CELLS // (2 * len(C))):
             Q, a = _gather(PV, segs, kern.dtype), cache.top[:, lo:hi, None]
-            yield kern.cross(Q[1], a[0], Q[0], a[1])[ok[lo:hi]]
+            avoids = kern.cross(Q[1], a[0], Q[0], a[1]) != 0
+            avoids |= unpaired[lo:hi]
+            yield avoids
 
     return values, int(np.count_nonzero(ok)), added, len(ok)
 
@@ -495,10 +545,11 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     large to sweep it gives up after a fixed budget (the draw stage is then
     overwhelmingly likely to have succeeded first when q >= C(n, k-1)),
     and the error says the span was not exhausted. Each draw, and each
-    batch of lines, is tested against the pencils through `_core_values`;
-    the containment check before the scan evaluates the basis vectors,
-    whose values are the cores' functionals on the span. A successful step
-    appends its StepStats to `state.steps`.
+    batch of lines, is tested against the pencils through `_core_values`,
+    and the accepted candidate's walk becomes lam's rows of the cache; the
+    containment check before the scan evaluates the basis vectors, and a
+    paired core that none of them avoids holds the whole span. A
+    successful step appends its StepStats to `state.steps`.
     """
     start = time.perf_counter()
     g = state.structure.groups[group - 1]
@@ -512,16 +563,18 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
 
     def accept(C: np.ndarray) -> np.ndarray:
         hit = np.ones(len(C), dtype=bool)
-        for vals in values(C):
-            hit &= (vals != 0).all(axis=0)
+        for avoids in values(C):
+            hit &= avoids.all(axis=0)
             if not hit.any():
-                break
+                return hit
+        # the search takes the first candidate that passes
+        state.functionals.keep(int(hit.argmax()))
         return hit
 
     def contained() -> bool:
         # a core that vanishes on every basis vector kills the whole span
         unit = kern.array(np.eye(len(basis), dtype=np.int64))
-        return any((vals == 0).all(axis=1).any() for vals in values(unit))
+        return any(not avoids.any(axis=1).all() for avoids in values(unit))
 
     coeffs, draws, scanned = _avoidance_search(
         state, lam, len(basis), accept, contained, cores)

@@ -382,24 +382,35 @@ class _PrimeKernel(_Kernel):
 
     def inv(self, a: np.ndarray) -> np.ndarray:
         """Product tree: multiply neighbours pairwise up to one product,
-        invert it with one scalar power, then split the inverse back
-        down. About three products per element and no table."""
+        then split its inverse back down. The last element of an odd
+        level is carried aside, and the root and the carried elements are
+        inverted together with one scalar power. About three products per
+        element and no table."""
         p = self.p
-        levels = []
+        levels, aside = [], []
         x = a
         while x.size > 1:
-            if x.size & 1:
-                x = np.append(x, 1)
             levels.append(x)
-            x = x[0::2] * x[1::2] % p
-        out = self.array([pow(int(v), p - 2, p) for v in x])
+            if x.size & 1:
+                aside.append(int(x[-1]))
+            x = x[0:x.size - 1:2] * x[1::2] % p
+        top = [int(v) for v in x] + aside
+        inv, t = [], 1
+        for v in top:  # each entry's prefix product, then their inverses
+            inv.append(t)
+            t = t * v % p
+        t = pow(t, p - 2, p)
+        for i in reversed(range(len(top))):
+            inv[i], t = inv[i] * t % p, t * top[i] % p
+        out = self.array(inv[:x.size])
         for x in reversed(levels):
             up = np.empty_like(x)
-            half = out[:x.size // 2]
-            up[0::2] = half * x[1::2] % p
-            up[1::2] = half * x[0::2] % p
+            up[0:x.size - 1:2] = out * x[1::2] % p
+            up[1::2] = out * x[0:x.size - 1:2] % p
+            if x.size & 1:
+                up[-1] = inv.pop()
             out = up
-        return out[:a.size]
+        return out
 
 
 class _BinaryKernel(_Kernel):

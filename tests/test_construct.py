@@ -205,14 +205,23 @@ def _checked_core_values(compared):
     def step(state, lam, basis):
         want = _per_step_psi(state, lam, basis)
         values, cores, added, subsets = real(state, lam, basis)
-        # the values on the unit coefficient vectors are the functionals
-        # restricted to the basis
+        # each top row's functional, rebuilt from the cache's layout and
+        # restricted to the basis, is its value on the unit coefficient
+        # vectors; the paired rows, picked by the step's own mask, are the
+        # per-step solve's, up to order and scalars
+        cache = state.functionals
         kern = field_kernel(state.field)
-        unit = kern.array(np.eye(len(basis), dtype=np.int64))
-        psi = np.concatenate(list(values(unit)))
-        assert psi.shape == (cores, len(basis))
-        assert (_projective_rows(state.field, psi)
+        ok = cache.paired(lam)
+        phi = _cache_levels(cache)[-1][1][0]
+        psi = kern.matmul(phi, basis.T)
+        assert psi.shape == (len(ok), len(basis)) and ok.sum() == cores
+        assert (_projective_rows(state.field, psi[ok])
                 == _projective_rows(state.field, want)), (state.params, lam)
+        # values yields, over every top row, whether each unit vector avoids
+        # the row's span, and True on the rows not paired with lam
+        unit = kern.array(np.eye(len(basis), dtype=np.int64))
+        avoids = np.concatenate(list(values(unit)))
+        assert (avoids == ((psi != 0) | ~ok[:, None])).all(), (state.params, lam)
         compared.append(lam)
         return values, cores, added, subsets
     return step
@@ -291,9 +300,11 @@ def _counts_of(counted, subsets):
 
 
 def _walked(cache, V):
-    """Each level's values of V (k x N) as the cache walks it: j = 0 .. k-2,
-    (k-j) x C(L-1, j) x N for L covered coordinates."""
-    return [W.astype(cache.kern.dtype) for W in cache.walk(V)]
+    """Each level's values of V (k x N) as the cache walks them headed for
+    cover index L, L the number of covered coordinates: j = 0 .. k-2,
+    (k-j) x C(L, j) x N, every row of the level."""
+    heads = np.full(V.shape[1], len(cache.covered))
+    return [W.astype(cache.kern.dtype) for W in cache.walk(V, heads)]
 
 
 def _cache_levels(cache):
@@ -306,7 +317,7 @@ def _cache_levels(cache):
     T's counts plus counted[x_i] and, by one `_annihilate` step with its
     stored coefficients a, the functionals of T + x_i, T's read off the
     cache's walk of I_k. Below the top the counts are read off the class
-    ids, and the rows the walk covers are its values, entry for entry.
+    ids, and the walk's values are the functionals, entry for entry.
     For k = 1 the top level is level 0."""
     kern, k = cache.kern, cache.k
     held = [counts[i] for i, counts in zip(cache.ids, cache.counts)]
@@ -325,7 +336,7 @@ def _cache_levels(cache):
         if j < k - 1:
             assert (held[j][:len(rows)] == counts).all()
             W = walked[j]
-            assert (W == phi[:, :W.shape[1]]).all(), j
+            assert (W == phi).all(), j
         levels.append((counts, phi, (phi != 0).any(axis=(0, 2))))
     return levels
 
@@ -452,7 +463,7 @@ def test_walk_is_exact_against_repeated_annihilation(f, monkeypatch):
                     a = kern.matmul(A, cols[T[-1]][:, None])[:, 0]
                     assert cache.coeffs[j][:, row].tolist() == a.tolist(), (j, T)
                     phi[tuple(T)] = _annihilate(kern, A[:, None], a[:, None])[0][:, 0]
-                    if j < k - 1 and row < comb(len(xs) - 1, j):
+                    if j < k - 1:
                         pivots += int(a[0] == 0 and (a != 0).any())
                         assert (walked[j][:, row] == phi[tuple(T)]).all(), (j, T)
                         assert (values[j][:, row]
@@ -487,11 +498,14 @@ def test_count_classes_fit_their_dtype(n, k, classes):
 
 def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
     # nothing is eliminated: construct has no elimination to call, and the
-    # cache holds coefficients, no functional. Each walk down the tower, in
-    # `grow` or for a batch of candidates, derives each row of every level
-    # between the identity and the pencils once, by one step from the
-    # previous level, on the rows of all covered coordinates but the last;
-    # the top level by none. Each step, and each slice of pencil values
+    # cache holds coefficients, no functional. A vector headed for cover
+    # index i walks each level between the identity and the pencils once,
+    # by one step from the previous level, over the C(i, j) rows of the
+    # first i covered coordinates, and no slice past them; the top level by
+    # none. A step's candidates are headed for index L, L covered (L - 1
+    # at the last step, whose L has no rows), and the accepted one's walk
+    # is L's rows: only the first growth walks, once, each base column
+    # headed for its own index. Each step, and each slice of pencil values
     # gathered for it or for the top level, reads at most _SOLVE_CELLS
     # cells, or one row where a row holds more; a step's coefficients are
     # one per functional and row
@@ -508,7 +522,7 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
         want = build()
         monkeypatch.setattr(construct_mod, "_SOLVE_CELLS", cells)
         real_annihilate, real_gather = construct_mod._annihilate, construct_mod._gather
-        steps, gathered, walks, caches = [], [], [], []
+        steps, gathered, walks, growths, caches = [], [], [], [], []
 
         def annihilate(kern, A, a):
             assert a.shape == A.shape[:2]
@@ -525,10 +539,16 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
                 super().__init__(*args)
                 caches.append(self)
 
-            def walk(self, V):
+            def grow(self, state):
+                start = len(steps), len(walks)
+                added = super().grow(state)
+                growths.append((len(steps) - start[0], walks[start[1]:]))
+                return added
+
+            def walk(self, V, heads):
                 start = len(steps)
-                yield from super().walk(V)
-                walks.append((len(self.covered), steps[start:]))
+                yield from super().walk(V, heads)
+                walks.append((len(self.covered), heads.tolist(), steps[start:]))
 
         monkeypatch.setattr(construct_mod, "_gather", gather)
         monkeypatch.setattr(construct_mod, "_annihilate", annihilate)
@@ -539,11 +559,31 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
         assert code.generator == want.generator
         assert gathered and all(m * R * N <= max(cells, m * N) for m, R, N in gathered)
         assert all(m * R * N <= max(cells, m * N) for m, R, N in steps)
-        # one walk per growth and per batch of candidates
-        assert len(walks) >= 2 * len(code.steps)
-        for covered, shapes in walks:
+        # the first growth walks the base columns, each headed for its own
+        # index; later growths find each new column's rows kept and derive
+        # none
+        (first, (base,)), *later = growths
+        assert base[1] == list(range(len(base[1]))) and (first or p.k < 3)
+        assert all(count == 0 and not walked for count, walked in later)
+        assert len(later) == len(code.steps) - 1
+        # then at least one walk per batch of candidates, headed for L
+        # while L has rows
+        assert len(walks) >= 1 + len(code.steps)
+        for covered, heads, shapes in walks[1:]:
+            assert set(heads) == {covered if covered < p.n - 1 else covered - 1}
+        for _, heads, shapes in walks:
+            N = len(heads)
             for j in range(1, p.k - 1):
-                assert sum(R for m, R, _ in shapes if m == p.k - j + 1) == comb(covered - 1, j)
+                # a slice walks a suffix of the vectors; vector c's slices
+                # are the level's first ones, up to the first that starts
+                # at or past its C(heads[c], j) rows
+                level = [(R, n) for m, R, n in shapes if m == p.k - j + 1]
+                assert sum(R for R, _ in level) == comb(heads[-1], j)
+                assert [n for _, n in level] == sorted((n for _, n in level), reverse=True)
+                for c, i in enumerate(heads):
+                    mine = [R for R, n in level if n >= N - c]
+                    assert (sum(mine) >= comb(i, j) > sum(mine) - mine[-1]
+                            if comb(i, j) else not mine), (j, i)
         (cache,) = caches
         assert len(cache.covered) == p.n - 1
         # the levels are full, each row its subset's counts in cover order
@@ -552,6 +592,88 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
         assert [a.shape for a in cache.coeffs[1:]] == [
             (p.k - j + 1, comb(p.n - 1, j)) for j in range(1, p.k)]
         assert cache.top is cache.coeffs[-1]
+
+
+@pytest.mark.parametrize("draws", [construct_mod.RANDOM_ATTEMPTS, 0])
+@pytest.mark.parametrize("cells", [10, construct_mod._SOLVE_CELLS])
+def test_kept_rows_equal_a_fresh_walk(draws, cells, monkeypatch):
+    # after every step, the cache's coefficients, class ids and deficient
+    # rows equal those of a cache that walks every new column afresh, in
+    # the same cover order: the accepted candidate's walk, kept from a draw
+    # or, with no draws, from a scan batch at its first hit, is its
+    # coordinate's rows. A column the caller scales after the pick is no
+    # kept walk and is walked afresh; otherwise only the first growth walks
+    fresh_cache = construct_mod._FunctionalCache
+    builds = [
+        (CodeParams(12, 5, 2, 3), field_make(499)),
+        (CodeParams(12, 5, 2, 3), field_make(2, 9)),
+        (CodeParams(10, 5, 2, 2), field_make(211)),
+        (CodeParams(10, 5, 2, 2), field_make(2, 8)),
+        (CodeParams(9, 2, 1, 3), field_make(11)),
+        (CodeParams(8, 2, 1, 2), field_make(2, 4)),
+        (CodeParams(6, 1, 1, 3), field_make(7)),
+        (CodeParams(6, 1, 1, 2), field_make(2, 3)),
+    ]
+    grown, kept = [], []
+
+    class Cache(construct_mod._FunctionalCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.fresh = fresh_cache(*args)
+            self.growing = False
+
+        def grow(self, state):
+            self.growing = True
+            added = super().grow(state)
+            self.growing = False
+            assert self.fresh.grow(state) == added
+            L, ref = len(self.covered), self.fresh
+            assert ref.covered == self.covered
+            for j in range(1, self.k):
+                assert (self.coeffs[j][:, :comb(L, j)]
+                        == ref.coeffs[j][:, :comb(L, j)]).all(), (L, j)
+            for j, ids in enumerate(self.ids):
+                assert (ids[:comb(L, j)] == ref.ids[j][:comb(L, j)]).all(), (L, j)
+            assert self.deficient.tolist() == ref.deficient.tolist()
+            grown.append(L)
+            return added
+
+        def walk(self, V, heads):
+            if self.growing:
+                grown.append("walk")
+            yield from super().walk(V, heads)
+
+        def keep(self, index):
+            if self.walked is not None:
+                kept.append((index, self.walked[0].shape[2]))
+            super().keep(index)
+
+    real_pick = construct_mod.pick_extension_vector
+
+    def scaled(state, lam, group):
+        col = real_pick(state, lam, group)
+        return tuple(state.field.mul(2, v) for v in col) if lam == 4 else col
+
+    monkeypatch.setattr(construct_mod, "_SOLVE_CELLS", cells)
+    monkeypatch.setattr(construct_mod, "RANDOM_ATTEMPTS", draws)
+    monkeypatch.setattr(construct_mod, "_FunctionalCache", Cache)
+    for params, f in builds:
+        for pick in (real_pick, scaled):
+            grown.clear()
+            monkeypatch.setattr(construct_mod, "pick_extension_vector", pick)
+            code = construct(params, f, seed=0)
+            assert len([L for L in grown if L != "walk"]) == len(code.steps)
+            # the cover size after each growth that walked
+            walked = [grown[i + 1] for i, L in enumerate(grown) if L == "walk"]
+            lams = [s.lam for s in code.steps]
+            want = [] if params.k == 1 else [grown[1]]
+            if pick is scaled and 4 in lams[:-1] and params.k > 1:
+                # the growth after lam = 4's step covers it
+                want.append(grown[1] + lams.index(4) + 1)
+            assert walked == want, (params, f)
+    # acceptances from a scan batch, past its first candidate
+    if not draws:
+        assert any(index and N > 1 for index, N in kept)
 
 
 def test_cached_counts_and_core_mask_match_brute_force(monkeypatch):

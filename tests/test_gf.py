@@ -340,6 +340,20 @@ def test_kernel_lines_one_per_line_in_lexicographic_order():
     assert next(it).tolist() == [[0, 1, x] for x in range(3)]
 
 
+@pytest.mark.parametrize("p", [499, 2324809, 4294967311, 2 ** 61 - 1])
+def test_prime_kernel_inverse_tree_on_every_small_size(p):
+    # the product tree carries an odd level's last element up unpaired:
+    # every size from 0 to 33 gives each element's inverse by the scalar
+    # power, also on the object-dtype kernels of the two largest primes
+    rng = random.Random(p)
+    K = field_kernel(field_make(p))
+    assert (K.dtype == object) == (p > 3037000493)
+    for size in range(34):
+        nz = [rng.randrange(1, p) for _ in range(size)]
+        assert K.inv(K.array(nz).reshape(size)).tolist() == [
+            pow(x, p - 2, p) for x in nz], size
+
+
 def test_kernel_binary_tables_exhaustive_when_x_is_not_primitive():
     # x has order below q-1 modulo the built-in polynomials of these
     # degrees, so the log tables must be taken over another generator
