@@ -26,9 +26,14 @@ values there are the a of the rows it owns once covered. A step's
 candidates v are headed for the next index; the pencils, the
 (k-2)-subsets T, are a prefix of their last level, and each core T + x
 combines the two values with its own two coefficients,
-a_0 (A_T1 v) - a_1 (A_T0 v). The accepted candidate's walk is written
-into its coordinate's rows, so only the base columns are walked when
-covered. Rows hold the id of their subset's count
+a_0 (A_T1 v) - a_1 (A_T0 v). The call that accepts a candidate writes
+its walk into its coordinate's rows, by the one writer that also stores
+the walks of the base columns, so only those are walked when covered;
+nothing holds a walk between calls. Every level, and every slice of
+candidates' values, is cut by one rule: consecutive ranges of a bounded
+number of rows. For k = 1 the one subset is the empty one, whose
+functional is the identity, and the step tests the candidates directly.
+Rows hold the id of their subset's count
 class, the distinct vector of group counts, and T + x's class comes from
 T's and x's through a table built once from the structure. So a step
 picks the cores paired with lam by one cap test per class and one gather
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from itertools import accumulate
 from math import comb
@@ -107,8 +113,9 @@ _SCAN_LIMIT = 1 << 20
 # Cells per slice as the functional cache grows and candidates are
 # evaluated: a slice's rows times the entries each reads, so that its
 # widened gathers and their temporaries stay a few MiB whatever the
-# code's dimension.
-_SOLVE_CELLS = _BATCH
+# code's dimension. Half a batch: a draw's full slices of _BATCH / 2 rows
+# built construct-large 8% slower than slices of _BATCH / 4 rows.
+_SOLVE_CELLS = _BATCH // 2
 
 
 @dataclass(frozen=True)
@@ -293,8 +300,9 @@ class _FunctionalCache:
     so the first C(i, j) rows are the j-subsets of the first i covered
     coordinates. The top level, j = k-1, the (k-1)-subsets, is `top`: two
     coefficients a row against its pencil T of level k-2; `deficient`
-    lists its rows with a = 0. For k = 1 there are no pencils: the top
-    level is level 0, the empty subset.
+    lists its rows with a = 0. For k = 1 there are no pencils and no
+    levels above the empty subset, so the cache holds no rows, and the
+    step (`_core_values`) tests the empty subset itself.
 
     `walk` streams vectors down the tower: a vector's values under A_T are
     derived level by level with the stored a, by the same step, since
@@ -303,10 +311,11 @@ class _FunctionalCache:
     the values of I_k are the functionals themselves. A vector headed for
     cover index i is walked over the rows of the first i covered
     coordinates, which are the rows a column covered at index i reads: its
-    values at level j-1 are its rows' a at level j. So the walk of an
-    accepted candidate, headed for the next index, is written into that
-    index's slots by `keep`, and `grow` walks only what it does not find
-    there. The arrays start zeroed, which is the walk of the zero column.
+    values at level j-1 are its rows' a at level j. `keep` is the one
+    writer of walks into slots: `grow` passes it the walks of the columns
+    whose slots do not hold them, and the call that accepts a candidate,
+    headed for the next index, passes it that candidate's. The arrays
+    start zeroed, which is the walk of the zero column.
 
     A count class is one distinct vector of group counts (see
     `_BlockModel`). Coordinate x is of class `xclass[x]`, a row of
@@ -361,7 +370,6 @@ class _FunctionalCache:
         self.top = self.coeffs[-1]
         self.covered: list[int] = []
         self.deficient = np.empty(0, dtype=np.int64)
-        self.walked: Optional[list] = None
 
     def grow(self, state: ExtensionState) -> int:
         """Cover the coordinates of Omega not covered yet, in increasing
@@ -369,28 +377,25 @@ class _FunctionalCache:
         at the top, which of its rows are deficient. Its rows' a are the
         walk of its column over the rows of the first i covered
         coordinates, which `keep` has already written into its slots for
-        an accepted candidate; a slot that holds no walk of exactly its
-        column (the base columns, or a column the caller chose) is walked
-        here, all such columns together, each only over the rows it reads.
-        Returns how many (k-1)-subsets that added."""
-        self.walked = None
+        an accepted candidate; the columns whose slots hold no walk of
+        exactly them (the base columns, or a column the caller chose) are
+        walked here, all together, each only over the rows it reads, and
+        `keep` writes them level by level. Returns how many (k-1)-subsets
+        that added."""
         old = len(self.covered)
         order = self.covered = self.covered + sorted(
             set(state.omega).difference(self.covered))
         if len(order) >= self.n:
             raise PreconditionViolated(
                 f"the cache holds subsets of at most {self.n - 1} coordinates")
-        if old == len(order) or self.k == 1:
-            return comb(len(order), self.k - 1) - comb(old, self.k - 1)
         cols = _column_array(state)[order[old:]]
-        # a slot's level 1 row is the column its walk started from
-        fresh = np.flatnonzero((self.coeffs[1][:, old:len(order)].T != cols).any(axis=1))
-        if fresh.size:
-            heads = old + fresh
-            for j, W in enumerate(self.walk(cols[fresh].T, heads), start=1):
-                for c, i in enumerate(heads.tolist()):
-                    lo, m = comb(i, j), comb(i, j - 1)
-                    self.coeffs[j][:, lo:lo + m] = W[:, :m, c]
+        # a slot's level 1 row, where there is a level 1, is the column its
+        # walk started from
+        fresh = [c for c, col in enumerate(cols)
+                 if any((a[:, old + c] != col).any() for a in self.coeffs[1:2])]
+        if fresh:
+            heads = old + np.array(fresh)
+            self.keep(self.walk(cols[fresh].T, heads), list(enumerate(heads.tolist())))
         dead = [self.deficient]
         for j in range(1, self.k):
             for i in range(old, len(order)):
@@ -414,62 +419,49 @@ class _FunctionalCache:
         coefficients, which must be in place when it is asked for, in slices
         whose int64 operands hold about _SOLVE_CELLS cells, each walked only
         for the suffix of vectors that reads any of its rows; a level is
-        held in the narrow dtype. Nothing for k = 1.
+        held in the narrow dtype. Nothing for k = 1, which has no level
+        below the top.
         """
-        if self.k == 1:
-            return
         kern, stop = self.kern, int(heads[-1])
         W = V[:, None]
-        yield W
-        for j in range(1, self.k - 1):
-            m, N = self.k - j + 1, W.shape[2]
-            ends = np.array([comb(i, j) for i in range(stop + 1)])[heads]
-            out = np.zeros((m - 1, comb(stop, j), N), self.dtype)
-            for lo, hi, segs in self.slices(j, _SOLVE_CELLS // (m * N), stop):
-                c = int(np.searchsorted(ends, lo, side="right"))
-                out[:, lo:hi, c:] = _annihilate(
-                    kern, _gather(W[:, :, c:], segs, kern.dtype), self.coeffs[j][:, lo:hi])[0]
-            W = out
+        for j in range(self.k - 1):
+            if j:
+                m, N = self.k - j + 1, W.shape[2]
+                ends = np.array([comb(i, j) for i in range(stop + 1)])[heads]
+                out = np.zeros((m - 1, comb(stop, j), N), self.dtype)
+                for lo, hi, segs in self.slices(j, _SOLVE_CELLS // (m * N), stop):
+                    c = int(np.searchsorted(ends, lo, side="right"))
+                    out[:, lo:hi, c:] = _annihilate(
+                        kern, _gather(W[:, :, c:], segs, kern.dtype),
+                        self.coeffs[j][:, lo:hi])[0]
+                W = out
             yield W
 
-    def keep(self, index: int) -> None:
-        """Write candidate `index` of the last walk of candidates, headed for
-        cover index L = len(covered), into the slots of coordinate L: its
-        values at level j-1 are the a of L's rows at level j. The next
-        `grow` finds them there if that candidate becomes L's column."""
-        walked, self.walked = self.walked, None
-        if walked is None:
-            return
-        L = len(self.covered)
-        for j, W in enumerate(walked, start=1):
-            lo, m = comb(L, j), comb(L, j - 1)
-            self.coeffs[j][:, lo:lo + m] = W[:, :m, index]
+    def keep(self, walk, targets: list) -> None:
+        """Write the walk of vector c, headed for cover index i, into i's
+        slots, for each (c, i) in `targets`: its values at level j-1 are
+        the a of i's rows at level j. A level is written as it comes,
+        before the walk derives the next, which reads it."""
+        for j, W in enumerate(walk, start=1):
+            for c, i in targets:
+                lo, m = comb(i, j), comb(i, j - 1)
+                self.coeffs[j][:, lo:lo + m] = W[:, :m, c]
 
-    def slices(self, j: int, rows: int, stop: Optional[int] = None):
-        """The rows of level j (the top level for j = k-1) of the first
-        `stop` covered coordinates (all of them by default), as (lo, hi,
-        segments): rows lo .. hi-1 are, in order, the subsets T + x for the
-        rows T = s .. e-1 of level j-1 of each segment (s, e), x the
-        segment's coordinate. Covered coordinate i owns rows C(i, j) ..
-        C(i+1, j) - 1, whose parents are rows 0 .. C(i, j-1) - 1. A run of
-        whole blocks of at most `rows` rows in all is one slice, a segment
-        per block; a larger block is cut into slices of `rows`."""
-        rows = max(1, rows)
-        count = len(self.covered) if stop is None else stop
-        i = lo = 0
-        while i < count:
-            end, total = i, 0
-            while end < count and total + comb(end, j - 1) <= rows:
-                total += comb(end, j - 1)
-                end += 1
-            if end > i:
-                yield lo, lo + total, [(0, comb(t, j - 1)) for t in range(i, end)]
-                i, lo = end, lo + total
-                continue
-            size = comb(i, j - 1)
-            for s in range(0, size, rows):
-                yield lo + s, lo + min(s + rows, size), [(s, min(s + rows, size))]
-            i, lo = i + 1, lo + size
+    def slices(self, j: int, rows: int, stop: int):
+        """The first C(stop, j) rows of level j (the top level for j = k-1),
+        those of the first `stop` covered coordinates, cut into consecutive
+        slices of at most `rows` rows, as (lo, hi, segments): rows lo .. hi-1
+        are, in order, the subsets T + x for the rows T = s .. e-1 of level
+        j-1 of each segment (s, e), x the segment's coordinate. Block i, the
+        rows of covered coordinate i, starts at row C(i, j), and its parents
+        are rows 0 .. C(i, j-1) - 1; a slice has a segment per block it
+        meets."""
+        starts, rows = [comb(i, j) for i in range(stop + 1)], max(1, rows)
+        for lo in range(0, starts[-1], rows):
+            hi = min(lo + rows, starts[-1])
+            first, last = bisect_right(starts, lo) - 1, bisect_left(starts, hi)
+            yield lo, hi, [(max(lo, s) - s, min(hi, e) - s) for s, e in
+                           zip(starts[first:last], starts[first + 1:last + 1])]
 
     def paired(self, lam: int) -> np.ndarray:
         """Which live top-level rows S0 = T + x make S0 + lam a core: one cap
@@ -477,8 +469,6 @@ class _FunctionalCache:
         plus lam's, then one gather per covered coordinate x of the tests of
         its class, `table[class of x][class of T]`."""
         model = self.model
-        if self.k == 1:
-            return model.mask(self.counts[0] + model.counted[lam])
         sums = (self.xcounts + model.counted[lam])[:, None] + self.counts[-1]
         table = model.mask(sums.reshape(-1, sums.shape[-1])).reshape(sums.shape[:2])
         ids = self.ids[-1]
@@ -495,44 +485,45 @@ def _core_values(state: ExtensionState, lam: int, basis: np.ndarray):
     step added to the cache and tested.
 
     `values(C)`, for N x b coefficients C of candidates v = C basis over
-    the b x k group-span basis, yields, slice by slice in the cache's
-    order, a rows x N mask over the top level: True where v avoids span(S0)
-    or S0 is not paired with lam. The candidates are headed for cover
-    index L, L the number of covered coordinates, so they are walked once
-    per call down the tower over the rows of all L, A_T v; the pencils T
-    the test reads are the prefix C(L-1, k-2) of the last level, and a core
-    T + x with coefficients a takes a_0 (A_T1 v) - a_1 (A_T0 v), the value
-    of its functional up to sign, which is zero iff v is in span(S0). The
-    walk is kept for `keep`, so that the accepted candidate's becomes L's
-    rows. At the last step, L = n-1, there is no slot for L, and the walk
-    covers only the rows the test reads. Raises RuntimeError when a paired
-    core is rank-deficient, which breaks the loop invariant.
+    the b x k group-span basis, returns (masks, walk). `masks` yields,
+    slice by slice in the cache's order, a rows x N mask over the top
+    level: True where v avoids span(S0) or S0 is not paired with lam. The
+    candidates are headed for cover index L, L the number of covered
+    coordinates, so they are walked once per call down the tower over the
+    rows of all L, A_T v; the pencils T the test reads are the prefix
+    C(L-1, k-2) of the last level, and a core T + x with coefficients a
+    takes a_0 (A_T1 v) - a_1 (A_T0 v), the value of its functional up to
+    sign, which is zero iff v is in span(S0). `walk` is that walk, the
+    levels that the caller passes to `keep` for the candidate it accepts,
+    so that its walk becomes L's rows. At the last step, L = n-1, there is
+    no slot for L, the walk covers only the rows the test reads, and
+    `walk` is empty. For k = 1 the one subset is the empty one, whose
+    functional is the identity: the mask is v != 0 where it is paired, and
+    `walk` is empty. Raises RuntimeError when a paired core is
+    rank-deficient, which breaks the loop invariant.
     """
     kern = field_kernel(state.field)
     cache = state.functionals
     added = cache.grow(state)
+    k, L = cache.k, len(cache.covered)
+    if k == 1:  # the one subset is the empty one: its functional is the identity
+        ok = cache.model.mask(cache.model.counted[lam][None])
+        return (lambda C: ([(kern.matmul(C, basis).T != 0) | ~ok[:, None]], []),
+                int(ok[0]), added, 1)
     ok = cache.paired(lam)
     if ok.take(cache.deficient).any():
         raise RuntimeError("loop invariant violated: rank-deficient core basis")
-    k, L = cache.k, len(cache.covered)
-    head = L if L < cache.n - 1 else L - 1
+    head = min(L, cache.n - 2)
     unpaired = ~ok[:, None]
 
     def values(C: np.ndarray):
-        V = kern.matmul(C, basis)
-        if k == 1:  # the empty subset's functional is the identity
-            yield (V.T != 0) | unpaired
-            return
-        cache.walked = None
-        walked = list(cache.walk(V.T, np.full(len(C), head)))
-        if head == L:
-            cache.walked = walked
-        PV = walked[-1]
-        for lo, hi, segs in cache.slices(k - 1, _SOLVE_CELLS // (2 * len(C))):
-            Q, a = _gather(PV, segs, kern.dtype), cache.top[:, lo:hi, None]
-            avoids = kern.cross(Q[1], a[0], Q[0], a[1]) != 0
-            avoids |= unpaired[lo:hi]
-            yield avoids
+        walked = list(cache.walk(kern.matmul(C, basis).T, np.full(len(C), head)))
+
+        def masks():
+            for lo, hi, segs in cache.slices(k - 1, _SOLVE_CELLS // (2 * len(C)), L):
+                Q, a = _gather(walked[-1], segs, kern.dtype), cache.top[:, lo:hi, None]
+                yield (kern.cross(Q[1], a[0], Q[0], a[1]) != 0) | unpaired[lo:hi]
+        return masks(), walked if head == L else []
 
     return values, int(np.count_nonzero(ok)), added, len(ok)
 
@@ -546,10 +537,11 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     overwhelmingly likely to have succeeded first when q >= C(n, k-1)),
     and the error says the span was not exhausted. Each draw, and each
     batch of lines, is tested against the pencils through `_core_values`,
-    and the accepted candidate's walk becomes lam's rows of the cache; the
-    containment check before the scan evaluates the basis vectors, and a
-    paired core that none of them avoids holds the whole span. A
-    successful step appends its StepStats to `state.steps`.
+    and the call that accepts a candidate passes its walk to `keep`, which
+    makes it lam's rows of the cache; the containment check before the
+    scan evaluates the basis vectors, and a paired core that none of them
+    avoids holds the whole span. A successful step appends its StepStats
+    to `state.steps`.
     """
     start = time.perf_counter()
     g = state.structure.groups[group - 1]
@@ -560,21 +552,23 @@ def pick_extension_vector(state: ExtensionState, lam: int, group: int) -> tuple[
     basis = kern.array([row for _, row in _group_span_basis(state, group)]
                        ).reshape(-1, state.params.k)
     values, cores, added, subsets = _core_values(state, lam, basis)
+    L = len(state.functionals.covered)
 
     def accept(C: np.ndarray) -> np.ndarray:
+        masks, walk = values(C)
         hit = np.ones(len(C), dtype=bool)
-        for avoids in values(C):
+        for avoids in masks:
             hit &= avoids.all(axis=0)
             if not hit.any():
                 return hit
         # the search takes the first candidate that passes
-        state.functionals.keep(int(hit.argmax()))
+        state.functionals.keep(walk, [(int(hit.argmax()), L)])
         return hit
 
     def contained() -> bool:
         # a core that vanishes on every basis vector kills the whole span
         unit = kern.array(np.eye(len(basis), dtype=np.int64))
-        return any(not avoids.any(axis=1).all() for avoids in values(unit))
+        return any(not avoids.any(axis=1).all() for avoids in values(unit)[0])
 
     coeffs, draws, scanned = _avoidance_search(
         state, lam, len(basis), accept, contained, cores)

@@ -118,18 +118,10 @@ def _poly_mod_gf2(a: int, modulus: int) -> int:
 
 
 def _poly_irreducible_gf2(poly: int) -> bool:
-    """Trial division over GF(2); adequate for the supported degrees."""
+    """Trial division over GF(2) by every polynomial of degree 1 .. deg/2, x
+    (2) first; adequate for the supported degrees, all at least 2."""
     deg = poly.bit_length() - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    if poly & 1 == 0:
-        return False
-    for divisor in range(2, 1 << (deg // 2 + 1)):
-        if divisor.bit_length() - 1 >= 1 and _poly_mod_gf2(poly, divisor) == 0:
-            return False
-    return True
+    return all(_poly_mod_gf2(poly, divisor) for divisor in range(2, 1 << (deg // 2 + 1)))
 
 
 class FieldSpec:

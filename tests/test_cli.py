@@ -304,6 +304,9 @@ def test_construct_bad_field_spec(capsys):
         rc, out, err = run(capsys, ["construct", "6", "3", "2", "2", "--field", field])
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and "not prime" in err
+    # a fourth part
+    rc, out, err = run(capsys, ["construct", "6", "3", "2", "2", "--field", "7,1,0,5"])
+    assert (rc, out, err) == (1, "", "error: expected P[,E[,POLY]], got '7,1,0,5'\n")
 
 
 def test_verify_detects_tampered_distance_claim(tmp_path, capsys):
@@ -333,6 +336,28 @@ def test_verify_names_no_route_when_locality_fails(tmp_path, capsys):
     assert "locality: FAIL" in out
     assert ("optimality: NOT OPTIMAL (bound d* = 4, 220 subsets of size 9)\n"
             in out)
+
+
+def test_verify_prints_the_not_optimal_certificate(tmp_path, capsys):
+    # columns 9-12 become u, w, u + w and u + 2w, u = c1 + c5 and w = c9:
+    # group 3 keeps rank 2, so locality holds, but the nine columns 1-9
+    # span only rank 4, which the certificate names; d falls to 3
+    data = json.loads(_saved_text())
+    p = data["code"]["field"]["p"]
+    for row in data["code"]["generator"]["data"]:
+        u, w = (row[0] + row[4]) % p, row[8]
+        row[8:12] = [u, w, (u + w) % p, (u + 2 * w) % p]
+    data["code"]["trace"] = []
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, ["verify", str(path)])
+    assert rc == 1 and err == ""
+    assert "\nlocality: OK, 18 scanned\n" in out
+    assert ("\ndistance: d = 3 via rank-criterion, 220 scanned, 18 labelled\n"
+            "  FAIL: claimed d = 4\n"
+            "optimality: NOT OPTIMAL (bound d* = 4, 220 subsets of size 9) "
+            "via pencil-scan, 220 scanned, 28 labelled\n"
+            "  deficient columns: (1, 2, 3, 4, 5, 6, 7, 8, 9)\n") in out
 
 
 def test_verify_prints_the_locality_work(tmp_path, capsys):
@@ -461,10 +486,14 @@ def test_verify_rejects_malformed_files(tmp_path, capsys):
     def string_entry(data):
         data["code"]["generator"]["data"][0][0] = "7"
 
+    def file_as_list(data):
+        return [data]
+
     for edit, needle in ((drop_params, "missing key 'params'"),
                          (code_as_list, "malformed code file"),
                          (float_field, "float"),
-                         (string_entry, "str")):
+                         (string_entry, "str"),
+                         (file_as_list, "expected a JSON object, got list")):
         rc, out, err = _verify_edited(capsys, tmp_path, edit)
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and needle in err

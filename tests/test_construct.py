@@ -207,20 +207,22 @@ def _checked_core_values(compared):
         values, cores, added, subsets = real(state, lam, basis)
         # each top row's functional, rebuilt from the cache's layout and
         # restricted to the basis, is its value on the unit coefficient
-        # vectors; the paired rows, picked by the step's own mask, are the
+        # vectors; the paired rows, picked by is_core row by row, are the
         # per-step solve's, up to order and scalars
         cache = state.functionals
         kern = field_kernel(state.field)
-        ok = cache.paired(lam)
+        q = CoreQuery(state.structure, state.params.r, state.params.k, state.params.delta)
+        ok = np.array([is_core(S0 + [lam], q)
+                       for S0 in _cover_order(cache.covered, cache.k - 1)])
         phi = _cache_levels(cache)[-1][1][0]
         psi = kern.matmul(phi, basis.T)
         assert psi.shape == (len(ok), len(basis)) and ok.sum() == cores
         assert (_projective_rows(state.field, psi[ok])
                 == _projective_rows(state.field, want)), (state.params, lam)
-        # values yields, over every top row, whether each unit vector avoids
-        # the row's span, and True on the rows not paired with lam
+        # values' masks say, over every top row, whether each unit vector
+        # avoids the row's span, and are True on the rows not paired with lam
         unit = kern.array(np.eye(len(basis), dtype=np.int64))
-        avoids = np.concatenate(list(values(unit)))
+        avoids = np.concatenate(list(values(unit)[0]))
         assert (avoids == ((psi != 0) | ~ok[:, None])).all(), (state.params, lam)
         compared.append(lam)
         return values, cores, added, subsets
@@ -594,6 +596,27 @@ def test_cache_solves_each_pencil_once_in_bounded_slices(monkeypatch):
         assert cache.top is cache.coeffs[-1]
 
 
+def test_slices_cut_consecutive_rows_with_one_segment_per_block():
+    # level j's first C(stop, j) rows, block i (covered coordinate i's rows
+    # T + x_i, T = 0 .. C(i, j-1) - 1) starting at C(i, j), cut into
+    # consecutive slices of `rows` rows but the last; a slice's segments
+    # are the parents of its rows in order, one segment per block it meets
+    cache = construct_mod._FunctionalCache(
+        field_make(11), 12, 5, SimpleNamespace(counted=np.eye(13, dtype=np.int8)))
+    for j in range(1, 5):
+        for stop in range(12):
+            layout = [(i, T) for i in range(stop) for T in range(comb(i, j - 1))]
+            for rows in (0, 1, 2, 3, 7, 40, 1000):
+                got = list(cache.slices(j, rows, stop))
+                assert [lo for lo, _, _ in got] == list(range(0, len(layout), max(1, rows)))
+                assert all(hi - lo == min(max(1, rows), len(layout) - lo)
+                           for lo, hi, _ in got)
+                for lo, hi, segs in got:
+                    assert [T for s, e in segs for T in range(s, e)] == [
+                        T for _, T in layout[lo:hi]], (j, stop, rows, lo)
+                    assert len(segs) == len({i for i, _ in layout[lo:hi]})
+
+
 @pytest.mark.parametrize("draws", [construct_mod.RANDOM_ATTEMPTS, 0])
 @pytest.mark.parametrize("cells", [10, construct_mod._SOLVE_CELLS])
 def test_kept_rows_equal_a_fresh_walk(draws, cells, monkeypatch):
@@ -643,10 +666,13 @@ def test_kept_rows_equal_a_fresh_walk(draws, cells, monkeypatch):
                 grown.append("walk")
             yield from super().walk(V, heads)
 
-        def keep(self, index):
-            if self.walked is not None:
-                kept.append((index, self.walked[0].shape[2]))
-            super().keep(index)
+        def keep(self, walk, targets):
+            # an accepted candidate's walk, as a list of levels; empty for
+            # k = 1 and at the last step, which have no slots to write
+            if not self.growing and walk:
+                (index, _), = targets
+                kept.append((index, walk[0].shape[2]))
+            super().keep(walk, targets)
 
     real_pick = construct_mod.pick_extension_vector
 
@@ -786,7 +812,7 @@ def test_dependent_column_still_breaks_the_next_step(monkeypatch):
     def per_step(state, lam, basis):
         kern = field_kernel(state.field)
         psi = _per_step_psi(state, lam, basis)
-        return lambda C: iter([kern.matmul(psi, C.T)]), len(psi), 0, 0
+        return lambda C: ([kern.matmul(psi, C.T)], []), len(psi), 0, 0
 
     for f in (field_make(499), field_make(2, 9)):
         for evaluate in (construct_mod._core_values, per_step):
@@ -1008,7 +1034,7 @@ def test_fallback_scan_matches_scalar_product_order(f, monkeypatch):
         # the chosen functionals' values on each batch of candidates
         monkeypatch.setattr(
             construct_mod, "_core_values", lambda state, lam, basis: (
-                lambda C: iter([kern.matmul(P, C.T)]), len(P), 0, 0))
+                lambda C: ([kern.matmul(P, C.T)], []), len(P), 0, 0))
         state = _unit_state(f, b)
         total = (f.q ** b - 1) // (f.q - 1)
         want, lines = _scalar_scan(f, psi, b,
@@ -1156,6 +1182,15 @@ def test_algorithm_entry_points_check_structure_kind():
     f = field_make(499)
     with pytest.raises(PreconditionViolated):
         run_extension(uniform_partition(6, 2, 2), p, f)  # n mismatch
+    # a cover with a gap fails validation; three pairs pass it, but two
+    # of them cover 4 < k + 2(delta - 1) = 5 coordinates
+    p, f = CodeParams(6, 3, 2, 2), field_make(17)
+    with pytest.raises(PreconditionViolated,
+                       match=r"^invalid structure: coordinates not covered: \[6\]$"):
+        run_extension(CoverSet(6, [(1, 2, 3), (4, 5)]), p, f)
+    with pytest.raises(PreconditionViolated,
+                       match="^structure fails the union-size coverage requirement$"):
+        run_extension(CoverSet(6, [(1, 2), (3, 4), (5, 6)]), p, f)
 
 
 # ---------------------------------------------------------------------

@@ -197,6 +197,30 @@ def test_validate_rejects_bad_partitions():
     assert len(bad) == 2
 
 
+def test_validate_names_each_defect():
+    # one defect a structure, each named by its own message alone
+    cases = [
+        (CoverSet(6, [(1, 1, 2, 3), (4, 5, 6)]), 3, "group 1: repeated element"),
+        (Frame(7, [(1, 2, 2), (1, 4, 5), (3, 6, 7)], hub_blocks=[(1, 2)],
+               tail_block=(3,), hubs=(1,)), 2, "group 1: repeated element"),
+        (Frame(9, [(1, 2, 3), (1, 4, 5), (6, 7, 8, 9)], hub_blocks=[(1, 2)],
+               tail_block=(3,), hubs=(1,)), 2, "group 3: size 4 != 3"),
+        (Frame(8, [(1, 2, 3), (1, 4, 5), (6, 7, 8)], hub_blocks=[(1, 2)],
+               tail_block=(3,), hubs=(1, 6)), 2, "1 hub blocks but 2 hubs"),
+        (Frame(8, [(1, 2, 3), (1, 4, 5), (6, 7, 8)], hub_blocks=[(1, 2)],
+               tail_block=(2, 3), hubs=(1,)), 2, "group index 2 in two blocks"),
+        (Frame(8, [(1, 2, 3), (1, 4, 5), (6, 7, 8)], hub_blocks=[(1, 2)],
+               tail_block=(), hubs=(1,)), 2,
+         "hub blocks plus tail do not cover all groups"),
+        # the three groups share only the hub, but groups 1 and 2 share 2
+        (Frame(6, [(1, 2, 3), (1, 2, 4), (1, 5, 6)], hub_blocks=[(1, 2, 3)],
+               tail_block=(), hubs=(1,)), 2,
+         "hub block 1: groups overlap outside the hub"),
+    ]
+    for structure, r, message in cases:
+        assert validate(structure, r, 2) == (False, [message])
+
+
 def test_structures_reject_out_of_range_coordinates():
     # members and hubs must lie in [1, n], block entries in [1, t]; the
     # bitmasks are never built from anything else

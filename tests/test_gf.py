@@ -201,6 +201,22 @@ def test_field_make_rejects_bad_input():
         field_make(2, 2, 0b101)  # x^2 + 1 = (x+1)^2
     with pytest.raises(ReduciblePolynomial):
         field_make(2, 3, 0b111)  # degree 2, not 3
+    with pytest.raises(ReduciblePolynomial):
+        field_make(2, 4, 0b10010)  # x^4 + x = x (x^3 + 1): even, so x divides it
+
+
+def test_field_make_accepts_exactly_the_irreducible_moduli():
+    # Gauss's count of the monic irreducible polynomials of degree d over
+    # GF(2): (1/d) sum over e | d of mu(d/e) 2^e
+    for d, count in ((2, 1), (3, 2), (4, 3), (5, 6), (6, 9), (7, 18), (8, 30)):
+        accepted = 0
+        for poly in range(1 << d, 2 << d):
+            try:
+                field_make(2, d, poly)
+            except ReduciblePolynomial:
+                continue
+            accepted += 1
+        assert accepted == count, d
 
 
 def test_field_make_rejects_a_modulus_for_a_prime_field():

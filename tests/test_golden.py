@@ -4,6 +4,7 @@ The hashes were computed before the avoidance step had one engine,
 when prime fields above a size threshold took a vectorized path and
 everything else (binary fields, small steps, primes with p(p-1) >= 2^63)
 took a scalar one; the labels say which kind of step built each code.
+The k <= 2 pins came later, from the one engine.
 The formula is the benchmark's (perfbench/run.py, generator_sha256).
 """
 
@@ -69,6 +70,13 @@ PINS = [
      "8d4f3a94eae1dc5c8bd5f2aa10222f5e2de041c9d67301848535753750de0dbf"),
     ((13, 5, 2, 2), (2, 10), 0, "frame, scalar steps",
      "8d3de257b0303e4bbcb4d418ee592ed3f816409aaf0897c03761b4fa4a4f33a6"),
+    # k <= 2: no pencils, and for k = 1 the one subset is the empty one
+    ((6, 1, 1, 3), (7,), 0, "partition, k = 1",
+     "f7332a641582fa347c15487214f6e94968e5805e212ba4b6df7ca1c9dcf1ee26"),
+    ((6, 1, 1, 2), (2, 3), 0, "partition, k = 1",
+     "ecc0922ffebe0dfe848ea519e245c6684690f8a8e8196318f25e20eff3c2a78f"),
+    ((9, 2, 1, 3), (11,), 0, "partition, k = 2",
+     "6a222a89726cbdd4cebb0326b767d99fef06c44f5e7b9398609a5950e49f3be4"),
 ]
 
 
