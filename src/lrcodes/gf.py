@@ -228,10 +228,6 @@ def field_make(characteristic: int, degree: int = 1,
     built-in table is used. Degrees stop at 16. A prime field (degree 1)
     has no modulus: a nonzero one raises.
     """
-    if characteristic >= _MR_EXACT_BELOW:
-        raise BoundTooLarge(
-            f"characteristic {characteristic} is too large to prove prime; "
-            f"it must be below {_MR_EXACT_BELOW}")
     if not is_prime(characteristic):
         raise CompositeCharacteristic(f"{characteristic} is not prime")
     if degree < 1:

@@ -107,9 +107,11 @@ def _as_indices(cols: Optional[Iterable[int]], m: "Matrix") -> tuple[int, ...]:
 
 
 class Matrix:
-    """Immutable dense matrix over a FieldSpec, entries canonical ints."""
+    """Immutable dense matrix over a FieldSpec, entries canonical ints.
+    `facts` holds what callers proved from the entries alone (verify's
+    distance and locality); an edited matrix is a new object."""
 
-    __slots__ = ("field", "rows", "cols", "_data", "_columns")
+    __slots__ = ("field", "rows", "cols", "_data", "_columns", "facts")
 
     def __init__(self, field: FieldSpec, rows_data: Sequence[Vector]) -> None:
         self.field = field
@@ -122,6 +124,7 @@ class Matrix:
         self._data: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in canon)
         self._columns: tuple[tuple[int, ...], ...] = tuple(
             tuple(self._data[i][j] for i in range(self.rows)) for j in range(self.cols))
+        self.facts: dict = {}
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows_data: Sequence[Vector]) -> "Matrix":

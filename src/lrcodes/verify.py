@@ -23,8 +23,8 @@ The subset sweep, locality and the structure theorem's punctured MDS
 codes ask one question: which subset of a given size in a column set
 is first to fall below a given rank. One batched scan answers all three.
 A certificate reads the locality and the distance already proven for
-the same generator, and scans only when that distance is below the
-bound, for the first deficient subset its report names.
+the same generator object, kept in its `facts`, and scans only when that
+distance is below the bound, for the first deficient subset it names.
 Each report says which route ran, what it covered and what it labelled.
 """
 
@@ -82,22 +82,6 @@ DEFAULT_BUDGET = 10 ** 7
 # matrix, or at level j of the pencil tower a j-subset's k-j rows of
 # values on the n columns); this bounds the working memory of one batch.
 _BATCH_CELLS = 1 << 15
-
-# Facts proven about a generator, oldest first: the exact d min_distance
-# returned, under ("d", m), and check_locality's report, under
-# ("locality", m, groups, r, delta). Keys hold the generator Matrix, whose
-# equality covers its field and every entry, never the LrcCode, which is
-# mutable. Only certify_optimal reads them.
-_KNOWN: dict[tuple, object] = {}
-_KNOWN_ENTRIES = 8
-
-
-def _remember(key: tuple, fact: object) -> None:
-    _KNOWN.pop(key, None)
-    _KNOWN[key] = fact
-    if len(_KNOWN) > _KNOWN_ENTRIES:
-        del _KNOWN[next(iter(_KNOWN))]
-
 
 @dataclass(frozen=True)
 class GroupLocality:
@@ -238,7 +222,7 @@ def check_locality(code: LrcCode) -> LocalityReport:
     overall = all_covered and all(e.ok for e in entries)
     report = LocalityReport(per_group=entries, covered=all_covered,
                             overall=overall, scanned=scanned)
-    _remember(("locality", code.generator, groups, r, delta), report)
+    code.generator.facts[("locality", groups, r, delta)] = report
     return report
 
 
@@ -459,7 +443,7 @@ def min_distance(code: LrcCode, budget: int = DEFAULT_BUDGET) -> DistanceReport:
     Weight enumeration when q^k is small enough; otherwise one scan of
     the C(n, k-2) pencils of hyperplanes through independent column
     subsets for the largest column set of rank below k (its size is n-d).
-    Either way d is remembered for the generator, for certify_optimal.
+    Either way d is kept in the generator's facts, for certify_optimal.
     """
     code.validate()
     m = code.generator
@@ -469,7 +453,7 @@ def min_distance(code: LrcCode, budget: int = DEFAULT_BUDGET) -> DistanceReport:
         if not R[0, -1].any():
             raise RankDeficient(f"generator rank {R[0].any(axis=1).sum()} < k = {m.rows}")
         report = _rank_criterion(m, budget, R)
-    _remember(("d", m), report.d)
+    m.facts["d"] = report.d
     return report
 
 
@@ -486,17 +470,17 @@ def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
     route's budget gate runs either way.
 
     A locality report or a d that check_locality or min_distance proved
-    for the same generator is read, not recomputed. Full rank at size s
-    means no hyperplane holds s columns, that is n - d < s, so a known
-    d >= bound passes with no scan (DISTANCE_ROUTE); a smaller one scans
-    as above, for the first deficient s-set.
+    for the same generator object (its facts) is read, not recomputed.
+    Full rank at size s means no hyperplane holds s columns, that is
+    n - d < s, so a known d >= bound passes with no scan (DISTANCE_ROUTE);
+    a smaller one scans as above, for the first deficient s-set.
     """
     code.validate()
     p, m = code.params, code.generator
     bound = distance_bound(p)
     size = p.k + (p.mu - 1) * (p.delta - 1)
     total = comb(p.n, size)
-    locality = (_KNOWN.get(("locality", m, code.structure.groups, p.r, p.delta))
+    locality = (m.facts.get(("locality", code.structure.groups, p.r, p.delta))
                 or check_locality(code))
     note = (f"every {size}-column set of full rank {p.k} gives d >= {bound}; "
             f"(r,delta) locality gives d <= {bound}; together d = {bound}")
@@ -510,7 +494,7 @@ def certify_optimal(code: LrcCode, budget: int = DEFAULT_BUDGET
         scanned = _within_budget(what, p.n, p.k - 2, "(k-2)-subsets", budget)
     else:
         _within_budget(what, p.n, size, "subset checks", budget)
-    known_d = _KNOWN.get(("d", m))
+    known_d = m.facts.get("d")
     if known_d is not None and known_d >= bound:
         route, witness, scanned, labelled = DISTANCE_ROUTE, None, 0, 0
     elif pencils:

@@ -724,7 +724,7 @@ def test_pencil_scan_labels_fewer_on_the_fixtures():
     # counts are pinned, as the floor rises while the scan runs, so a
     # change to the cut or to the batch layout shows here
     code = load_code(FIXTURES / "verify-20-8-4-2.json").code
-    ok, cert = certify_optimal(code)  # nothing remembered: its own scan
+    ok, cert = certify_optimal(code)  # no facts yet: its own scan
     assert ok and (cert.route, cert.scanned) == (verify_mod.PENCIL_ROUTE, 38760)
     rep = min_distance(code)
     assert (rep.d, rep.witness, rep.scanned) == (12, tuple(range(1, 9)), 38760)
@@ -994,15 +994,15 @@ def test_certify_optimal_budget():
 
 
 def _cold_and_warm(code, budget=verify_mod.DEFAULT_BUDGET):
-    """certify_optimal(code) with nothing remembered, and again after
-    check_locality and min_distance(code, budget); the two reports must
-    agree on every compared field (ok, bound_d, subset_size,
-    subsets_total, witness, locality and note). The second reads its
-    verdict off d when locality holds and d >= the bound, and otherwise
-    scans as the first did."""
-    verify_mod._KNOWN.clear()
-    cold = certify_optimal(code)[1]
-    verify_mod._KNOWN.clear()
+    """certify_optimal on a fresh copy of code's generator, which holds
+    no facts, and on code after check_locality and min_distance(code,
+    budget); the two reports must agree on every compared field (ok,
+    bound_d, subset_size, subsets_total, witness, locality and note).
+    The second reads its verdict off d when locality holds and d >= the
+    bound, and otherwise scans as the first did."""
+    m = code.generator
+    cold = certify_optimal(
+        replace(code, generator=Matrix.from_rows(m.field, m.row_data())))[1]
     check_locality(code)
     try:
         d = min_distance(code, budget=budget).d
@@ -1056,6 +1056,8 @@ def test_certificate_reads_known_facts_as_it_would_scan():
 
 
 def test_certificate_keys_what_it_remembers_by_content():
+    # the facts belong to the generator object, proven from its entries:
+    # an edit makes a new Matrix, which holds none of the old one's.
     # (8,3,3,2): two groups of 4 with r = k, so locality asks that every 3
     # columns of a group be independent, the certificate that every 3
     # columns be; a one-entry edit that puts a column in the plane of two
@@ -1090,8 +1092,27 @@ def test_certificate_keys_what_it_remembers_by_content():
     assert rep.route == verify_mod.PENCIL_ROUTE and rep.known_d is None
 
 
+def test_facts_live_on_the_generator_object():
+    # two loads of one file are two generators: a d proven on the first
+    # is not the second's, whose certificate runs its own scan; a copy of
+    # the code that shares the generator reads it. No module memo remains
+    first, second = (load_code(FIXTURES / "verify-20-8-4-2.json").code
+                     for _ in range(2))
+    assert first.generator == second.generator
+    assert min_distance(first).d == 12
+    warm = certify_optimal(first)[1]
+    assert (warm.route, warm.scanned, warm.labelled, warm.known_d) == (
+        verify_mod.DISTANCE_ROUTE, 0, 0, 12)
+    cold = certify_optimal(second)[1]
+    assert (cold.route, cold.scanned, cold.labelled, cold.known_d) == (
+        verify_mod.PENCIL_ROUTE, 38760, 12520, None)
+    shared = replace(first, structure=CoverSet(20, first.structure.groups))
+    assert certify_optimal(shared)[1].known_d == 12
+    assert not hasattr(verify_mod, "_KNOWN")
+
+
 def test_certificate_budget_gate_comes_before_a_known_distance():
-    # a remembered d never turns "out of budget" into a verdict: the gate
+    # a known d never turns "out of budget" into a verdict: the gate
     # counts the route's own scan, C(n,s) subsets or C(n,k-2) pencils
     for params, work, need in [
             (CodeParams(8, 6, 3, 2), 8, "C(8,7) = 8 subset checks"),
